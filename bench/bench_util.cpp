@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/error.hpp"
+
 namespace dsem::bench {
 
 Rig::Rig()
@@ -139,67 +141,88 @@ void print_pareto_evaluation(std::ostream& os, const std::string& title,
      << fmt(eval.ds_cmp.generational_distance, 4) << "\n";
 }
 
-void print_three_way_accuracy(std::ostream& os, const std::string& title,
-                              const core::ThreeWayAccuracyReport& report) {
+void print_family_accuracy(std::ostream& os, const std::string& title,
+                           const core::AccuracyReport& ds,
+                           const core::AccuracyReport& hybrid) {
   print_banner(os, title);
+  DSEM_ENSURE(!ds.rows.empty() && ds.rows.size() == hybrid.rows.size(),
+              "family accuracy: reports must cover the same inputs");
   Table table({"input", "gp_speedup_mape", "ds_speedup_mape",
                "hy_speedup_mape", "gp_energy_mape", "ds_energy_mape",
                "hy_energy_mape"});
-  for (const auto& row : report.rows) {
-    table.add_row({row.input, fmt(row.gp_speedup_mape, 4),
-                   fmt(row.ds_speedup_mape, 4), fmt(row.hy_speedup_mape, 4),
-                   fmt(row.gp_energy_mape, 4), fmt(row.ds_energy_mape, 4),
-                   fmt(row.hy_energy_mape, 4)});
+  // Per-family MAPE means, summed in row order.
+  double gp_speedup = 0.0;
+  double ds_speedup = 0.0;
+  double hy_speedup = 0.0;
+  double gp_energy = 0.0;
+  double ds_energy = 0.0;
+  double hy_energy = 0.0;
+  for (std::size_t i = 0; i < ds.rows.size(); ++i) {
+    const core::AccuracyRow& d = ds.rows[i];
+    const core::AccuracyRow& h = hybrid.rows[i];
+    DSEM_ENSURE(d.input == h.input,
+                "family accuracy: reports must cover the same inputs");
+    table.add_row({d.input, fmt(d.gp_speedup_mape, 4),
+                   fmt(d.ds_speedup_mape, 4), fmt(h.ds_speedup_mape, 4),
+                   fmt(d.gp_energy_mape, 4), fmt(d.ds_energy_mape, 4),
+                   fmt(h.ds_energy_mape, 4)});
+    gp_speedup += d.gp_speedup_mape;
+    ds_speedup += d.ds_speedup_mape;
+    hy_speedup += h.ds_speedup_mape;
+    gp_energy += d.gp_energy_mape;
+    ds_energy += d.ds_energy_mape;
+    hy_energy += h.ds_energy_mape;
   }
   table.print(os);
-  const core::ThreeWayMeans m = report.means();
-  os << "\nmean speedup MAPE: gp " << fmt(m.gp_speedup, 4) << ", ds "
-     << fmt(m.ds_speedup, 4) << ", hybrid " << fmt(m.hy_speedup, 4)
-     << "\nmean energy MAPE:  gp " << fmt(m.gp_energy, 4) << ", ds "
-     << fmt(m.ds_energy, 4) << ", hybrid " << fmt(m.hy_energy, 4) << "\n";
+  const auto n = static_cast<double>(ds.rows.size());
+  os << "\nmean speedup MAPE: gp " << fmt(gp_speedup / n, 4) << ", ds "
+     << fmt(ds_speedup / n, 4) << ", hybrid " << fmt(hy_speedup / n, 4)
+     << "\nmean energy MAPE:  gp " << fmt(gp_energy / n, 4) << ", ds "
+     << fmt(ds_energy / n, 4) << ", hybrid " << fmt(hy_energy / n, 4)
+     << "\n";
 }
 
-void print_three_way_pareto(std::ostream& os, const std::string& title,
-                            const core::ThreeWayParetoEvaluation& eval) {
+void print_family_pareto(std::ostream& os, const std::string& title,
+                         const core::ParetoEvaluation& ds,
+                         const core::ParetoEvaluation& hybrid) {
   print_banner(os, title);
   const auto contains = [](std::span<const std::size_t> set, std::size_t i) {
     return std::find(set.begin(), set.end(), i) != set.end();
   };
   Table table({"freq_mhz", "speedup", "norm_energy", "true_pareto",
                "gp_predicted", "ds_predicted", "hy_predicted"});
-  for (std::size_t i = 0; i < eval.truth.freqs_mhz.size(); ++i) {
-    const bool any = contains(eval.true_front, i) ||
-                     contains(eval.gp_front, i) ||
-                     contains(eval.ds_front, i) || contains(eval.hy_front, i);
+  for (std::size_t i = 0; i < ds.truth.freqs_mhz.size(); ++i) {
+    const bool any = contains(ds.true_front, i) || contains(ds.gp_front, i) ||
+                     contains(ds.ds_front, i) || contains(hybrid.ds_front, i);
     if (!any) {
       continue;
     }
-    table.add_row({fmt(eval.truth.freqs_mhz[i], 1),
-                   fmt(eval.truth.speedup[i], 4),
-                   fmt(eval.truth.norm_energy[i], 4),
-                   contains(eval.true_front, i) ? "*" : "",
-                   contains(eval.gp_front, i) ? "*" : "",
-                   contains(eval.ds_front, i) ? "*" : "",
-                   contains(eval.hy_front, i) ? "*" : ""});
+    table.add_row({fmt(ds.truth.freqs_mhz[i], 1), fmt(ds.truth.speedup[i], 4),
+                   fmt(ds.truth.norm_energy[i], 4),
+                   contains(ds.true_front, i) ? "*" : "",
+                   contains(ds.gp_front, i) ? "*" : "",
+                   contains(ds.ds_front, i) ? "*" : "",
+                   contains(hybrid.ds_front, i) ? "*" : ""});
   }
   table.print(os);
-  os << "\ntrue Pareto set: " << fmt(eval.true_front.size())
-     << " configs\n  general-purpose: " << fmt(eval.gp_front.size())
-     << " predicted, " << fmt(eval.gp_cmp.exact_matches)
-     << " exact matches, distance " << fmt(eval.gp_cmp.generational_distance, 4)
-     << "\n  domain-specific: " << fmt(eval.ds_front.size()) << " predicted, "
-     << fmt(eval.ds_cmp.exact_matches) << " exact matches, distance "
-     << fmt(eval.ds_cmp.generational_distance, 4) << "\n  hybrid:          "
-     << fmt(eval.hy_front.size()) << " predicted, "
-     << fmt(eval.hy_cmp.exact_matches) << " exact matches, distance "
-     << fmt(eval.hy_cmp.generational_distance, 4) << "\n";
+  os << "\ntrue Pareto set: " << fmt(ds.true_front.size())
+     << " configs\n  general-purpose: " << fmt(ds.gp_front.size())
+     << " predicted, " << fmt(ds.gp_cmp.exact_matches)
+     << " exact matches, distance " << fmt(ds.gp_cmp.generational_distance, 4)
+     << "\n  domain-specific: " << fmt(ds.ds_front.size()) << " predicted, "
+     << fmt(ds.ds_cmp.exact_matches) << " exact matches, distance "
+     << fmt(ds.ds_cmp.generational_distance, 4) << "\n  hybrid:          "
+     << fmt(hybrid.ds_front.size()) << " predicted, "
+     << fmt(hybrid.ds_cmp.exact_matches) << " exact matches, distance "
+     << fmt(hybrid.ds_cmp.generational_distance, 4) << "\n";
 }
 
 void print_extrapolation(std::ostream& os, const std::string& title,
-                         const core::ExtrapolationReport& report) {
-  print_three_way_accuracy(os, title, report.accuracy);
+                         const core::ExtrapolationReport& ds,
+                         const core::ExtrapolationReport& hybrid) {
+  print_family_accuracy(os, title, ds.accuracy, hybrid.accuracy);
   os << "held-out (largest) inputs:";
-  for (const std::string& name : report.held_out) {
+  for (const std::string& name : ds.held_out) {
     os << " " << name;
   }
   os << "\n";

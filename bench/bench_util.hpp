@@ -54,17 +54,24 @@ void print_accuracy_report(std::ostream& os, const std::string& title,
 void print_pareto_evaluation(std::ostream& os, const std::string& title,
                              const core::ParetoEvaluation& eval);
 
-/// Prints the three-way (GP vs DS vs hybrid) MAPE comparison table.
-void print_three_way_accuracy(std::ostream& os, const std::string& title,
-                              const core::ThreeWayAccuracyReport& report);
+/// The model-family printers below compare GP vs DS vs hybrid from two
+/// evaluations of the same groups: `ds` on the built dataset and `hybrid`
+/// on its core::fuse_dataset. The GP columns come from `ds`.
 
-/// Prints the three-way predicted-Pareto comparison for one input.
-void print_three_way_pareto(std::ostream& os, const std::string& title,
-                            const core::ThreeWayParetoEvaluation& eval);
+/// Prints the model-family MAPE comparison table.
+void print_family_accuracy(std::ostream& os, const std::string& title,
+                           const core::AccuracyReport& ds,
+                           const core::AccuracyReport& hybrid);
+
+/// Prints the model-family predicted-Pareto comparison for one input.
+void print_family_pareto(std::ostream& os, const std::string& title,
+                         const core::ParetoEvaluation& ds,
+                         const core::ParetoEvaluation& hybrid);
 
 /// Prints the extrapolation split (largest inputs held out) results.
 void print_extrapolation(std::ostream& os, const std::string& title,
-                         const core::ExtrapolationReport& report);
+                         const core::ExtrapolationReport& ds,
+                         const core::ExtrapolationReport& hybrid);
 
 /// The paper's Cronos grids (§5.1) plus interpolation-support grids.
 std::vector<std::unique_ptr<core::Workload>> cronos_workloads(int steps = 10);

@@ -15,6 +15,7 @@
 #include "core/dataset.hpp"
 #include "core/ds_model.hpp"
 #include "core/evaluation.hpp"
+#include "core/kernel_features.hpp"
 #include "core/sweep_report.hpp"
 #include "microbench/suite.hpp"
 
@@ -70,13 +71,13 @@ void print_model_self_fit(std::ostream& os, const core::Workload& workload,
      << fmt_percent(stats::mape(norm_energy, pred.norm_energy)) << "\n";
 }
 
-// Three-way model-family comparison (GP vs DS vs hybrid) on a compact
+// Model-family comparison (GP vs DS vs hybrid) on a compact
 // Cronos grid: leave-one-input-out accuracy, predicted-Pareto quality for
 // the Fig. 1b input, and the extrapolation split that holds out the
 // largest grid — where the hybrid family's execution-model features are
 // designed to beat the input-size-blind GP baseline.
-void print_three_way_section(std::ostream& os, bench::Rig& rig,
-                             const core::SweepOptions& options) {
+void print_model_families(std::ostream& os, bench::Rig& rig,
+                          const core::SweepOptions& options) {
   std::vector<std::unique_ptr<core::Workload>> workloads;
   for (const int n : {10, 20, 40, 80, 120, 160}) {
     const int side = std::max(4, n * 2 / 5);
@@ -93,26 +94,27 @@ void print_three_way_section(std::ostream& os, bench::Rig& rig,
 
   core::GeneralPurposeModel gp;
   gp.train(rig.v100, microbench::make_suite(), options, 16);
-  const sim::DeviceSpec& spec = rig.v100.spec();
+  // The hybrid family: the same evaluations on fused rows, with its own
+  // forest seed.
+  const core::Dataset fused =
+      core::fuse_dataset(dataset, workloads, rig.v100.spec());
+  const ml::RandomForestRegressor hybrid(core::hybrid_forest_params());
 
-  const core::ThreeWayAccuracyReport accuracy =
-      core::evaluate_accuracy_three_way(dataset, workloads, spec, gp);
-  bench::print_three_way_accuracy(
+  bench::print_family_accuracy(
       os, "Model families — LOOCV accuracy (GP vs DS vs hybrid), Cronos on "
           "V100",
-      accuracy);
+      core::evaluate_accuracy(dataset, workloads, gp),
+      core::evaluate_accuracy(fused, workloads, gp, {}, &hybrid));
 
-  const core::ThreeWayParetoEvaluation pareto =
-      core::evaluate_pareto_three_way(dataset, workloads, spec, "80x32x32",
-                                      gp);
-  bench::print_three_way_pareto(
-      os, "Model families — predicted Pareto fronts for 80x32x32", pareto);
+  bench::print_family_pareto(
+      os, "Model families — predicted Pareto fronts for 80x32x32",
+      core::evaluate_pareto(dataset, workloads, "80x32x32", gp),
+      core::evaluate_pareto(fused, workloads, "80x32x32", gp, &hybrid));
 
-  const core::ExtrapolationReport extrapolation =
-      core::evaluate_extrapolation(dataset, workloads, spec, gp);
   bench::print_extrapolation(
       os, "Model families — extrapolation split (largest grid held out)",
-      extrapolation);
+      core::evaluate_extrapolation(dataset, workloads, gp),
+      core::evaluate_extrapolation(fused, workloads, gp, 1, &hybrid));
 }
 
 } // namespace
@@ -152,7 +154,7 @@ int main(int argc, char** argv) {
   bench::print_characterization(std::cout, "Fig. 1b — Cronos on NVIDIA V100",
                                 cronos_c);
   print_model_self_fit(std::cout, cronos, cronos_c);
-  print_three_way_section(std::cout, rig, options);
+  print_model_families(std::cout, rig, options);
   report.add_phase(
       "characterization",
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

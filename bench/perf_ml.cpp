@@ -8,7 +8,8 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
-#include "core/hybrid_model.hpp"
+#include "core/ds_model.hpp"
+#include "core/kernel_features.hpp"
 #include "core/workload.hpp"
 #include "ml/forest.hpp"
 #include "ml/svr.hpp"
@@ -139,9 +140,10 @@ const HybridBenchData& hybrid_bench_data() {
 // input columns.
 void BM_HybridFit(benchmark::State& state) {
   const HybridBenchData& d = hybrid_bench_data();
+  const ml::RandomForestRegressor prototype(core::hybrid_forest_params());
   for (auto _ : state) {
-    core::HybridModel model;
-    model.train(d.dataset, d.workloads, d.spec);
+    core::DomainSpecificModel model(prototype);
+    model.train(core::fuse_dataset(d.dataset, d.workloads, d.spec));
     benchmark::DoNotOptimize(model.input_width());
   }
 }
@@ -151,12 +153,14 @@ BENCHMARK(BM_HybridFit)->Unit(benchmark::kMillisecond);
 // the fused feature block re-extracted per call as the advisor does.
 void BM_HybridPredictBatch(benchmark::State& state) {
   const HybridBenchData& d = hybrid_bench_data();
-  core::HybridModel model;
-  model.train(d.dataset, d.workloads, d.spec);
+  core::DomainSpecificModel model{
+      ml::RandomForestRegressor(core::hybrid_forest_params())};
+  model.train(core::fuse_dataset(d.dataset, d.workloads, d.spec));
   for (auto _ : state) {
     for (const auto& workload : d.workloads) {
-      benchmark::DoNotOptimize(
-          model.predict(*workload, d.spec, d.freqs, d.default_freq));
+      benchmark::DoNotOptimize(model.predict(
+          core::fused_feature_vector(*workload, d.spec, d.default_freq),
+          d.freqs, d.default_freq));
     }
   }
 }

@@ -9,9 +9,9 @@
 // wall-clock regression. Wall time lives in the benchmark's real_time.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <vector>
 
+#include "common/statistics.hpp"
 #include "sched/scheduler.hpp"
 #include "serve/train.hpp"
 #include "sim/device.hpp"
@@ -61,12 +61,8 @@ void turnaround_counters(benchmark::State& state,
       turnaround.push_back(outcomes[i].finish_s - jobs[i].arrival_s);
     }
   }
-  std::sort(turnaround.begin(), turnaround.end());
   const auto at = [&](double q) {
-    return turnaround.empty()
-               ? 0.0
-               : turnaround[static_cast<std::size_t>(
-                     q * static_cast<double>(turnaround.size() - 1))];
+    return turnaround.empty() ? 0.0 : stats::quantile(turnaround, q);
   };
   state.counters["p50_turnaround_ns"] = at(0.50) * 1e9;
   state.counters["p99_turnaround_ns"] = at(0.99) * 1e9;

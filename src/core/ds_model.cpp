@@ -18,15 +18,17 @@ std::vector<std::size_t> Prediction::pareto_indices() const {
 
 namespace {
 
-ml::ForestParams default_forest_params() {
+ml::ForestParams forest_params(std::uint64_t seed) {
   ml::ForestParams params;
   params.n_estimators = 100; // sklearn defaults, which the paper's grid
   params.max_depth = 0;      // search found best
-  params.seed = 0x05d5;
+  params.seed = seed;
   return params;
 }
 
 } // namespace
+
+ml::ForestParams hybrid_forest_params() { return forest_params(0x4b1d); }
 
 DomainSpecificModel::DomainSpecificModel(const ml::Regressor& prototype,
                                          bool log_targets)
@@ -34,7 +36,7 @@ DomainSpecificModel::DomainSpecificModel(const ml::Regressor& prototype,
       log_targets_(log_targets) {}
 
 DomainSpecificModel::DomainSpecificModel()
-    : DomainSpecificModel(ml::RandomForestRegressor(default_forest_params())) {}
+    : DomainSpecificModel(ml::RandomForestRegressor(forest_params(0x05d5))) {}
 
 void DomainSpecificModel::train(const Dataset& dataset,
                                 std::span<const std::size_t> rows) {
@@ -63,23 +65,36 @@ void DomainSpecificModel::train(const Dataset& dataset,
   }
   time_model_->fit(x, t);
   energy_model_->fit(x, e);
+  input_width_ = x.cols();
   trained_ = true;
 }
 
-json::Value DomainSpecificModel::to_json() const {
+json::Value DomainSpecificModel::to_json(bool with_width) const {
   DSEM_ENSURE(trained_, "serialize of an untrained DomainSpecificModel");
+  DSEM_ENSURE(!with_width || input_width_ > 0,
+              "serialize: model input width unknown");
   auto out = json::Value::object();
   out.set("log_targets", log_targets_);
+  if (with_width) {
+    out.set("input_width", static_cast<double>(input_width_));
+  }
   out.set("time", ml::regressor_to_json(*time_model_));
   out.set("energy", ml::regressor_to_json(*energy_model_));
   return out;
 }
 
-DomainSpecificModel DomainSpecificModel::from_json(const json::Value& value) {
+DomainSpecificModel DomainSpecificModel::from_json(const json::Value& value,
+                                                   bool with_width) {
   DomainSpecificModel model;
   model.time_model_ = ml::regressor_from_json(value.at("time"));
   model.energy_model_ = ml::regressor_from_json(value.at("energy"));
   model.log_targets_ = value.at("log_targets").as_bool();
+  if (with_width) {
+    const double width = value.at("input_width").as_number();
+    DSEM_ENSURE(width >= 2.0 && width <= 1e9 && width == std::floor(width),
+                "model payload: bad input_width");
+    model.input_width_ = static_cast<std::size_t>(width);
+  }
   model.trained_ = true;
   return model;
 }
@@ -89,6 +104,8 @@ Prediction DomainSpecificModel::predict(std::span<const double> domain_features,
                                         double default_freq_mhz) const {
   DSEM_ENSURE(trained_, "predict on an untrained DomainSpecificModel");
   DSEM_ENSURE(!freqs_mhz.empty(), "predict over an empty frequency list");
+  DSEM_ENSURE(input_width_ == 0 || domain_features.size() + 1 == input_width_,
+              "predict: feature width does not match the model");
 
   Prediction out;
   out.freqs_mhz.assign(freqs_mhz.begin(), freqs_mhz.end());

@@ -6,6 +6,10 @@
 // frequency configurations and the *predicted* value at the default
 // frequency serves as the baseline for speedup and normalized energy
 // (§4.2.3), from which the predicted Pareto-optimal frequency set follows.
+//
+// The hybrid static+dynamic family (DSO-style; DESIGN.md §7.13) is this
+// same model over wider rows: built on hybrid_forest_params(), trained on
+// core::fuse_dataset() rows, and queried with core::fused_feature_vector().
 #pragma once
 
 #include <memory>
@@ -28,6 +32,10 @@ struct Prediction {
   std::vector<std::size_t> pareto_indices() const;
 };
 
+/// Forest parameters of the hybrid family: the paper-default forest with
+/// its own seed, so the two families never share bootstrap streams.
+ml::ForestParams hybrid_forest_params();
+
 class DomainSpecificModel {
 public:
   /// Uses clones of `prototype` for the time and energy regressors.
@@ -48,6 +56,8 @@ public:
 
   /// Predicts the full curve for one input across `freqs`, with speedup /
   /// normalized energy baselined on the prediction at `default_freq_mhz`.
+  /// `domain_features` is the row prefix (the row without its frequency
+  /// column); throws when its width contradicts a known input_width().
   Prediction predict(std::span<const double> domain_features,
                      std::span<const double> freqs_mhz,
                      double default_freq_mhz) const;
@@ -55,19 +65,27 @@ public:
   const ml::Regressor& time_model() const { return *time_model_; }
   const ml::Regressor& energy_model() const { return *energy_model_; }
   bool log_targets() const noexcept { return log_targets_; }
+  /// Regressor input width (row prefix + frequency column); 0 when
+  /// unknown, i.e. loaded from a payload that does not record it.
+  std::size_t input_width() const noexcept { return input_width_; }
 
   /// Serializes the trained model (both regressors, via ml/serialize) so
-  /// it can be stored in a "dsem-model-v1" artifact (serve/artifact.hpp).
-  /// Round-trips bit-identically: from_json(to_json()) predicts the same
-  /// values bit for bit. Throws for untrained models.
-  json::Value to_json() const;
-  static DomainSpecificModel from_json(const json::Value& value);
+  /// it can be stored in a "dsem-model-v1" artifact (serve/artifact.hpp):
+  /// {log_targets, time, energy}, plus input_width after log_targets when
+  /// `with_width` (the hybrid payload). from_json with the same flag
+  /// requires and validates that field. Round-trips bit-identically:
+  /// from_json(to_json()) predicts the same values bit for bit. Throws for
+  /// untrained models.
+  json::Value to_json(bool with_width = false) const;
+  static DomainSpecificModel from_json(const json::Value& value,
+                                       bool with_width = false);
 
 private:
   std::unique_ptr<ml::Regressor> time_model_;
   std::unique_ptr<ml::Regressor> energy_model_;
   bool log_targets_ = true;
   bool trained_ = false;
+  std::size_t input_width_ = 0;
 };
 
 } // namespace dsem::core

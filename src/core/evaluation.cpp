@@ -8,7 +8,6 @@
 #include "common/statistics.hpp"
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
-#include "ml/model_selection.hpp"
 
 namespace dsem::core {
 
@@ -67,12 +66,48 @@ std::vector<std::size_t> training_rows_excluding(const Dataset& dataset,
   return rows;
 }
 
-DomainSpecificModel make_ds_model(const ml::Regressor* prototype) {
-  return prototype ? DomainSpecificModel(*prototype) : DomainSpecificModel();
+/// The frequency model's and the GP baseline's curves for one held-out
+/// group over its truth frequencies: a fresh model trained on
+/// `train_rows`, queried with the group's own row prefix.
+struct FoldPredictions {
+  Prediction ds;
+  Prediction gp;
+};
+
+FoldPredictions predict_fold(
+    const Dataset& dataset,
+    std::span<const std::unique_ptr<Workload>> workloads,
+    const GeneralPurposeModel& gp, int group,
+    std::span<const std::size_t> train_rows, const ml::Regressor* prototype,
+    std::span<const double> freqs_mhz) {
+  const auto ug = static_cast<std::size_t>(group);
+  const auto prefix = dataset.x.row(dataset.rows_of_group(group).front());
+  const double default_freq = dataset.default_freq_mhz[ug];
+  DomainSpecificModel model =
+      prototype ? DomainSpecificModel(*prototype) : DomainSpecificModel();
+  model.train(dataset, train_rows);
+  return {model.predict(prefix.first(prefix.size() - 1), freqs_mhz,
+                        default_freq),
+          gp.predict(workloads[ug]->aggregate_profile(), freqs_mhz,
+                     default_freq)};
 }
 
-HybridModel make_hybrid_model(const ml::Regressor* prototype) {
-  return prototype ? HybridModel(*prototype) : HybridModel();
+/// Scores one held-out group given its training rows: the shared kernel of
+/// the LOOCV and the extrapolation split. Each call trains on disjoint
+/// state and fills one pre-sized row.
+void score_fold(const Dataset& dataset,
+                std::span<const std::unique_ptr<Workload>> workloads,
+                const GeneralPurposeModel& gp, int group,
+                std::span<const std::size_t> train_rows,
+                const ml::Regressor* prototype, AccuracyRow& row) {
+  const TruthCurves truth = truth_curves(dataset, group);
+  const FoldPredictions pred = predict_fold(
+      dataset, workloads, gp, group, train_rows, prototype, truth.freqs_mhz);
+  row.input = dataset.group_names[static_cast<std::size_t>(group)];
+  row.ds_speedup_mape = stats::mape(truth.speedup, pred.ds.speedup);
+  row.ds_energy_mape = stats::mape(truth.norm_energy, pred.ds.norm_energy);
+  row.gp_speedup_mape = stats::mape(truth.speedup, pred.gp.speedup);
+  row.gp_energy_mape = stats::mape(truth.norm_energy, pred.gp.norm_energy);
 }
 
 } // namespace
@@ -81,7 +116,7 @@ AccuracyReport evaluate_accuracy(
     const Dataset& dataset,
     std::span<const std::unique_ptr<Workload>> workloads,
     const GeneralPurposeModel& gp, std::span<const std::string> report,
-    const ml::Regressor* ds_prototype) {
+    const ml::Regressor* prototype, ThreadPool* pool) {
   DSEM_ENSURE(workloads.size() == dataset.num_groups(),
               "workload list does not match dataset groups");
 
@@ -101,46 +136,27 @@ AccuracyReport evaluate_accuracy(
     report = all_names;
   }
 
-  // Leave-one-input-out folds are independent: each trains its own DS
-  // model on disjoint state and writes one pre-sized row. Folds run in
-  // parallel on the global pool; the forest fits inside each fold nest on
-  // the same pool without deadlock (blocked waiters execute queued tasks).
+  // Leave-one-input-out folds are independent: each trains its own model
+  // on disjoint state and writes one pre-sized row. Folds run in parallel
+  // on the pool; the forest fits inside each fold nest on the same pool
+  // without deadlock (blocked waiters execute queued tasks).
   AccuracyReport out;
   out.rows.resize(report.size());
   trace::Span loocv_span("loocv.evaluate", trace::cat::kEval);
   loocv_span.value(static_cast<double>(report.size()));
   parallel_for(
-      ThreadPool::global(), 0, report.size(),
+      pool != nullptr ? *pool : ThreadPool::global(), 0, report.size(),
       [&](std::size_t i) {
-        const std::string& name = report[i];
         // Logical ROOT per fold: the fold's training span and prediction
         // events key off the fold index, not the executing thread.
         trace::Span fold_span("loocv.fold", trace::cat::kEval, i);
-        fold_span.arg(name);
+        fold_span.arg(report[i]);
         metrics::counter("loocv.folds");
         metrics::ScopedTimer fold_timer("loocv.fold_s");
-        const int g = dataset.group_of(name);
-        const auto ug = static_cast<std::size_t>(g);
-        const Workload& workload = *workloads[ug];
-        const TruthCurves truth = truth_curves(dataset, g);
-
-        DomainSpecificModel ds = make_ds_model(ds_prototype);
-        ds.train(dataset, training_rows_excluding(dataset, g));
-        const Prediction ds_pred =
-            ds.predict(workload.domain_features(), truth.freqs_mhz,
-                       dataset.default_freq_mhz[ug]);
-        const Prediction gp_pred =
-            gp.predict(workload.aggregate_profile(), truth.freqs_mhz,
-                       dataset.default_freq_mhz[ug]);
-
-        AccuracyRow& row = out.rows[i];
-        row.input = name;
-        row.ds_speedup_mape = stats::mape(truth.speedup, ds_pred.speedup);
-        row.ds_energy_mape =
-            stats::mape(truth.norm_energy, ds_pred.norm_energy);
-        row.gp_speedup_mape = stats::mape(truth.speedup, gp_pred.speedup);
-        row.gp_energy_mape =
-            stats::mape(truth.norm_energy, gp_pred.norm_energy);
+        const int g = dataset.group_of(report[i]);
+        score_fold(dataset, workloads, gp, g,
+                   training_rows_excluding(dataset, g), prototype,
+                   out.rows[i]);
       },
       /*grain=*/1);
   return out;
@@ -150,7 +166,7 @@ ParetoEvaluation evaluate_pareto(
     const Dataset& dataset,
     std::span<const std::unique_ptr<Workload>> workloads,
     const std::string& target_input, const GeneralPurposeModel& gp,
-    const ml::Regressor* ds_prototype) {
+    const ml::Regressor* prototype) {
   DSEM_ENSURE(workloads.size() == dataset.num_groups(),
               "workload list does not match dataset groups");
   const int g = dataset.group_of(target_input);
@@ -160,192 +176,22 @@ ParetoEvaluation evaluate_pareto(
   trace::Span span("pareto.evaluate", trace::cat::kEval);
   span.arg(target_input);
   metrics::ScopedTimer timer("eval.pareto_s");
-  const auto ug = static_cast<std::size_t>(g);
-  const Workload& workload = *workloads[ug];
 
   ParetoEvaluation out;
   out.truth = truth_curves(dataset, g);
   out.true_front = pareto_front(out.truth.speedup, out.truth.norm_energy);
-
-  DomainSpecificModel ds = make_ds_model(ds_prototype);
-  ds.train(dataset, training_rows_excluding(dataset, g));
-  const Prediction ds_pred =
-      ds.predict(workload.domain_features(), out.truth.freqs_mhz,
-                 dataset.default_freq_mhz[ug]);
-  const Prediction gp_pred =
-      gp.predict(workload.aggregate_profile(), out.truth.freqs_mhz,
-                 dataset.default_freq_mhz[ug]);
+  const FoldPredictions pred =
+      predict_fold(dataset, workloads, gp, g,
+                   training_rows_excluding(dataset, g), prototype,
+                   out.truth.freqs_mhz);
 
   // Predicted Pareto frequency sets come from the *predicted* objectives;
   // they are then judged at the *measured* objectives those frequencies
   // actually achieve (§5.2.2).
-  out.ds_front = ds_pred.pareto_indices();
-  out.gp_front = gp_pred.pareto_indices();
+  out.ds_front = pred.ds.pareto_indices();
+  out.gp_front = pred.gp.pareto_indices();
   out.ds_cmp = compare_pareto(out.truth.speedup, out.truth.norm_energy,
                               out.true_front, out.ds_front);
-  out.gp_cmp = compare_pareto(out.truth.speedup, out.truth.norm_energy,
-                              out.true_front, out.gp_front);
-  return out;
-}
-
-ThreeWayMeans ThreeWayAccuracyReport::means() const {
-  DSEM_ENSURE(!rows.empty(), "means over an empty three-way report");
-  ThreeWayMeans m;
-  for (const auto& r : rows) {
-    m.gp_speedup += r.gp_speedup_mape;
-    m.ds_speedup += r.ds_speedup_mape;
-    m.hy_speedup += r.hy_speedup_mape;
-    m.gp_energy += r.gp_energy_mape;
-    m.ds_energy += r.ds_energy_mape;
-    m.hy_energy += r.hy_energy_mape;
-  }
-  const auto n = static_cast<double>(rows.size());
-  m.gp_speedup /= n;
-  m.ds_speedup /= n;
-  m.hy_speedup /= n;
-  m.gp_energy /= n;
-  m.ds_energy /= n;
-  m.hy_energy /= n;
-  return m;
-}
-
-namespace {
-
-/// Scores all three families on one held-out group given its training
-/// rows. The shared kernel of the three-way LOOCV and the extrapolation
-/// split; each call trains on disjoint state and fills one pre-sized row.
-void score_three_way_fold(const Dataset& dataset,
-                          std::span<const std::unique_ptr<Workload>> workloads,
-                          const sim::DeviceSpec& spec,
-                          const GeneralPurposeModel& gp, int group,
-                          std::span<const std::size_t> train_rows,
-                          const ml::Regressor* ds_prototype,
-                          const ml::Regressor* hybrid_prototype,
-                          ThreeWayAccuracyRow& row) {
-  const auto ug = static_cast<std::size_t>(group);
-  const Workload& workload = *workloads[ug];
-  const TruthCurves truth = truth_curves(dataset, group);
-
-  DomainSpecificModel ds = make_ds_model(ds_prototype);
-  ds.train(dataset, train_rows);
-  HybridModel hybrid = make_hybrid_model(hybrid_prototype);
-  hybrid.train(dataset, workloads, spec, train_rows);
-
-  const double default_freq = dataset.default_freq_mhz[ug];
-  const Prediction ds_pred =
-      ds.predict(workload.domain_features(), truth.freqs_mhz, default_freq);
-  const Prediction hy_pred =
-      hybrid.predict(workload, spec, truth.freqs_mhz, default_freq);
-  const Prediction gp_pred =
-      gp.predict(workload.aggregate_profile(), truth.freqs_mhz, default_freq);
-
-  row.input = dataset.group_names[ug];
-  row.ds_speedup_mape = stats::mape(truth.speedup, ds_pred.speedup);
-  row.ds_energy_mape = stats::mape(truth.norm_energy, ds_pred.norm_energy);
-  row.hy_speedup_mape = stats::mape(truth.speedup, hy_pred.speedup);
-  row.hy_energy_mape = stats::mape(truth.norm_energy, hy_pred.norm_energy);
-  row.gp_speedup_mape = stats::mape(truth.speedup, gp_pred.speedup);
-  row.gp_energy_mape = stats::mape(truth.norm_energy, gp_pred.norm_energy);
-}
-
-} // namespace
-
-ThreeWayAccuracyReport evaluate_accuracy_three_way(
-    const Dataset& dataset,
-    std::span<const std::unique_ptr<Workload>> workloads,
-    const sim::DeviceSpec& spec, const GeneralPurposeModel& gp,
-    std::span<const std::string> report, const ml::Regressor* ds_prototype,
-    const ml::Regressor* hybrid_prototype, ThreadPool* pool) {
-  DSEM_ENSURE(workloads.size() == dataset.num_groups(),
-              "workload list does not match dataset groups");
-
-  // Folds come from ml::model_selection: one split per distinct group
-  // label, the held-out group's rows forming the test set. Groups that
-  // never produced rows (failed sweeps) have no label and thus no fold;
-  // groups with rows but a failed baseline are filtered below.
-  const std::vector<ml::Split> splits =
-      ml::leave_one_group_out(dataset.groups);
-  std::vector<const ml::Split*> folds;
-  for (const ml::Split& s : splits) {
-    const int g = dataset.groups[s.test.front()];
-    if (!dataset.group_ok(g)) {
-      continue;
-    }
-    if (!report.empty() &&
-        std::find(report.begin(), report.end(),
-                  dataset.group_names[static_cast<std::size_t>(g)]) ==
-            report.end()) {
-      continue;
-    }
-    folds.push_back(&s);
-  }
-  DSEM_ENSURE(!folds.empty(), "three-way evaluation has no usable folds");
-
-  ThreeWayAccuracyReport out;
-  out.rows.resize(folds.size());
-  trace::Span loocv_span("loocv.evaluate3", trace::cat::kEval);
-  loocv_span.value(static_cast<double>(folds.size()));
-  parallel_for(
-      pool != nullptr ? *pool : ThreadPool::global(), 0, folds.size(),
-      [&](std::size_t i) {
-        trace::Span fold_span("loocv.fold3", trace::cat::kEval, i);
-        metrics::counter("loocv.folds3");
-        metrics::ScopedTimer fold_timer("loocv.fold3_s");
-        const ml::Split& split = *folds[i];
-        const int g = dataset.groups[split.test.front()];
-        fold_span.arg(dataset.group_names[static_cast<std::size_t>(g)]);
-        score_three_way_fold(dataset, workloads, spec, gp, g, split.train,
-                             ds_prototype, hybrid_prototype, out.rows[i]);
-      },
-      /*grain=*/1);
-  return out;
-}
-
-ThreeWayParetoEvaluation evaluate_pareto_three_way(
-    const Dataset& dataset,
-    std::span<const std::unique_ptr<Workload>> workloads,
-    const sim::DeviceSpec& spec, const std::string& target_input,
-    const GeneralPurposeModel& gp, const ml::Regressor* ds_prototype,
-    const ml::Regressor* hybrid_prototype) {
-  DSEM_ENSURE(workloads.size() == dataset.num_groups(),
-              "workload list does not match dataset groups");
-  const int g = dataset.group_of(target_input);
-  DSEM_ENSURE(dataset.group_ok(g),
-              "evaluate_pareto_three_way: target group unusable (failed "
-              "sweep): " +
-                  target_input);
-  trace::Span span("pareto.evaluate3", trace::cat::kEval);
-  span.arg(target_input);
-  metrics::ScopedTimer timer("eval.pareto3_s");
-  const auto ug = static_cast<std::size_t>(g);
-  const Workload& workload = *workloads[ug];
-
-  ThreeWayParetoEvaluation out;
-  out.truth = truth_curves(dataset, g);
-  out.true_front = pareto_front(out.truth.speedup, out.truth.norm_energy);
-
-  const std::vector<std::size_t> train_rows =
-      training_rows_excluding(dataset, g);
-  DomainSpecificModel ds = make_ds_model(ds_prototype);
-  ds.train(dataset, train_rows);
-  HybridModel hybrid = make_hybrid_model(hybrid_prototype);
-  hybrid.train(dataset, workloads, spec, train_rows);
-
-  const double default_freq = dataset.default_freq_mhz[ug];
-  const Prediction ds_pred = ds.predict(workload.domain_features(),
-                                        out.truth.freqs_mhz, default_freq);
-  const Prediction hy_pred =
-      hybrid.predict(workload, spec, out.truth.freqs_mhz, default_freq);
-  const Prediction gp_pred = gp.predict(workload.aggregate_profile(),
-                                        out.truth.freqs_mhz, default_freq);
-
-  out.ds_front = ds_pred.pareto_indices();
-  out.hy_front = hy_pred.pareto_indices();
-  out.gp_front = gp_pred.pareto_indices();
-  out.ds_cmp = compare_pareto(out.truth.speedup, out.truth.norm_energy,
-                              out.true_front, out.ds_front);
-  out.hy_cmp = compare_pareto(out.truth.speedup, out.truth.norm_energy,
-                              out.true_front, out.hy_front);
   out.gp_cmp = compare_pareto(out.truth.speedup, out.truth.norm_energy,
                               out.true_front, out.gp_front);
   return out;
@@ -354,9 +200,8 @@ ThreeWayParetoEvaluation evaluate_pareto_three_way(
 ExtrapolationReport evaluate_extrapolation(
     const Dataset& dataset,
     std::span<const std::unique_ptr<Workload>> workloads,
-    const sim::DeviceSpec& spec, const GeneralPurposeModel& gp,
-    std::size_t holdout_count, const ml::Regressor* ds_prototype,
-    const ml::Regressor* hybrid_prototype, ThreadPool* pool) {
+    const GeneralPurposeModel& gp, std::size_t holdout_count,
+    const ml::Regressor* prototype, ThreadPool* pool) {
   DSEM_ENSURE(workloads.size() == dataset.num_groups(),
               "workload list does not match dataset groups");
   DSEM_ENSURE(holdout_count >= 1, "extrapolation needs a non-empty holdout");
@@ -404,9 +249,8 @@ ExtrapolationReport evaluate_extrapolation(
   parallel_for(
       pool != nullptr ? *pool : ThreadPool::global(), 0, by_work.size(),
       [&](std::size_t i) {
-        score_three_way_fold(dataset, workloads, spec, gp, by_work[i].second,
-                             train_rows, ds_prototype, hybrid_prototype,
-                             out.accuracy.rows[i]);
+        score_fold(dataset, workloads, gp, by_work[i].second, train_rows,
+                   prototype, out.accuracy.rows[i]);
       },
       /*grain=*/1);
   return out;

@@ -9,13 +9,19 @@
 // input, evaluated at the *measured* objectives those frequencies achieve
 // (the values one would obtain actually running the application there),
 // compared against the true Pareto set.
+//
+// Every entry point trains a fresh frequency model (DomainSpecificModel)
+// on the dataset's rows and queries it with the held-out group's own row
+// prefix (the row without its frequency column). Called on a built
+// dataset that scores the domain-specific family; called on its
+// fuse_dataset() with a hybrid_forest_params() prototype it scores the
+// hybrid family. The GP baseline columns are the same either way.
 #pragma once
 
 #include "core/characterization.hpp"
 #include "core/dataset.hpp"
 #include "core/ds_model.hpp"
 #include "core/gp_model.hpp"
-#include "core/hybrid_model.hpp"
 
 namespace dsem {
 class ThreadPool;
@@ -23,6 +29,8 @@ class ThreadPool;
 
 namespace dsem::core {
 
+/// One held-out input's MAPEs. The ds_* columns score the evaluated
+/// frequency model: the hybrid family when the dataset is fused.
 struct AccuracyRow {
   std::string input;
   double gp_speedup_mape = 0.0;
@@ -53,14 +61,16 @@ TruthCurves truth_curves(const Dataset& dataset, int group);
 
 /// Leave-one-input-out evaluation over the dataset's groups.
 /// `workloads` must be the same list (same order) build_dataset consumed;
-/// `report` selects which inputs appear in the output (empty = all).
-/// `ds_prototype` is cloned per fold (null = Random Forest default).
+/// `report` selects which inputs appear in the output, in that order
+/// (empty = every usable group, in group order). `prototype` is cloned per
+/// fold (null = Random Forest default). Folds run on `pool` (null = global
+/// pool); the output is bit-identical for any pool size.
 AccuracyReport evaluate_accuracy(
     const Dataset& dataset,
     std::span<const std::unique_ptr<Workload>> workloads,
     const GeneralPurposeModel& gp,
     std::span<const std::string> report = {},
-    const ml::Regressor* ds_prototype = nullptr);
+    const ml::Regressor* prototype = nullptr, ThreadPool* pool = nullptr);
 
 struct ParetoEvaluation {
   TruthCurves truth;
@@ -78,90 +88,24 @@ ParetoEvaluation evaluate_pareto(
     const Dataset& dataset,
     std::span<const std::unique_ptr<Workload>> workloads,
     const std::string& target_input, const GeneralPurposeModel& gp,
-    const ml::Regressor* ds_prototype = nullptr);
-
-// ---------------------------------------------------------------------------
-// Three-way evaluation: GP vs DS vs hybrid (the DSO-style third family).
-
-struct ThreeWayAccuracyRow {
-  std::string input;
-  double gp_speedup_mape = 0.0;
-  double ds_speedup_mape = 0.0;
-  double hy_speedup_mape = 0.0;
-  double gp_energy_mape = 0.0;
-  double ds_energy_mape = 0.0;
-  double hy_energy_mape = 0.0;
-};
-
-/// Per-family MAPE means over a report's rows, for table output.
-struct ThreeWayMeans {
-  double gp_speedup = 0.0;
-  double ds_speedup = 0.0;
-  double hy_speedup = 0.0;
-  double gp_energy = 0.0;
-  double ds_energy = 0.0;
-  double hy_energy = 0.0;
-};
-
-struct ThreeWayAccuracyReport {
-  std::vector<ThreeWayAccuracyRow> rows;
-  ThreeWayMeans means() const;
-};
-
-/// Leave-one-input-out evaluation of all three model families at once.
-/// Folds come from ml::leave_one_group_out over the dataset's group
-/// labels; each fold trains a fresh DS and hybrid model on the fold's
-/// training rows (hybrid features recomputed on `spec` per group) and
-/// scores all three families against the held-out truth curves. Output is
-/// bit-identical for any `pool` size (nullptr = global pool).
-ThreeWayAccuracyReport evaluate_accuracy_three_way(
-    const Dataset& dataset,
-    std::span<const std::unique_ptr<Workload>> workloads,
-    const sim::DeviceSpec& spec, const GeneralPurposeModel& gp,
-    std::span<const std::string> report = {},
-    const ml::Regressor* ds_prototype = nullptr,
-    const ml::Regressor* hybrid_prototype = nullptr,
-    ThreadPool* pool = nullptr);
-
-struct ThreeWayParetoEvaluation {
-  TruthCurves truth;
-  std::vector<std::size_t> true_front;
-  std::vector<std::size_t> gp_front; ///< indices into truth arrays
-  std::vector<std::size_t> ds_front;
-  std::vector<std::size_t> hy_front;
-  ParetoComparison gp_cmp;
-  ParetoComparison ds_cmp;
-  ParetoComparison hy_cmp;
-};
-
-/// Fig. 14 for one target input with all three families: models trained
-/// without the target predict Pareto-optimal frequencies, judged at the
-/// measured objectives those frequencies achieve.
-ThreeWayParetoEvaluation evaluate_pareto_three_way(
-    const Dataset& dataset,
-    std::span<const std::unique_ptr<Workload>> workloads,
-    const sim::DeviceSpec& spec, const std::string& target_input,
-    const GeneralPurposeModel& gp, const ml::Regressor* ds_prototype = nullptr,
-    const ml::Regressor* hybrid_prototype = nullptr);
+    const ml::Regressor* prototype = nullptr);
 
 /// Extrapolation split per Afzal et al.: the `holdout_count` groups with
 /// the largest total work (sum of work items over the workload's kernel
-/// launches) are held out together; DS and hybrid train once on the
-/// remaining groups and all three families are scored on the held-out
-/// inputs. This probes prediction *beyond* the training size range, where
-/// input-feature-only models must extrapolate but the hybrid family can
-/// lean on its execution-model features.
+/// launches) are held out together; the frequency model trains once on the
+/// remaining groups and is scored, with GP, on the held-out inputs. This
+/// probes prediction *beyond* the training size range, where input-feature
+/// rows must extrapolate but fused rows can lean on their execution-model
+/// features.
 struct ExtrapolationReport {
   std::vector<std::string> held_out; ///< group names, largest-work first
-  ThreeWayAccuracyReport accuracy;   ///< one row per held-out group
+  AccuracyReport accuracy;           ///< one row per held-out group
 };
 
 ExtrapolationReport evaluate_extrapolation(
     const Dataset& dataset,
     std::span<const std::unique_ptr<Workload>> workloads,
-    const sim::DeviceSpec& spec, const GeneralPurposeModel& gp,
-    std::size_t holdout_count = 1, const ml::Regressor* ds_prototype = nullptr,
-    const ml::Regressor* hybrid_prototype = nullptr,
-    ThreadPool* pool = nullptr);
+    const GeneralPurposeModel& gp, std::size_t holdout_count = 1,
+    const ml::Regressor* prototype = nullptr, ThreadPool* pool = nullptr);
 
 } // namespace dsem::core

@@ -144,4 +144,37 @@ std::vector<std::string> fused_feature_names(const Workload& workload) {
   return out;
 }
 
+Dataset fuse_dataset(const Dataset& dataset,
+                     std::span<const std::unique_ptr<Workload>> workloads,
+                     const sim::DeviceSpec& spec) {
+  DSEM_ENSURE(dataset.rows() > 0, "fuse_dataset: empty dataset");
+  DSEM_ENSURE(workloads.size() == dataset.num_groups(),
+              "fuse_dataset: workload list does not match dataset groups");
+  // One fused prefix per group that has rows.
+  std::vector<std::vector<double>> fused(dataset.num_groups());
+  for (const int group : dataset.groups) {
+    const auto g = static_cast<std::size_t>(group);
+    if (fused[g].empty()) {
+      fused[g] = fused_feature_vector(*workloads[g], spec,
+                                      dataset.default_freq_mhz[g]);
+    }
+  }
+  const std::size_t width =
+      fused[static_cast<std::size_t>(dataset.groups.front())].size();
+
+  Dataset out = dataset;
+  out.x = ml::Matrix(dataset.rows(), width + 1);
+  const std::size_t freq_col = dataset.x.cols() - 1;
+  for (std::size_t r = 0; r < dataset.rows(); ++r) {
+    const std::vector<double>& prefix =
+        fused[static_cast<std::size_t>(dataset.groups[r])];
+    DSEM_ENSURE(prefix.size() == width,
+                "fuse_dataset: inconsistent fused feature widths");
+    auto row = out.x.row(r);
+    std::copy(prefix.begin(), prefix.end(), row.begin());
+    row.back() = dataset.x(r, freq_col);
+  }
+  return out;
+}
+
 } // namespace dsem::core

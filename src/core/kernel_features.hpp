@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dataset.hpp"
 #include "core/workload.hpp"
 #include "sim/device_spec.hpp"
 
@@ -46,5 +47,14 @@ std::vector<double> fused_feature_vector(const Workload& workload,
 
 /// Names matching fused_feature_vector().
 std::vector<std::string> fused_feature_names(const Workload& workload);
+
+/// The hybrid family's rows: `dataset` with each row's domain prefix
+/// replaced by its group's fused_feature_vector on `spec` at that group's
+/// default clock. Frequency column, targets, row order, and group metadata
+/// are unchanged. `workloads` must be the list (same order) build_dataset
+/// consumed.
+Dataset fuse_dataset(const Dataset& dataset,
+                     std::span<const std::unique_ptr<Workload>> workloads,
+                     const sim::DeviceSpec& spec);
 
 } // namespace dsem::core

@@ -1,6 +1,7 @@
 #include "core/workload.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "cronos/kernels.hpp"
@@ -130,7 +131,12 @@ workload_from_features(const std::string& application,
     DSEM_ENSURE(i < features.size() && std::isfinite(features[i]),
                 "workload_from_features: bad feature vector for " +
                     application);
-    return static_cast<int>(std::llround(features[i]));
+    const double rounded = std::round(features[i]);
+    DSEM_ENSURE(rounded >= std::numeric_limits<int>::min() &&
+                    rounded <= std::numeric_limits<int>::max(),
+                "workload_from_features: feature out of int range for " +
+                    application);
+    return static_cast<int>(rounded);
   };
   if (application == "cronos") {
     DSEM_ENSURE(features.size() == 3,

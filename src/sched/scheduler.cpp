@@ -171,13 +171,7 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
       plan.cand_freqs_mhz =
           strided_candidates(artifact.freqs_mhz, config_.freq_stride);
       const core::Prediction pred =
-          artifact.is_hybrid()
-              ? artifact.hybrid->predict(*workload, spec,
-                                         plan.cand_freqs_mhz,
-                                         artifact.default_freq_mhz)
-              : artifact.ds->predict(job.request.features,
-                                     plan.cand_freqs_mhz,
-                                     artifact.default_freq_mhz);
+          artifact.predict(job.request.features, plan.cand_freqs_mhz);
       plan.cand_time_s.reserve(pred.speedup.size());
       plan.cand_energy_j.reserve(pred.norm_energy.size());
       for (std::size_t k = 0; k < pred.speedup.size(); ++k) {

@@ -157,7 +157,7 @@ int place_first_fit(std::span<const double> rank_free_s);
 
 class ClusterScheduler {
 public:
-  /// The registry must hold a domain-specific artifact under
+  /// The registry must hold a domain-specific or hybrid artifact under
   /// (application, config.device) for every application in the job
   /// stream when the model policy is active; the baselines never consult
   /// it. Both references must outlive the scheduler.

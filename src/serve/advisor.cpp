@@ -4,8 +4,6 @@
 #include <cstdio>
 
 #include "common/error.hpp"
-#include "core/workload.hpp"
-#include "sim/device_spec.hpp"
 
 namespace dsem::serve {
 
@@ -74,21 +72,8 @@ AdviseAnswer Advisor::advise(const ModelArtifact& artifact,
   DSEM_ENSURE(request.max_slowdown >= 0.0,
               "advisor: negative slowdown budget");
 
-  core::Prediction pred;
-  if (artifact.is_hybrid()) {
-    // Hybrid queries carry only domain features; the fused block is
-    // recomputed from the canonical workload those features describe, on
-    // the device preset the artifact key names — the same construction
-    // the training run used, so serving stays bit-identical to it.
-    const auto workload =
-        core::workload_from_features(request.application, request.features);
-    const sim::DeviceSpec spec = sim::preset_by_name(artifact.key.device);
-    pred = artifact.hybrid->predict(*workload, spec, artifact.freqs_mhz,
-                                    artifact.default_freq_mhz);
-  } else {
-    pred = artifact.ds->predict(request.features, artifact.freqs_mhz,
-                                artifact.default_freq_mhz);
-  }
+  const core::Prediction pred =
+      artifact.predict(request.features, artifact.freqs_mhz);
   bool infeasible = false;
   const std::size_t pick =
       pick_within_slowdown(pred, request.max_slowdown, &infeasible);

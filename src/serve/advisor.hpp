@@ -59,10 +59,8 @@ public:
   /// `pool` runs batched requests; nullptr = ThreadPool::global().
   explicit Advisor(ThreadPool* pool = nullptr) : pool_(pool) {}
 
-  /// Answers one request from a domain-specific or hybrid artifact.
-  /// Hybrid artifacts recompute their fused feature block from the
-  /// request's domain features (core::workload_from_features) on the
-  /// device preset named by the artifact key.
+  /// Answers one request from a domain-specific or hybrid artifact
+  /// (curves from ModelArtifact::predict over the artifact's schedule).
   AdviseAnswer advise(const ModelArtifact& artifact,
                       const AdviseRequest& request) const;
 

@@ -4,14 +4,52 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "core/kernel_features.hpp"
+#include "sim/device_spec.hpp"
 
 namespace dsem::serve {
 
+namespace {
+
+const char* kind_name(ModelKind kind) {
+  switch (kind) {
+  case ModelKind::kDomainSpecific:
+    return "domain-specific";
+  case ModelKind::kHybrid:
+    return "hybrid";
+  case ModelKind::kGeneralPurpose:
+    return "general-purpose";
+  }
+  throw contract_error("model artifact: invalid kind");
+}
+
+} // namespace
+
+void ModelArtifact::validate() const {
+  DSEM_ENSURE(is_advisable() ? ds != nullptr && ds->trained()
+                             : gp != nullptr && gp->trained(),
+              std::string("artifact: no trained ") + kind_name(kind) +
+                  " model");
+}
+
+core::Prediction
+ModelArtifact::predict(std::span<const double> features,
+                       std::span<const double> freqs) const {
+  DSEM_ENSURE(is_advisable() && ds != nullptr,
+              "artifact: " + key.to_string() + " has no frequency model");
+  if (kind == ModelKind::kDomainSpecific) {
+    return ds->predict(features, freqs, default_freq_mhz);
+  }
+  const auto workload =
+      core::workload_from_features(key.application, features);
+  return ds->predict(
+      core::fused_feature_vector(*workload, sim::preset_by_name(key.device),
+                                 default_freq_mhz),
+      freqs, default_freq_mhz);
+}
+
 json::Value ModelArtifact::to_json() const {
-  const int kinds = static_cast<int>(ds != nullptr) +
-                    static_cast<int>(gp != nullptr) +
-                    static_cast<int>(hybrid != nullptr);
-  DSEM_ENSURE(kinds == 1, "artifact must hold exactly one model");
+  validate();
   DSEM_ENSURE(!key.application.empty() && !key.device.empty(),
               "artifact key must name an application and a device");
   DSEM_ENSURE(!freqs_mhz.empty(), "artifact without a frequency schedule");
@@ -19,9 +57,7 @@ json::Value ModelArtifact::to_json() const {
 
   auto out = json::Value::object();
   out.set("schema", kModelSchema);
-  out.set("kind", ds      ? "domain-specific"
-                  : gp    ? "general-purpose"
-                          : "hybrid");
+  out.set("kind", kind_name(kind));
   out.set("application", key.application);
   out.set("device", key.device);
   out.set("origin", origin);
@@ -36,9 +72,8 @@ json::Value ModelArtifact::to_json() const {
   }
   out.set("freqs_mhz", std::move(freqs));
   out.set("default_freq_mhz", default_freq_mhz);
-  out.set("model", ds      ? ds->to_json()
-                   : gp    ? gp->to_json()
-                           : hybrid->to_json());
+  out.set("model", is_advisable() ? ds->to_json(kind == ModelKind::kHybrid)
+                                  : gp->to_json());
   return out;
 }
 
@@ -68,15 +103,16 @@ ModelArtifact ModelArtifact::from_json(const json::Value& value) {
               "model artifact: non-positive default clock");
 
   const std::string& kind = value.at("kind").as_string();
-  if (kind == "domain-specific") {
+  if (kind == "domain-specific" || kind == "hybrid") {
+    artifact.kind = kind == "hybrid" ? ModelKind::kHybrid
+                                     : ModelKind::kDomainSpecific;
     artifact.ds = std::make_shared<core::DomainSpecificModel>(
-        core::DomainSpecificModel::from_json(value.at("model")));
+        core::DomainSpecificModel::from_json(
+            value.at("model"), artifact.kind == ModelKind::kHybrid));
   } else if (kind == "general-purpose") {
+    artifact.kind = ModelKind::kGeneralPurpose;
     artifact.gp = std::make_shared<core::GeneralPurposeModel>(
         core::GeneralPurposeModel::from_json(value.at("model")));
-  } else if (kind == "hybrid") {
-    artifact.hybrid = std::make_shared<core::HybridModel>(
-        core::HybridModel::from_json(value.at("model")));
   } else {
     throw contract_error("model artifact: unknown kind \"" + kind + "\"");
   }

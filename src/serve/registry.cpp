@@ -5,16 +5,7 @@
 namespace dsem::serve {
 
 void ModelRegistry::put(ModelArtifact artifact) {
-  const int kinds = static_cast<int>(artifact.ds != nullptr) +
-                    static_cast<int>(artifact.gp != nullptr) +
-                    static_cast<int>(artifact.hybrid != nullptr);
-  DSEM_ENSURE(kinds == 1, "registry: artifact must hold exactly one model");
-  DSEM_ENSURE(artifact.ds == nullptr || artifact.ds->trained(),
-              "registry: untrained domain-specific model");
-  DSEM_ENSURE(artifact.gp == nullptr || artifact.gp->trained(),
-              "registry: untrained general-purpose model");
-  DSEM_ENSURE(artifact.hybrid == nullptr || artifact.hybrid->trained(),
-              "registry: untrained hybrid model");
+  artifact.validate();
   auto entry = std::make_shared<const ModelArtifact>(std::move(artifact));
   std::lock_guard lock(mutex_);
   entries_[entry->key] = std::move(entry);

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "core/ds_model.hpp"
+#include "core/kernel_features.hpp"
 
 namespace dsem::serve {
 
@@ -95,11 +96,13 @@ ModelArtifact train_hybrid(synergy::Device& device, const ModelKey& key,
                            const TrainConfig& config) {
   TrainingSweep sweep = run_training_sweep(device, key, config);
 
-  auto model = config.prototype != nullptr
-                   ? std::make_shared<core::HybridModel>(*config.prototype)
-                   : std::make_shared<core::HybridModel>();
-  model->train(sweep.dataset, sweep.workloads, device.spec());
-  sweep.artifact.hybrid = std::move(model);
+  const ml::RandomForestRegressor hybrid_default(core::hybrid_forest_params());
+  auto model = std::make_shared<core::DomainSpecificModel>(
+      config.prototype != nullptr ? *config.prototype : hybrid_default);
+  model->train(
+      core::fuse_dataset(sweep.dataset, sweep.workloads, device.spec()));
+  sweep.artifact.kind = ModelKind::kHybrid;
+  sweep.artifact.ds = std::move(model);
   return std::move(sweep.artifact);
 }
 

@@ -47,11 +47,13 @@ ModelArtifact train_domain_specific(synergy::Device& device,
                                     const ModelKey& key,
                                     const TrainConfig& config = {});
 
-/// Same sweep, but fits a core::HybridModel: fused static+dynamic features
-/// per input (core/kernel_features.hpp) computed on `device`'s spec at the
-/// default clock. The artifact's feature_names stay the *domain* names —
-/// hybrid queries carry domain features only and the advisor recomputes
-/// the fused block — so a hybrid artifact is a drop-in for a DS one.
+/// Same sweep, but a hybrid artifact: the model trains on
+/// core::fuse_dataset rows (fused static+dynamic features per input on
+/// `device`'s spec at the default clock) with hybrid_forest_params()
+/// unless a prototype is given. The artifact's feature_names stay the
+/// *domain* names — hybrid queries carry domain features only and
+/// ModelArtifact::predict recomputes the fused block — so a hybrid
+/// artifact is a drop-in for a DS one.
 ModelArtifact train_hybrid(synergy::Device& device, const ModelKey& key,
                            const TrainConfig& config = {});
 

@@ -98,5 +98,31 @@ TEST_F(WorkloadTest, ValidationOfParameters) {
   EXPECT_THROW(LigenWorkload(10, 1, 1), contract_error);
 }
 
+TEST_F(WorkloadTest, FromFeaturesRejectsValuesOutsideIntRange) {
+  // 2^32 + 10 must not wrap to 10 (the 10x8x8 grid, the 10-ligand screen).
+  const double wrapped = 4294967306.0;
+  EXPECT_THROW(workload_from_features("cronos", std::vector<double>{
+                                                    wrapped, 8.0, 8.0}),
+               contract_error);
+  EXPECT_THROW(workload_from_features("ligen", std::vector<double>{
+                                                   wrapped, 4.0, 31.0}),
+               contract_error);
+  EXPECT_THROW(workload_from_features("cronos", std::vector<double>{
+                                                    8.0, -wrapped, 8.0}),
+               contract_error);
+  EXPECT_THROW(workload_from_features("ligen", std::vector<double>{
+                                                   16.0, 4.0, 1e300}),
+               contract_error);
+  // In-range features still round to the nearest integer.
+  EXPECT_EQ(workload_from_features("cronos",
+                                   std::vector<double>{10.4, 8.0, 7.6})
+                ->name(),
+            "10x8x8");
+  EXPECT_EQ(workload_from_features("ligen",
+                                   std::vector<double>{10.0, 4.0, 31.0})
+                ->name(),
+            LigenWorkload(10, 31, 4).name());
+}
+
 } // namespace
 } // namespace dsem::core

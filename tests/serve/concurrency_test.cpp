@@ -162,7 +162,8 @@ TEST(ConcurrencyTest, RegistryReadsNeverTearDuringRegistration) {
         const auto artifact = registry.require(key);
         // An artifact is immutable once registered: whichever version we
         // got must be fully formed and usable.
-        if (!artifact->is_domain_specific() || !artifact->ds->trained() ||
+        if (artifact->kind != serve::ModelKind::kDomainSpecific ||
+            artifact->ds == nullptr || !artifact->ds->trained() ||
             artifact->feature_names.size() != 3) {
           failures.fetch_add(1);
           break;

@@ -74,6 +74,7 @@ TEST(ServeIntegration, GeneralPurposeArtifactRoundTripsBitIdentically) {
   artifact.feature_names = {};
   artifact.freqs_mhz = device.supported_frequencies();
   artifact.default_freq_mhz = device.default_frequency();
+  artifact.kind = serve::ModelKind::kGeneralPurpose;
   artifact.gp = gp;
 
   const std::string first = artifact.to_json().dump(2);

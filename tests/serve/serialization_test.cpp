@@ -143,30 +143,24 @@ TEST(HybridSerializationTest, RoundTripIsByteIdenticalAcrossFiftySeeds) {
     const std::string first = artifact.to_json().dump(2);
     const ModelArtifact reloaded =
         ModelArtifact::from_json(json::Value::parse(first));
-    ASSERT_TRUE(reloaded.is_hybrid()) << "seed " << seed;
+    ASSERT_EQ(reloaded.kind, serve::ModelKind::kHybrid) << "seed " << seed;
     const std::string second = reloaded.to_json().dump(2);
     EXPECT_EQ(first, second) << "seed " << seed;
   }
 }
 
 TEST(HybridSerializationTest, RoundTripPredictsBitIdentically) {
-  const sim::DeviceSpec spec = sim::v100();
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     const ModelArtifact artifact = serve_test::synthetic_hybrid_artifact(seed);
     const ModelArtifact reloaded =
         ModelArtifact::from_json(json::Value::parse(artifact.to_json().dump()));
 
-    // Probe with training-grid workloads plus one off-grid size.
-    std::vector<std::unique_ptr<core::Workload>> probes;
-    probes.push_back(std::make_unique<core::CronosWorkload>(
-        cronos::GridDims{20, 8, 8}, 10));
-    probes.push_back(std::make_unique<core::CronosWorkload>(
-        cronos::GridDims{60, 24, 24}, 10));
-    for (const auto& probe : probes) {
-      const core::Prediction a =
-          artifact.hybrid->predict(*probe, spec, kFreqs, kDefaultFreq);
-      const core::Prediction b =
-          reloaded.hybrid->predict(*probe, spec, kFreqs, kDefaultFreq);
+    // Probe with a training-grid workload plus one off-grid size.
+    const std::vector<std::vector<double>> probes = {{20, 8, 8},
+                                                     {60, 24, 24}};
+    for (const std::vector<double>& probe : probes) {
+      const core::Prediction a = artifact.predict(probe, kFreqs);
+      const core::Prediction b = reloaded.predict(probe, kFreqs);
       EXPECT_EQ(a.time_s, b.time_s) << "seed " << seed;
       EXPECT_EQ(a.energy_j, b.energy_j) << "seed " << seed;
       EXPECT_EQ(a.speedup, b.speedup) << "seed " << seed;
@@ -231,6 +225,15 @@ TEST(HybridSerializationTest, BadInputWidthIsRejected) {
   }
 }
 
+TEST(HybridSerializationTest, QueryWidthIsCheckedAgainstInputWidth) {
+  json::Value doc = serve_test::synthetic_hybrid_artifact(9).to_json();
+  const double width = doc.at("model").at("input_width").as_number();
+  doc.at("model").set("input_width", width + 1.0);
+  const ModelArtifact widened = ModelArtifact::from_json(doc);
+  EXPECT_THROW(widened.predict(std::vector<double>{20, 8, 8}, kFreqs),
+               contract_error);
+}
+
 TEST(HybridSerializationTest, TamperedForestIsRejected) {
   json::Value doc = serve_test::synthetic_hybrid_artifact(7).to_json();
   // Turn the root into a leaf: every other node becomes unreachable.
@@ -242,8 +245,10 @@ TEST(HybridSerializationTest, TamperedForestIsRejected) {
 }
 
 TEST(HybridSerializationTest, UntrainedHybridRefusesToSerialize) {
-  const core::HybridModel untrained;
-  EXPECT_THROW(untrained.to_json(), contract_error);
+  ModelArtifact artifact = serve_test::synthetic_hybrid_artifact(8);
+  artifact.ds = std::make_shared<core::DomainSpecificModel>();
+  EXPECT_THROW(artifact.to_json(), contract_error);
+  EXPECT_THROW(artifact.ds->to_json(/*with_width=*/true), contract_error);
 }
 
 } // namespace

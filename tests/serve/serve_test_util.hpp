@@ -13,7 +13,7 @@
 #include "common/rng.hpp"
 #include "core/dataset.hpp"
 #include "core/ds_model.hpp"
-#include "core/hybrid_model.hpp"
+#include "core/kernel_features.hpp"
 #include "core/workload.hpp"
 #include "ml/forest.hpp"
 #include "serve/artifact.hpp"
@@ -105,8 +105,8 @@ hybrid_test_workloads() {
 }
 
 /// Like synthetic_dataset, but grouped over hybrid_test_workloads() with
-/// the group metadata (names, baselines, default clock) the hybrid
-/// trainer requires.
+/// the group metadata (names, baselines, default clock) core::fuse_dataset
+/// requires.
 inline core::Dataset synthetic_hybrid_dataset(std::uint64_t seed) {
   Rng rng(seed);
   const auto& workloads = hybrid_test_workloads();
@@ -139,10 +139,11 @@ inline core::Dataset synthetic_hybrid_dataset(std::uint64_t seed) {
 /// from the real kernel launch lists on the (noise-free) V100 spec, so
 /// this is milliseconds per call like synthetic_artifact.
 inline serve::ModelArtifact synthetic_hybrid_artifact(std::uint64_t seed) {
-  auto model = std::make_shared<core::HybridModel>(
+  auto model = std::make_shared<core::DomainSpecificModel>(
       ml::RandomForestRegressor(small_forest_params(seed)));
-  model->train(synthetic_hybrid_dataset(derive_seed(seed, 11)),
-               hybrid_test_workloads(), sim::v100());
+  model->train(
+      core::fuse_dataset(synthetic_hybrid_dataset(derive_seed(seed, 11)),
+                         hybrid_test_workloads(), sim::v100()));
 
   serve::ModelArtifact artifact;
   artifact.key = {"cronos", "v100"};
@@ -150,7 +151,8 @@ inline serve::ModelArtifact synthetic_hybrid_artifact(std::uint64_t seed) {
   artifact.feature_names = {"grid_x", "grid_y", "grid_z"};
   artifact.freqs_mhz = kFreqs;
   artifact.default_freq_mhz = kDefaultFreq;
-  artifact.hybrid = std::move(model);
+  artifact.kind = serve::ModelKind::kHybrid;
+  artifact.ds = std::move(model);
   return artifact;
 }
 
