@@ -18,6 +18,7 @@
 #include "core/kernel_features.hpp"
 #include "core/sweep_report.hpp"
 #include "microbench/suite.hpp"
+#include "obs/session.hpp"
 
 namespace {
 
@@ -124,11 +125,11 @@ int main(int argc, char** argv) {
   CliParser cli("fig01_characterization",
                 "Fig. 1 — LiGen/Cronos characterization on the V100");
   core::add_fault_cli_options(cli);
-  core::add_observability_cli_options(cli);
+  obs::Session::add_cli_options(cli);
   if (!cli.parse(argc, argv)) {
     return 0;
   }
-  core::enable_observability_from_cli(cli);
+  const obs::Session session(cli);
 
   bench::Rig rig;
   rig.v100_sim.set_fault_config(core::fault_config_from_cli(cli));
@@ -162,7 +163,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\n";
   core::print_sweep_report(std::cout, report);
-  core::write_observability_outputs(std::cout, cli, "fig01_characterization",
-                                    &report);
+  session.finish(std::cout, "fig01_characterization",
+                 core::sweep_report_to_json(report));
   return 0;
 }

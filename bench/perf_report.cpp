@@ -21,6 +21,7 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "core/sweep_report.hpp"
+#include "obs/session.hpp"
 
 namespace {
 
@@ -129,11 +130,12 @@ int main(int argc, char** argv) {
   const double wall_s = run_pipeline(smoke, sweep_report);
   benchreport::set_pipeline(
       report, "fig01", wall_s,
-      core::run_manifest("perf_report/fig01", &sweep_report));
+      obs::run_manifest("perf_report/fig01",
+                        core::sweep_report_to_json(sweep_report)));
   metrics::set_enabled(false);
 
   benchreport::validate(report);
-  benchreport::write_file(out, report);
+  json::write_file(out, report);
   std::printf("[perf_report] %zu entries -> %s\n",
               report.at("benchmarks").as_array().size(), out.c_str());
   return 0;

@@ -25,6 +25,7 @@
 #include "common/table.hpp"
 #include "core/pareto.hpp"
 #include "core/sweep_report.hpp"
+#include "obs/session.hpp"
 #include "sched/scheduler.hpp"
 #include "serve/train.hpp"
 
@@ -94,11 +95,11 @@ int main(int argc, char** argv) {
   cli.add_flag("full-train",
                "train on the full grids instead of the compact sweep");
   core::add_fault_cli_options(cli);
-  core::add_observability_cli_options(cli);
+  obs::Session::add_cli_options(cli);
   if (!cli.parse(argc, argv)) {
     return 0;
   }
-  core::enable_observability_from_cli(cli);
+  const obs::Session session(cli);
 
   const std::string device_name = cli.option("device");
   const sim::DeviceSpec spec =
@@ -254,7 +255,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n";
 
-  core::write_observability_outputs(std::cout, cli, "cluster_scheduler",
-                                    &report);
+  session.finish(std::cout, "cluster_scheduler",
+                 core::sweep_report_to_json(report));
   return 0;
 }

@@ -1,6 +1,6 @@
 // Ledger inspector: drill into a "dsem-ledger-v1" attribution ledger
-// (frequency_advisor --serve --ledger-out, cluster_scheduler
-// --ledger-out, or the DSEM_LEDGER environment variable) and answer the
+// (frequency_advisor --serve --ledger-out or cluster_scheduler
+// --ledger-out) and answer the
 // operational questions the aggregate tables cannot: where did the
 // energy go, why did deadlines miss, and which model artifacts are
 // drifting.
@@ -34,6 +34,7 @@
 #include "common/metrics.hpp"
 #include "common/table.hpp"
 #include "obs/ledger.hpp"
+#include "obs/session.hpp"
 
 namespace {
 
@@ -210,7 +211,7 @@ void print_metrics(const std::string& path) {
   // one under "metrics".
   const json::Value* snapshot = &doc;
   if (const json::Value* schema = doc.find("schema");
-      schema != nullptr && schema->as_string() == "dsem-run-v1") {
+      schema != nullptr && schema->as_string() == obs::kRunSchema) {
     snapshot = &doc.at("metrics");
   }
   DSEM_ENSURE(snapshot->at("schema").as_string() ==

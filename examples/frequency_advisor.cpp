@@ -29,6 +29,7 @@
 #include "core/dataset.hpp"
 #include "core/ds_model.hpp"
 #include "core/sweep_report.hpp"
+#include "obs/session.hpp"
 #include "serve/loop.hpp"
 #include "serve/train.hpp"
 
@@ -217,11 +218,11 @@ int main(int argc, char** argv) {
   cli.add_option("cache-quant", "serve: cache-key feature quantization step",
                  "1.0");
   core::add_fault_cli_options(cli);
-  core::add_observability_cli_options(cli);
+  obs::Session::add_cli_options(cli);
   if (!cli.parse(argc, argv)) {
     return 0;
   }
-  core::enable_observability_from_cli(cli);
+  const obs::Session session(cli);
   const std::string app = cli.option("app");
   DSEM_ENSURE(app == "cronos" || app == "ligen", "unknown app: " + app);
   const std::string device_name = cli.option("device");
@@ -273,8 +274,8 @@ int main(int argc, char** argv) {
     }
     run_serve_mode(cli, registry);
     core::print_sweep_report(std::cout, report);
-    core::write_observability_outputs(std::cout, cli, "frequency_advisor",
-                                      &report);
+    session.finish(std::cout, "frequency_advisor",
+                   core::sweep_report_to_json(report));
     return 0;
   }
 
@@ -322,7 +323,7 @@ int main(int argc, char** argv) {
                    at.time_s / def.time_s - 1.0)
             << "\n\n";
   core::print_sweep_report(std::cout, report);
-  core::write_observability_outputs(std::cout, cli, "frequency_advisor",
-                                    &report);
+  session.finish(std::cout, "frequency_advisor",
+                 core::sweep_report_to_json(report));
   return 0;
 }

@@ -6,9 +6,9 @@
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "core/sweep_report.hpp"
 #include "cronos/problems.hpp"
 #include "cronos/solver.hpp"
+#include "obs/session.hpp"
 
 namespace {
 
@@ -55,11 +55,11 @@ int main(int argc, char** argv) {
   cli.add_option("resolution", "grid cells per side", "64");
   cli.add_option("end-time", "simulation end time", "0.25");
   cli.add_option("frequency", "core clock in MHz (0 = device default)", "0");
-  core::add_observability_cli_options(cli);
+  obs::Session::add_cli_options(cli);
   if (!cli.parse(argc, argv)) {
     return 0;
   }
-  core::enable_observability_from_cli(cli);
+  const obs::Session session(cli);
   const int n = static_cast<int>(cli.option_int("resolution"));
   const double end_time = cli.option_double("end-time");
   const double freq = cli.option_double("frequency");
@@ -103,7 +103,6 @@ int main(int argc, char** argv) {
   bill.print(std::cout);
   std::cout << "total: " << fmt(queue.total_time_s(), 4) << " s GPU busy, "
             << fmt(queue.total_energy_j(), 2) << " J\n";
-  core::write_observability_outputs(std::cout, cli, "mhd_simulation",
-                                    /*report=*/nullptr);
+  session.finish(std::cout, "mhd_simulation");
   return 0;
 }

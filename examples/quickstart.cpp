@@ -14,18 +14,18 @@
 #include "core/dataset.hpp"
 #include "core/ds_model.hpp"
 #include "core/evaluation.hpp"
-#include "core/sweep_report.hpp"
+#include "obs/session.hpp"
 
 int main(int argc, char** argv) {
   using namespace dsem;
 
   CliParser cli("quickstart",
                 "the paper's energy-modeling workflow in one narrated run");
-  core::add_observability_cli_options(cli);
+  obs::Session::add_cli_options(cli);
   if (!cli.parse(argc, argv)) {
     return 0;
   }
-  core::enable_observability_from_cli(cli);
+  const obs::Session session(cli);
 
   // --- 1. device ----------------------------------------------------------
   sim::Device v100_sim(sim::v100(), sim::NoiseConfig{}, /*seed=*/0x9015);
@@ -100,7 +100,6 @@ int main(int argc, char** argv) {
   std::cout << "measured:  " << fmt_percent(measured_saving)
             << " energy saving at " << fmt_percent(measured_loss)
             << " slowdown\n";
-  core::write_observability_outputs(std::cout, cli, "quickstart",
-                                    /*report=*/nullptr);
+  session.finish(std::cout, "quickstart");
   return 0;
 }

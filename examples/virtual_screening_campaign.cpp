@@ -10,8 +10,8 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "core/characterization.hpp"
-#include "core/sweep_report.hpp"
 #include "ligen/screening.hpp"
+#include "obs/session.hpp"
 
 int main(int argc, char** argv) {
   using namespace dsem;
@@ -22,11 +22,11 @@ int main(int argc, char** argv) {
   cli.add_option("atoms", "atoms per ligand", "31");
   cli.add_option("fragments", "fragments per ligand", "4");
   cli.add_option("seed", "campaign seed", "20230801");
-  core::add_observability_cli_options(cli);
+  obs::Session::add_cli_options(cli);
   if (!cli.parse(argc, argv)) {
     return 0;
   }
-  core::enable_observability_from_cli(cli);
+  const obs::Session session(cli);
   const int ligand_count = static_cast<int>(cli.option_int("ligands"));
   const int atoms = static_cast<int>(cli.option_int("atoms"));
   const int fragments = static_cast<int>(cli.option_int("fragments"));
@@ -82,8 +82,6 @@ int main(int argc, char** argv) {
             << fmt(c.default_freq_mhz, 0) << " MHz -> "
             << fmt_percent(1.0 - p.norm_energy) << " energy saving at "
             << fmt_percent(1.0 - p.speedup) << " slowdown\n";
-  core::write_observability_outputs(std::cout, cli,
-                                    "virtual_screening_campaign",
-                                    /*report=*/nullptr);
+  session.finish(std::cout, "virtual_screening_campaign");
   return 0;
 }

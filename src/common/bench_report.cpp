@@ -213,12 +213,4 @@ json::Value load_file(const std::string& path) {
   return json::Value::parse(buffer.str());
 }
 
-void write_file(const std::string& path, const json::Value& value) {
-  std::ofstream out(path);
-  DSEM_ENSURE(out.good(), "cannot open output file: " + path);
-  value.write(out, 2);
-  out << "\n";
-  DSEM_ENSURE(out.good(), "failed writing output file: " + path);
-}
-
 } // namespace dsem::benchreport

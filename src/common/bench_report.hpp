@@ -106,7 +106,4 @@ void print_compare(std::ostream& os, const CompareResult& result,
 /// parse failure).
 json::Value load_file(const std::string& path);
 
-/// Pretty-prints `value` to `path` with a trailing newline.
-void write_file(const std::string& path, const json::Value& value);
-
 } // namespace dsem::benchreport

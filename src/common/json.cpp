@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <ostream>
 #include <sstream>
 
@@ -190,9 +191,8 @@ private:
     skip_whitespace();
     switch (peek()) {
     case '{':
-      return parse_object();
     case '[':
-      return parse_array();
+      return parse_nested();
     case '"':
       return Value(parse_string());
     case 't':
@@ -213,6 +213,17 @@ private:
     default:
       return parse_number();
     }
+  }
+
+  /// Enters one container level; fails past kMaxDepth before recursing,
+  /// so hostile nesting cannot exhaust the stack.
+  Value parse_nested() {
+    if (++depth_ > kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
+    Value out = peek() == '{' ? parse_object() : parse_array();
+    --depth_;
+    return out;
   }
 
   Value parse_object() {
@@ -385,6 +396,7 @@ private:
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0; ///< containers currently open
 };
 
 } // namespace
@@ -465,6 +477,14 @@ std::string Value::dump(int indent) const {
 
 Value Value::parse(std::string_view text) {
   return Parser(text).parse_document();
+}
+
+void write_file(const std::string& path, const Value& value) {
+  std::ofstream out(path);
+  DSEM_ENSURE(out.good(), "cannot open output file: " + path);
+  value.write(out, 2);
+  out << "\n";
+  DSEM_ENSURE(out.good(), "failed writing output file: " + path);
 }
 
 } // namespace dsem::json

@@ -21,6 +21,11 @@
 
 namespace dsem::json {
 
+/// Deepest container nesting Value::parse accepts. The parser recurses
+/// once per level, so the bound keeps a hostile file from exhausting the
+/// stack; every document this repo writes nests fewer than 10 levels.
+inline constexpr int kMaxDepth = 256;
+
 class Value {
 public:
   enum class Type : std::uint8_t {
@@ -96,6 +101,7 @@ public:
 
   /// Parses one JSON document (throws dsem::contract_error with position
   /// info on malformed input; trailing non-whitespace is an error).
+  /// Containers nested deeper than kMaxDepth are rejected the same way.
   static Value parse(std::string_view text);
 
   bool operator==(const Value&) const = default;
@@ -113,5 +119,9 @@ private:
 
 /// Appends the JSON string-escape of `s` (no surrounding quotes) to `os`.
 void escape(std::ostream& os, std::string_view s);
+
+/// Pretty-prints `value` to `path` with a trailing newline (throws
+/// contract_error naming the path on I/O failure).
+void write_file(const std::string& path, const Value& value);
 
 } // namespace dsem::json

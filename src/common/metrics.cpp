@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -112,32 +110,6 @@ Instrument& instrument(Shard& shard, std::string_view name, Kind kind,
   return shard.instruments.emplace(std::string(name), std::move(inst))
       .first->second;
 }
-
-/// DSEM_METRICS=path: enable at load time, write the JSON at exit.
-std::string& env_metrics_path() {
-  static std::string* path = new std::string;
-  return *path;
-}
-
-void write_env_metrics() {
-  const std::string& path = env_metrics_path();
-  if (!path.empty()) {
-    write_json_file(path);
-  }
-}
-
-bool init_from_env() {
-  const char* env = std::getenv("DSEM_METRICS");
-  if (env == nullptr || *env == '\0') {
-    return false;
-  }
-  env_metrics_path() = env;
-  set_enabled(true);
-  std::atexit(write_env_metrics);
-  return true;
-}
-
-[[maybe_unused]] const bool g_env_initialized = init_from_env();
 
 } // namespace
 
@@ -458,14 +430,6 @@ void Snapshot::write_table(std::ostream& os) const {
      << counters.size() + gauges.size() + histograms.size()
      << " instruments; ~ = wall-clock, report-only)\n";
   table.print(os);
-}
-
-void write_json_file(const std::string& path) {
-  std::ofstream out(path);
-  DSEM_ENSURE(out.good(), "cannot open metrics output file: " + path);
-  Registry::global().snapshot().to_json(false).write(out, 2);
-  out << "\n";
-  DSEM_ENSURE(out.good(), "failed writing metrics output file: " + path);
 }
 
 } // namespace dsem::metrics

@@ -30,9 +30,9 @@
 // is only deterministic for serial driver code: anything set from inside a
 // pool task must be tagged kWallClock.
 //
-// Enabling: set the DSEM_METRICS environment variable to a path (the JSON
-// snapshot is written there at process exit), pass --metrics-out to the
-// CLI binaries, or call metrics::set_enabled(true) directly.
+// Enabling: pass --metrics-out to a driver binary (obs::Session turns the
+// registry on and writes the "dsem-run-v1" manifest at the end of the
+// run), or call metrics::set_enabled(true) directly.
 #pragma once
 
 #include <atomic>
@@ -87,8 +87,8 @@ inline bool enabled() noexcept {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-/// Turns global recording on or off (DSEM_METRICS and --metrics-out call
-/// this).
+/// Turns global recording on or off (obs::Session calls this for
+/// --metrics-out).
 void set_enabled(bool on) noexcept;
 
 /// Monotonic named counter (integer deltas, so cross-shard aggregation is
@@ -226,7 +226,7 @@ struct Snapshot {
 inline constexpr const char* kMetricsSchema = "dsem-metrics-v1";
 
 /// The process-wide registry. Never destroyed (worker threads may record
-/// until process exit); DSEM_METRICS registers an atexit writer.
+/// until process exit).
 class Registry {
 public:
   static Registry& global();
@@ -240,9 +240,5 @@ public:
 private:
   Registry() = default;
 };
-
-/// Writes the global registry's snapshot as pretty-printed JSON to `path`
-/// (throws on I/O error).
-void write_json_file(const std::string& path);
 
 } // namespace dsem::metrics

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <map>
@@ -12,6 +11,7 @@
 #include <tuple>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 
@@ -131,61 +131,6 @@ void push_event(Event&& event) {
   std::lock_guard lock(buf.mutex);
   buf.events.push_back(std::move(event));
 }
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-    case '"':
-      os << "\\\"";
-      break;
-    case '\\':
-      os << "\\\\";
-      break;
-    case '\n':
-      os << "\\n";
-      break;
-    case '\t':
-      os << "\\t";
-      break;
-    case '\r':
-      os << "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(c) < 0x20) {
-        const char* hex = "0123456789abcdef";
-        os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-      } else {
-        os << c;
-      }
-    }
-  }
-}
-
-/// DSEM_TRACE=path: enable at load time, write the Chrome JSON at exit.
-std::string& env_trace_path() {
-  static std::string* path = new std::string;
-  return *path;
-}
-
-void write_env_trace() {
-  const std::string& path = env_trace_path();
-  if (!path.empty()) {
-    write_chrome_file(path);
-  }
-}
-
-bool init_from_env() {
-  const char* env = std::getenv("DSEM_TRACE");
-  if (env == nullptr || *env == '\0') {
-    return false;
-  }
-  env_trace_path() = env;
-  set_enabled(true);
-  std::atexit(write_env_trace);
-  return true;
-}
-
-[[maybe_unused]] const bool g_env_initialized = init_from_env();
 
 } // namespace
 
@@ -400,9 +345,9 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
     }
     first = false;
     os << "{\"name\":\"";
-    json_escape(os, e.name);
+    json::escape(os, e.name);
     os << "\",\"cat\":\"";
-    json_escape(os, e.category);
+    json::escape(os, e.category);
     os << "\",\"ph\":\"" << ph << "\",\"pid\":1,\"tid\":" << e.tid
        << ",\"ts\":" << static_cast<double>(e.start_ns) / 1000.0;
   };
@@ -416,7 +361,7 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
     }
     if (!e.arg.empty()) {
       os << (first_arg ? "" : ",") << "\"arg\":\"";
-      json_escape(os, e.arg);
+      json::escape(os, e.arg);
       os << "\"";
       first_arg = false;
     }

@@ -29,9 +29,9 @@
 // any logical scope is downgraded automatically (ThreadPool wraps task
 // execution in a ScopeReset), so the invariant is structural.
 //
-// Enabling: set the DSEM_TRACE environment variable to a path (the Chrome
-// JSON is written there at process exit), pass --trace-out to the
-// sweep-driving binaries, or call trace::set_enabled(true) directly.
+// Enabling: pass --trace-out to a driver binary (obs::Session turns the
+// tracer on and writes the Chrome JSON at the end of the run), or call
+// trace::set_enabled(true) directly.
 #pragma once
 
 #include <atomic>
@@ -110,7 +110,8 @@ inline bool enabled() noexcept {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-/// Turns global recording on or off (DSEM_TRACE and --trace-out call this).
+/// Turns global recording on or off (obs::Session calls this for
+/// --trace-out).
 void set_enabled(bool on) noexcept;
 
 /// RAII span. Construct cheaply on every code path; records one kSpan
@@ -235,7 +236,7 @@ private:
 };
 
 /// The process-wide event recorder. Never destroyed (worker threads may
-/// record until process exit); DSEM_TRACE registers an atexit writer.
+/// record until process exit).
 class Tracer {
 public:
   static Tracer& global();

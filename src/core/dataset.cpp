@@ -224,11 +224,7 @@ Dataset dataset_from_json(const json::Value& value) {
 }
 
 void save_dataset(const Dataset& dataset, const std::string& path) {
-  std::ofstream out(path);
-  DSEM_ENSURE(out.good(), "cannot open dataset for writing: " + path);
-  dataset_to_json(dataset).write(out, 2);
-  out << "\n";
-  DSEM_ENSURE(out.good(), "failed writing dataset: " + path);
+  json::write_file(path, dataset_to_json(dataset));
 }
 
 Dataset load_dataset(const std::string& path) {

@@ -2,12 +2,10 @@
 
 #include <ostream>
 
-#include "common/bench_report.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
-#include "obs/ledger.hpp"
 
 namespace dsem::core {
 
@@ -91,75 +89,6 @@ json::Value sweep_report_to_json(const SweepReport& report) {
   }
   root.set("phases", std::move(phases));
   return root;
-}
-
-json::Value run_manifest(const std::string& program,
-                         const SweepReport* report) {
-  auto manifest = json::Value::object();
-  manifest.set("schema", kRunSchema);
-  manifest.set("program", program);
-  manifest.set("sweep_report",
-               report == nullptr ? json::Value()
-                                 : sweep_report_to_json(*report));
-  manifest.set("metrics", metrics::Registry::global().snapshot().to_json());
-  return manifest;
-}
-
-void add_observability_cli_options(CliParser& cli) {
-  cli.add_option("trace-out",
-                 "write a Chrome trace-event JSON of the run to this path",
-                 "");
-  cli.add_option(
-      "metrics-out",
-      "write a dsem-run-v1 JSON manifest (sweep report + metrics) here", "");
-  cli.add_option(
-      "ledger-out",
-      "write a dsem-ledger-v1 attribution ledger (per-request / per-job "
-      "records) here",
-      "");
-}
-
-bool enable_observability_from_cli(const CliParser& cli) {
-  bool active = false;
-  if (!cli.option("trace-out").empty()) {
-    trace::set_enabled(true);
-    active = true;
-  }
-  if (!cli.option("metrics-out").empty()) {
-    metrics::set_enabled(true);
-    active = true;
-  }
-  if (!cli.option("ledger-out").empty()) {
-    obs::set_enabled(true);
-    active = true;
-  }
-  return active;
-}
-
-void write_observability_outputs(std::ostream& os, const CliParser& cli,
-                                 const std::string& program,
-                                 const SweepReport* report) {
-  const std::string trace_out = cli.option("trace-out");
-  if (!trace_out.empty()) {
-    trace::write_chrome_file(trace_out);
-    os << "\ntrace written to " << trace_out << "\n";
-    trace::Tracer::global().write_summary(os);
-  }
-  const std::string metrics_out = cli.option("metrics-out");
-  if (!metrics_out.empty()) {
-    benchreport::write_file(metrics_out, run_manifest(program, report));
-    os << "\nrun manifest written to " << metrics_out << "\n";
-    metrics::Registry::global().snapshot().write_table(os);
-  }
-  const std::string ledger_out = cli.option("ledger-out");
-  if (!ledger_out.empty()) {
-    obs::Ledger::global().config().program = program;
-    obs::Ledger::global().write_file(ledger_out);
-    const auto& ledger = obs::Ledger::global();
-    os << "\nledger written to " << ledger_out << " ("
-       << ledger.requests().size() << " requests, " << ledger.jobs().size()
-       << " jobs)\n";
-  }
 }
 
 void add_fault_cli_options(CliParser& cli) {

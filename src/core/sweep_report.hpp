@@ -68,33 +68,6 @@ void print_sweep_report(std::ostream& os, const SweepReport& report);
 /// above when comparing runs).
 json::Value sweep_report_to_json(const SweepReport& report);
 
-/// Schema tag of the per-invocation run manifest written via
-/// --metrics-out (and embedded in BENCH_*.json pipeline entries).
-inline constexpr const char* kRunSchema = "dsem-run-v1";
-
-/// Builds the "dsem-run-v1" manifest: the sweep report (null for drivers
-/// that do not keep one) plus the full metrics snapshot.
-json::Value run_manifest(const std::string& program,
-                         const SweepReport* report);
-
-/// Registers the shared observability knobs on an example or bench CLI:
-/// --trace-out (Chrome trace-event JSON), --metrics-out ("dsem-run-v1"
-/// manifest), and --ledger-out ("dsem-ledger-v1" attribution ledger).
-void add_observability_cli_options(CliParser& cli);
-
-/// Turns the tracer, metrics registry, and/or attribution ledger on when
-/// the corresponding flag was passed. Returns true when any
-/// observability sink is active.
-bool enable_observability_from_cli(const CliParser& cli);
-
-/// Writes whatever the observability flags requested: the Chrome trace
-/// (followed by its stdout summary table), the run manifest (followed by
-/// the metrics snapshot table), and/or the attribution ledger. No-op for
-/// flags left empty.
-void write_observability_outputs(std::ostream& os, const CliParser& cli,
-                                 const std::string& program,
-                                 const SweepReport* report);
-
 /// Registers the shared fault/retry knobs on an example or bench CLI:
 /// --fault-rate, --fault-set-freq-rate, --fault-energy-drop-rate,
 /// --fault-energy-garbage-rate, --fault-launch-rate, --retry-attempts,

@@ -1,11 +1,8 @@
 #include "obs/ledger.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 
-#include "common/error.hpp"
 #include "common/rng.hpp"
 
 namespace dsem::obs {
@@ -267,11 +264,7 @@ json::Value Ledger::to_json(bool summary_only) const {
 }
 
 void Ledger::write_file(const std::string& path) const {
-  std::ofstream out(path);
-  DSEM_ENSURE(out.good(), "cannot open ledger output file: " + path);
-  to_json(false).write(out, 2);
-  out << "\n";
-  DSEM_ENSURE(out.good(), "failed writing ledger output file: " + path);
+  json::write_file(path, to_json(false));
 }
 
 Ledger& Ledger::global() {
@@ -288,40 +281,5 @@ std::atomic<bool> g_enabled{false};
 void set_enabled(bool on) noexcept {
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
-
-void write_json_file(const std::string& path) {
-  Ledger::global().write_file(path);
-}
-
-namespace {
-
-/// DSEM_LEDGER=path: enable at load time, write the JSON at exit
-/// (mirrors the DSEM_METRICS / DSEM_TRACE plumbing).
-std::string& env_ledger_path() {
-  static std::string* path = new std::string;
-  return *path;
-}
-
-void write_env_ledger() {
-  const std::string& path = env_ledger_path();
-  if (!path.empty()) {
-    write_json_file(path);
-  }
-}
-
-bool init_from_env() {
-  const char* env = std::getenv("DSEM_LEDGER");
-  if (env == nullptr || *env == '\0') {
-    return false;
-  }
-  env_ledger_path() = env;
-  set_enabled(true);
-  std::atexit(write_env_ledger);
-  return true;
-}
-
-[[maybe_unused]] const bool g_env_initialized = init_from_env();
-
-} // namespace
 
 } // namespace dsem::obs

@@ -24,11 +24,11 @@
 //  - The disabled path is one relaxed-atomic load and branch per call
 //    site, like trace and metrics (overhead regression test < 1 µs/op).
 //
-// Enabling: set the DSEM_LEDGER environment variable to a path (the JSON
-// ledger is written there at process exit), pass --ledger-out to the CLI
-// binaries, or hand the loops an explicit sink (ServeConfig::ledger /
-// SchedConfig::ledger) — an explicit sink records regardless of the
-// global switch, which is what the tests use.
+// Enabling: pass --ledger-out to a driver binary (obs::Session turns the
+// global ledger on and writes it at the end of the run), or hand the loops
+// an explicit sink (ServeConfig::ledger / SchedConfig::ledger) — an
+// explicit sink records regardless of the global switch, which is what
+// the tests use. active_ledger() below is that rule.
 #pragma once
 
 #include <atomic>
@@ -172,8 +172,8 @@ public:
   /// Pretty-printed to_json(false) with a trailing newline.
   void write_file(const std::string& path) const;
 
-  /// The process-wide ledger the --ledger-out / DSEM_LEDGER plumbing
-  /// records into. Never destroyed.
+  /// The process-wide ledger --ledger-out (obs::Session) records into.
+  /// Never destroyed.
   static Ledger& global();
 
 private:
@@ -195,24 +195,18 @@ inline bool enabled() noexcept {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-/// Turns global recording on or off (DSEM_LEDGER and --ledger-out call
-/// this).
+/// Turns global recording on or off (obs::Session calls this for
+/// --ledger-out).
 void set_enabled(bool on) noexcept;
 
-/// Record into the global ledger when enabled (the loops' call sites).
-inline void record(RequestRecord record) {
-  if (enabled()) {
-    Ledger::global().add(std::move(record));
+/// The sink a serve or sched run records into, resolved once per run:
+/// `explicit_sink` when set, else the global ledger while enabled(), else
+/// null (record nothing).
+inline Ledger* active_ledger(Ledger* explicit_sink) {
+  if (explicit_sink != nullptr) {
+    return explicit_sink;
   }
+  return enabled() ? &Ledger::global() : nullptr;
 }
-inline void record(JobRecord record) {
-  if (enabled()) {
-    Ledger::global().add(std::move(record));
-  }
-}
-
-/// Writes the global ledger as pretty-printed JSON to `path` (throws on
-/// I/O error).
-void write_json_file(const std::string& path);
 
 } // namespace dsem::obs

@@ -98,10 +98,7 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
   stats_.jobs = jobs.size();
 
   // Attribution-ledger sink, resolved once per run (see ServeLoop::run).
-  obs::Ledger* const ledger =
-      config_.ledger != nullptr
-          ? config_.ledger
-          : (obs::enabled() ? &obs::Ledger::global() : nullptr);
+  obs::Ledger* const ledger = obs::active_ledger(config_.ledger);
 
   ThreadPool& pool = config_.pool ? *config_.pool : ThreadPool::global();
   const sim::DeviceSpec& spec = cluster_.device(0).spec();

@@ -83,8 +83,8 @@ struct SchedConfig {
   std::uint64_t seed = 0x5C4EDULL;
   /// Explicit attribution-ledger sink: when set, every job is recorded
   /// here regardless of obs::enabled(). When null, records go to
-  /// obs::Ledger::global() iff the global switch is on (--ledger-out /
-  /// DSEM_LEDGER). See obs/ledger.hpp.
+  /// obs::Ledger::global() iff the global switch is on (--ledger-out).
+  /// See obs::active_ledger.
   obs::Ledger* ledger = nullptr;
 };
 

@@ -22,6 +22,17 @@ constexpr std::size_t kParallelMinRequests = 4;
 
 } // namespace
 
+void validate(const AdviseRequest& request) {
+  for (const double feature : request.features) {
+    DSEM_ENSURE(std::isfinite(feature),
+                "advisor: non-finite feature in a request for \"" +
+                    request.application + "\"");
+  }
+  DSEM_ENSURE(std::isfinite(request.max_slowdown) &&
+                  request.max_slowdown >= 0.0,
+              "advisor: slowdown budget must be finite and >= 0");
+}
+
 std::size_t pick_within_slowdown(const core::Prediction& pred,
                                  double max_slowdown,
                                  bool* budget_infeasible) {
@@ -69,8 +80,7 @@ AdviseAnswer Advisor::advise(const ModelArtifact& artifact,
   DSEM_ENSURE(request.features.size() == artifact.feature_names.size(),
               "advisor: feature count mismatch for " +
                   artifact.key.to_string());
-  DSEM_ENSURE(request.max_slowdown >= 0.0,
-              "advisor: negative slowdown budget");
+  validate(request);
 
   const core::Prediction pred =
       artifact.predict(request.features, artifact.freqs_mhz);

@@ -35,6 +35,11 @@ struct AdviseRequest {
   bool operator==(const AdviseRequest&) const = default;
 };
 
+/// Throws contract_error unless every feature is finite and the slowdown
+/// budget is finite and >= 0. Advisor::advise and ServeLoop::run call it
+/// before a request reaches cache_key or the forests.
+void validate(const AdviseRequest& request);
+
 /// Index into `pred` of the advised frequency: the lowest predicted
 /// normalized energy among Pareto-front points within the slowdown
 /// budget. When the budget is tighter than every front point, the answer

@@ -120,11 +120,7 @@ ModelArtifact ModelArtifact::from_json(const json::Value& value) {
 }
 
 void ModelArtifact::save_file(const std::string& path) const {
-  std::ofstream out(path);
-  DSEM_ENSURE(out.good(), "cannot open model artifact for writing: " + path);
-  to_json().write(out, 2);
-  out << "\n";
-  DSEM_ENSURE(out.good(), "failed writing model artifact: " + path);
+  json::write_file(path, to_json());
 }
 
 ModelArtifact ModelArtifact::load_file(const std::string& path) {

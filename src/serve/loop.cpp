@@ -43,19 +43,18 @@ ServeLoop::resolve_artifact(const std::string& app) {
 
 std::vector<AdviseResponse>
 ServeLoop::run(std::span<const TimedRequest> trace) {
-  for (std::size_t i = 1; i < trace.size(); ++i) {
-    DSEM_ENSURE(trace[i - 1].arrival_s <= trace[i].arrival_s,
+  // Every request is checked before any is served, so a bad one never
+  // reaches cache_key or the forests.
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    validate(trace[i].request);
+    DSEM_ENSURE(i == 0 || trace[i - 1].arrival_s <= trace[i].arrival_s,
                 "serve: trace arrivals must be ascending");
   }
   const auto wall_start = std::chrono::steady_clock::now();
 
-  // Attribution-ledger sink, resolved once per run: the explicit config
-  // sink wins; otherwise the global ledger when obs is enabled. The
-  // per-request cost when off is this null check.
-  obs::Ledger* const ledger =
-      config_.ledger != nullptr
-          ? config_.ledger
-          : (obs::enabled() ? &obs::Ledger::global() : nullptr);
+  // Attribution-ledger sink, resolved once per run; the per-request cost
+  // when off is a null check.
+  obs::Ledger* const ledger = obs::active_ledger(config_.ledger);
 
   stats_ = ServeStats{};
   stats_.requests = trace.size();

@@ -65,8 +65,8 @@ struct ServeConfig {
   ThreadPool* pool = nullptr;
   /// Explicit attribution-ledger sink: when set, every request is
   /// recorded here regardless of obs::enabled(). When null, records go
-  /// to obs::Ledger::global() iff the global switch is on (--ledger-out /
-  /// DSEM_LEDGER). See obs/ledger.hpp.
+  /// to obs::Ledger::global() iff the global switch is on (--ledger-out).
+  /// See obs::active_ledger.
   obs::Ledger* ledger = nullptr;
 };
 

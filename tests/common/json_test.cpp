@@ -157,5 +157,52 @@ TEST(JsonParser, WriteToStreamMatchesDump) {
   EXPECT_EQ(os.str(), v.dump());
 }
 
+TEST(JsonParser, RejectsNestingDeeperThanMaxDepth) {
+  // Without a bound, a hostile document this deep overflows the
+  // recursive-descent parser's stack instead of raising contract_error.
+  constexpr std::size_t kHostileDepth = 1'000'000;
+  for (const std::string opener : {"[", "{\"a\":"}) {
+    std::string text;
+    text.reserve(opener.size() * kHostileDepth);
+    for (std::size_t i = 0; i < kHostileDepth; ++i) {
+      text += opener;
+    }
+    try {
+      Value::parse(text);
+      ADD_FAILURE() << "expected contract_error for " << opener;
+    } catch (const contract_error& e) {
+      EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(JsonParser, AcceptsNestingAtExactlyMaxDepth) {
+  // `levels` containers: levels - 1 objects around one innermost array.
+  const auto nested = [](int levels) {
+    std::string text;
+    for (int i = 1; i < levels; ++i) {
+      text += "{\"a\":";
+    }
+    text += "[]";
+    text.append(static_cast<std::size_t>(levels - 1), '}');
+    return text;
+  };
+  const Value deepest = Value::parse(nested(kMaxDepth));
+  int depth = 1;
+  const Value* inner = &deepest;
+  for (; inner->is_object(); inner = &inner->at("a")) {
+    ++depth;
+  }
+  EXPECT_TRUE(inner->is_array());
+  EXPECT_EQ(depth, kMaxDepth);
+  EXPECT_THROW(Value::parse(nested(kMaxDepth + 1)), contract_error);
+
+  const auto limit = static_cast<std::size_t>(kMaxDepth);
+  const std::string arrays = std::string(limit, '[') + std::string(limit, ']');
+  EXPECT_NO_THROW(Value::parse(arrays));
+  EXPECT_THROW(Value::parse("[" + arrays + "]"), contract_error);
+}
+
 } // namespace
 } // namespace dsem::json

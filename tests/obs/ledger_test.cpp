@@ -273,16 +273,23 @@ TEST(LedgerTest, SummaryDigestPinsEveryRecordByte) {
 }
 
 TEST(LedgerTest, GlobalRecordRespectsEnableSwitch) {
+  // active_ledger is the loops' sink rule: an explicit sink always wins;
+  // otherwise the global ledger, and only while the switch is on.
+  Ledger explicit_sink;
   set_enabled(false);
   Ledger::global().clear();
-  record(RequestRecord{});
-  EXPECT_TRUE(Ledger::global().requests().empty());
+  EXPECT_EQ(active_ledger(nullptr), nullptr);
+  EXPECT_EQ(active_ledger(&explicit_sink), &explicit_sink);
 
   set_enabled(true);
+  EXPECT_EQ(active_ledger(&explicit_sink), &explicit_sink);
+  ASSERT_EQ(active_ledger(nullptr), &Ledger::global());
   RequestRecord on;
   on.index = 7;
-  record(on);
+  active_ledger(nullptr)->add(on);
   set_enabled(false);
+  EXPECT_EQ(active_ledger(nullptr), nullptr);
+  EXPECT_TRUE(explicit_sink.requests().empty());
   ASSERT_EQ(Ledger::global().requests().size(), 1u);
   EXPECT_EQ(Ledger::global().requests().front().index, 7u);
   Ledger::global().clear();
@@ -302,10 +309,12 @@ TEST(LedgerTest, DisabledLedgerOverheadStaysNegligible) {
   for (int i = 0; i < kIters; ++i) {
     RequestRecord request;
     request.index = static_cast<std::uint64_t>(i);
-    record(std::move(request));
     JobRecord job;
     job.index = static_cast<std::uint64_t>(i);
-    record(std::move(job));
+    if (Ledger* sink = active_ledger(nullptr)) {
+      sink->add(std::move(request));
+      sink->add(std::move(job));
+    }
   }
   const double elapsed_ns =
       static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(

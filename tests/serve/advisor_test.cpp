@@ -1,9 +1,14 @@
 // The advisor's pick policy, cache-key quantization, and single-vs-batch
 // bit-identity.
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "obs/ledger.hpp"
 #include "serve/advisor.hpp"
+#include "serve/loop.hpp"
 #include "serve_test_util.hpp"
 
 namespace {
@@ -158,6 +163,20 @@ TEST(AdvisorTest, BatchIsPoolSizeInvariant) {
   EXPECT_EQ(serial, wide);
 }
 
+/// One request per kind of non-finite input: a NaN feature, an infinite
+/// feature and an infinite slowdown budget.
+std::vector<AdviseRequest> non_finite_requests() {
+  std::vector<AdviseRequest> out(3);
+  for (AdviseRequest& request : out) {
+    request.application = "cronos";
+    request.features = {1, 2, 3};
+  }
+  out[0].features[1] = std::numeric_limits<double>::quiet_NaN();
+  out[1].features[2] = std::numeric_limits<double>::infinity();
+  out[2].max_slowdown = std::numeric_limits<double>::infinity();
+  return out;
+}
+
 TEST(AdvisorTest, RejectsMalformedRequests) {
   const serve::ModelArtifact artifact = synthetic_artifact(13);
   const Advisor advisor;
@@ -177,6 +196,32 @@ TEST(AdvisorTest, RejectsMalformedRequests) {
   negative_budget.features = {1, 2, 3};
   negative_budget.max_slowdown = -0.1;
   EXPECT_THROW(advisor.advise(artifact, negative_budget), contract_error);
+
+  // A NaN feature would reach std::llround in cache_key (unspecified) and
+  // the forests; an infinite budget admits every clock.
+  for (const AdviseRequest& non_finite : non_finite_requests()) {
+    EXPECT_THROW(advisor.advise(artifact, non_finite), contract_error);
+  }
+}
+
+TEST(AdvisorTest, ServeLoopRejectsNonFiniteRequestsUpFront) {
+  // The loop checks the whole trace before serving any of it: a bad
+  // request at the end leaves nothing served and nothing recorded.
+  serve::ModelRegistry registry;
+  registry.put(synthetic_artifact(13));
+  for (const AdviseRequest& non_finite : non_finite_requests()) {
+    obs::Ledger ledger;
+    serve::ServeConfig config;
+    config.ledger = &ledger;
+    serve::ServeLoop loop(registry, config);
+    std::vector<serve::TimedRequest> requests(2);
+    requests[0].request.application = "cronos";
+    requests[0].request.features = {1, 2, 3};
+    requests[1].arrival_s = 1e-3;
+    requests[1].request = non_finite;
+    EXPECT_THROW(loop.run(requests), contract_error);
+    EXPECT_TRUE(ledger.requests().empty());
+  }
 }
 
 } // namespace
