@@ -2,7 +2,7 @@
 // log-bucketed histograms.
 //
 // dsem::trace (trace.hpp) records individual events for timeline
-// inspection; this registry is its aggregate complement — the layer that
+// inspection; this registry holds the numbers — the one layer that
 // answers "how many launches, what was the p99 measurement latency, what
 // did retries cost" without storing one record per event. Instruments are
 // named at the call site and live in per-thread shards: the hot path

@@ -136,38 +136,6 @@ void push_event(Event&& event) {
 
 namespace detail {
 
-void record_counter(const char* name, double delta, Reliability r) {
-  Event e;
-  e.kind = EventKind::kCounter;
-  e.name = name;
-  e.category = cat::kPhase;
-  e.start_ns = now_ns();
-  e.value = delta;
-  e.has_value = true;
-  const LogicalKey key = next_key(r);
-  e.logical_path = key.path;
-  e.logical_seq = key.seq;
-  e.stable = key.stable;
-  push_event(std::move(e));
-}
-
-void record_gauge(const char* name, double value, Reliability r,
-                  const std::string& arg) {
-  Event e;
-  e.kind = EventKind::kGauge;
-  e.name = name;
-  e.category = cat::kPhase;
-  e.start_ns = now_ns();
-  e.value = value;
-  e.has_value = true;
-  e.arg = arg;
-  const LogicalKey key = next_key(r);
-  e.logical_path = key.path;
-  e.logical_seq = key.seq;
-  e.stable = key.stable;
-  push_event(std::move(e));
-}
-
 void record_instant(const char* name, const char* category, Reliability r,
                     const std::string& arg) {
   Event e;
@@ -336,67 +304,39 @@ std::vector<LogicalEvent> Tracer::logical_events() const {
 }
 
 void Tracer::write_chrome_trace(std::ostream& os) const {
-  const std::vector<Event> all = events();
   os << "{\"traceEvents\":[";
   bool first = true;
-  const auto emit_common = [&](const Event& e, const char* ph) {
-    if (!first) {
-      os << ",";
-    }
+  for (const Event& e : events()) {
+    const bool span = e.kind == EventKind::kSpan;
+    os << (first ? "" : ",") << "{\"name\":\"";
     first = false;
-    os << "{\"name\":\"";
     json::escape(os, e.name);
     os << "\",\"cat\":\"";
     json::escape(os, e.category);
-    os << "\",\"ph\":\"" << ph << "\",\"pid\":1,\"tid\":" << e.tid
-       << ",\"ts\":" << static_cast<double>(e.start_ns) / 1000.0;
-  };
-  const auto emit_args = [&](const Event& e, double counter_total,
-                             bool use_total) {
+    os << "\",\"ph\":\"" << (span ? "X" : "i") << "\",\"pid\":1,\"tid\":"
+       << e.tid << ",\"ts\":" << static_cast<double>(e.start_ns) / 1000.0;
+    if (span) {
+      os << ",\"dur\":" << static_cast<double>(e.dur_ns) / 1000.0;
+    } else {
+      os << ",\"s\":\"t\"";
+    }
     os << ",\"args\":{";
-    bool first_arg = true;
-    if (e.has_value || use_total) {
-      os << "\"value\":" << (use_total ? counter_total : e.value);
-      first_arg = false;
+    const char* sep = "";
+    if (e.has_value) {
+      os << "\"value\":" << e.value;
+      sep = ",";
     }
     if (!e.arg.empty()) {
-      os << (first_arg ? "" : ",") << "\"arg\":\"";
+      os << sep << "\"arg\":\"";
       json::escape(os, e.arg);
       os << "\"";
-      first_arg = false;
+      sep = ",";
     }
     if (e.stable) {
-      os << (first_arg ? "" : ",") << "\"logical_path\":\"" << e.logical_path
+      os << sep << "\"logical_path\":\"" << e.logical_path
          << "\",\"logical_seq\":" << e.logical_seq;
     }
     os << "}}";
-  };
-
-  std::map<std::string, double> counter_totals;
-  for (const Event& e : all) {
-    switch (e.kind) {
-    case EventKind::kSpan:
-      emit_common(e, "X");
-      os << ",\"dur\":" << static_cast<double>(e.dur_ns) / 1000.0;
-      emit_args(e, 0.0, false);
-      break;
-    case EventKind::kCounter: {
-      double& total = counter_totals[e.name];
-      total += e.value;
-      emit_common(e, "C");
-      emit_args(e, total, true);
-      break;
-    }
-    case EventKind::kGauge:
-      emit_common(e, "C");
-      emit_args(e, 0.0, false);
-      break;
-    case EventKind::kInstant:
-      emit_common(e, "i");
-      os << ",\"s\":\"t\"";
-      emit_args(e, 0.0, false);
-      break;
-    }
   }
   os << "],\"displayTimeUnit\":\"ms\"}\n";
 }
@@ -408,48 +348,25 @@ void Tracer::write_summary(std::ostream& os) const {
     double min_ns = 0.0;
     double max_ns = 0.0;
   };
-  struct ValueStats {
-    std::size_t count = 0;
-    double total = 0.0;
-    double last = 0.0;
-  };
   std::map<std::string, SpanStats> spans;
-  std::map<std::string, ValueStats> counters;
-  std::map<std::string, ValueStats> gauges;
-  std::size_t instants = 0;
+  std::map<std::string, std::size_t> instants;
+  std::size_t instant_count = 0;
   for (const Event& e : events()) {
-    switch (e.kind) {
-    case EventKind::kSpan: {
-      SpanStats& s = spans[e.name];
-      const auto dur = static_cast<double>(e.dur_ns);
-      if (s.count == 0 || dur < s.min_ns) {
-        s.min_ns = dur;
-      }
-      if (s.count == 0 || dur > s.max_ns) {
-        s.max_ns = dur;
-      }
-      ++s.count;
-      s.total_ns += dur;
-      break;
+    if (e.kind == EventKind::kInstant) {
+      ++instants[e.name];
+      ++instant_count;
+      continue;
     }
-    case EventKind::kCounter: {
-      ValueStats& v = counters[e.name];
-      ++v.count;
-      v.total += e.value;
-      v.last = e.value;
-      break;
+    SpanStats& s = spans[e.name];
+    const auto dur = static_cast<double>(e.dur_ns);
+    if (s.count == 0 || dur < s.min_ns) {
+      s.min_ns = dur;
     }
-    case EventKind::kGauge: {
-      ValueStats& v = gauges[e.name];
-      ++v.count;
-      v.total += e.value;
-      v.last = e.value;
-      break;
+    if (s.count == 0 || dur > s.max_ns) {
+      s.max_ns = dur;
     }
-    case EventKind::kInstant:
-      ++instants;
-      break;
-    }
+    ++s.count;
+    s.total_ns += dur;
   }
 
   InstrumentTable table;
@@ -459,13 +376,10 @@ void Tracer::write_summary(std::ostream& os) const {
                            fmt(s.total_ns / n / 1e3, 3), fmt(s.min_ns / 1e3, 3),
                            fmt(s.max_ns / 1e3, 3));
   }
-  for (const auto& [name, v] : counters) {
-    table.add_value("counter", name, v.count, fmt(v.total, 4));
+  for (const auto& [name, count] : instants) {
+    table.add_value("instant", name, count, "");
   }
-  for (const auto& [name, v] : gauges) {
-    table.add_value("gauge", name, v.count, fmt(v.last, 4));
-  }
-  os << "trace summary (" << event_count() << " events, " << instants
+  os << "trace summary (" << event_count() << " events, " << instant_count
      << " instants; span times ms total / us mean-min-max)\n";
   table.print(os);
 }

@@ -1,9 +1,12 @@
-// Structured tracing and metrics for the sweep pipeline.
+// Structured tracing for the sweep pipeline.
 //
-// A process-wide, off-by-default event recorder: RAII spans, named
-// counters/gauges and instant markers, recorded into per-thread buffers
-// and exported either as Chrome trace_event JSON (loadable in
-// chrome://tracing / Perfetto) or as a flat summary table (common/table).
+// A process-wide, off-by-default event recorder: RAII spans and instant
+// markers, recorded into per-thread buffers and exported either as Chrome
+// trace_event JSON (loadable in chrome://tracing / Perfetto) or as a flat
+// summary table (common/table). The trace is the timeline: what ran, in
+// what order, and where a fault struck. Counts and values (retries, cache
+// hits, launches, phase seconds) belong to dsem::metrics (metrics.hpp),
+// which aggregates them without one record per event.
 // The disabled path is a single relaxed-atomic load and branch — cheap
 // enough to leave the instrumentation in hot layers permanently (a
 // regression test in tests/common/trace_test.cpp asserts this).
@@ -20,11 +23,11 @@
 //    function of the grid, not of DSEM_THREADS.
 //
 // Events are classified Stable or TimingDependent. Stable events (grid
-// point spans, retry/backoff counters, training spans, ...) have
+// point spans, retry fault markers, training spans, ...) have
 // deterministic content and keys: the golden-trace tests compare them
 // bit-for-bit across pool sizes. TimingDependent events (pool
-// task/steal/idle, ProfileCache hit/miss, phase wall times) are excluded
-// from the logical view — mirroring the SweepReport determinism contract.
+// task/steal/idle spans) are excluded from the logical view — mirroring
+// the SweepReport determinism contract.
 // A stable-site event recorded inside a pool-executed task but outside
 // any logical scope is downgraded automatically (ThreadPool wraps task
 // execution in a ScopeReset), so the invariant is structural.
@@ -47,11 +50,9 @@ namespace cat {
 inline constexpr const char* kPool = "pool";
 inline constexpr const char* kSweep = "sweep";
 inline constexpr const char* kMeasure = "measure";
-inline constexpr const char* kCache = "cache";
 inline constexpr const char* kQueue = "queue";
 inline constexpr const char* kTrain = "train";
 inline constexpr const char* kEval = "eval";
-inline constexpr const char* kPhase = "phase";
 } // namespace cat
 
 enum class Reliability : std::uint8_t {
@@ -59,7 +60,7 @@ enum class Reliability : std::uint8_t {
   kTimingDependent, ///< scheduling/wall-clock dependent; report-only
 };
 
-enum class EventKind : std::uint8_t { kSpan, kCounter, kGauge, kInstant };
+enum class EventKind : std::uint8_t { kSpan, kInstant };
 
 /// One recorded event. `name` and `category` must be string literals (or
 /// otherwise outlive the tracer); free-form data goes in `arg`.
@@ -71,7 +72,7 @@ struct Event {
   std::uint32_t tid = 0;       ///< buffer registration order; report-only
   std::int64_t start_ns = 0;   ///< wall clock since tracer epoch; report-only
   std::int64_t dur_ns = 0;     ///< spans only; report-only
-  double value = 0.0;          ///< counter delta / gauge value / span value
+  double value = 0.0;          ///< spans only: Span::value
   bool has_value = false;
   std::uint64_t logical_path = 0; ///< enclosing scope (0 = thread root)
   std::uint64_t logical_seq = 0;  ///< serial order within the scope
@@ -96,9 +97,6 @@ namespace detail {
 
 extern std::atomic<bool> g_enabled;
 
-void record_counter(const char* name, double delta, Reliability r);
-void record_gauge(const char* name, double value, Reliability r,
-                  const std::string& arg);
 void record_instant(const char* name, const char* category, Reliability r,
                     const std::string& arg);
 
@@ -190,24 +188,6 @@ private:
   std::string arg_;
 };
 
-/// Monotonic named counter: `delta` accumulates across the run (the Chrome
-/// export emits the running total at each sample).
-inline void counter(const char* name, double delta,
-                    Reliability r = Reliability::kStable) {
-  if (enabled()) {
-    detail::record_counter(name, delta, r);
-  }
-}
-
-/// Point-in-time named value (row counts, phase seconds, hit rates).
-inline void gauge(const char* name, double value,
-                  Reliability r = Reliability::kStable,
-                  const std::string& arg = {}) {
-  if (enabled()) {
-    detail::record_gauge(name, value, r, arg);
-  }
-}
-
 /// Zero-duration marker (a fault observed, a retry scheduled).
 inline void instant(const char* name, const char* category,
                     Reliability r = Reliability::kStable,
@@ -257,8 +237,8 @@ public:
   /// Chrome trace_event JSON ({"traceEvents": [...]}).
   void write_chrome_trace(std::ostream& os) const;
 
-  /// Flat per-name summary (spans: count/total/mean/min/max; counters:
-  /// totals; gauges: last value) rendered with common/table.
+  /// Flat per-name summary (spans: count/total/mean/min/max; instants:
+  /// count) rendered with common/table.
   void write_summary(std::ostream& os) const;
 
 private:

@@ -15,16 +15,16 @@ namespace {
 
 /// Records one failed attempt; throws MeasurementError when the policy is
 /// spent, otherwise accounts the simulated backoff before the retry.
-/// The trace counters here ARE the RetryStats fields (one metrics source
-/// of truth): retry.faults / retry.retries / retry.backoff_s accumulate
-/// exactly what the sweep report aggregates.
+/// The metrics here ARE the RetryStats fields (one source of truth):
+/// retry.faults / retry.retries / retry.backoff_s accumulate exactly what
+/// the sweep report aggregates. The trace only marks where the fault hit.
 void absorb_fault(const sim::TransientFault& fault, int attempt,
                   const RetryPolicy& policy, RetryStats* stats,
                   const char* operation) {
   if (stats != nullptr) {
     ++stats->faults;
   }
-  trace::counter("retry.faults", 1.0);
+  trace::instant("retry.fault", trace::cat::kMeasure);
   metrics::counter("retry.faults");
   if (attempt >= policy.max_attempts) {
     trace::instant("retry.exhausted", trace::cat::kMeasure);
@@ -37,8 +37,6 @@ void absorb_fault(const sim::TransientFault& fault, int attempt,
     ++stats->retries;
     stats->simulated_backoff_s += backoff;
   }
-  trace::counter("retry.retries", 1.0);
-  trace::counter("retry.backoff_s", backoff);
   // Faults are drawn from the replica device's seeded stream, so retry
   // accounting is deterministic (same contract as RetryStats).
   if (metrics::enabled()) {
@@ -58,7 +56,6 @@ void set_frequency_with_retry(synergy::Device& device, double freq_mhz,
     if (stats != nullptr) {
       ++stats->attempts;
     }
-    trace::counter("retry.attempts", 1.0);
     metrics::counter("retry.attempts");
     try {
       device.set_frequency(freq_mhz);
@@ -83,7 +80,6 @@ Measurement measure_run(synergy::Device& device, const RunFn& run,
       if (stats != nullptr) {
         ++stats->attempts;
       }
-      trace::counter("retry.attempts", 1.0);
       metrics::counter("retry.attempts");
       try {
         synergy::Queue queue(device, synergy::ExecMode::kSimOnly);

@@ -89,13 +89,11 @@ std::vector<FrequencySweep> sweep_grid(synergy::Device& device,
       },
       /*grain=*/1);
 
-  if (trace::enabled() || metrics::enabled()) {
+  if (metrics::enabled()) {
     std::uint64_t failed = 0;
     for (const PointResult& pr : grid) {
       failed += pr.ok ? 0 : 1;
     }
-    trace::counter("sweep.grid_points", static_cast<double>(n));
-    trace::counter("sweep.failed_points", static_cast<double>(failed));
     metrics::counter("sweep.grid_points", n);
     metrics::counter("sweep.failed_points", failed);
   }

@@ -5,7 +5,6 @@
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
-#include "common/trace.hpp"
 
 namespace dsem::core {
 
@@ -17,11 +16,8 @@ double SweepReport::cache_hit_rate() const noexcept {
 }
 
 void SweepReport::add_phase(std::string name, double seconds) {
-  // Phase wall-times feed the trace as gauges so the report and the trace
-  // share one metrics source; wall-clock durations are timing-dependent by
-  // nature and stay out of the golden logical view.
-  trace::gauge("sweep.phase_s", seconds, trace::Reliability::kTimingDependent,
-               name);
+  // Phase wall-times feed the metrics registry as wall-clock gauges, so
+  // the report and the registry cannot disagree.
   if (metrics::enabled()) {
     metrics::gauge("phase." + name + "_s", seconds,
                    metrics::Reliability::kWallClock);

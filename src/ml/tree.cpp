@@ -268,7 +268,7 @@ Presorted Presorted::build(const Matrix& x, std::span<const double> y,
 } // namespace detail
 
 // Per-fit scratch arena: every buffer build() touches is sized once here,
-// so the recursion allocates nothing per node.
+// so splitting a node allocates nothing.
 //
 // The k per-feature streams are structure-of-arrays (separate value and
 // row-index arrays; targets are gathered through the row index) and
@@ -446,16 +446,45 @@ void DecisionTreeRegressor::fit_presorted(const detail::Presorted& ps,
   }
 
   Rng rng(params_.seed);
-  build(ws, 0, m, 0, rng);
+  build(ws, rng);
   Workspace::retire(std::move(ws_owner));
 
   metrics::histogram("ml.tree.nodes", static_cast<double>(nodes_.size()));
   metrics::histogram("ml.tree.depth", static_cast<double>(depth_));
 }
 
-std::int32_t DecisionTreeRegressor::build(Workspace& ws, std::size_t begin,
-                                          std::size_t end, int depth,
-                                          Rng& rng) {
+void DecisionTreeRegressor::build(Workspace& ws, Rng& rng) {
+  // Depth-first with the left child first, on an explicit stack: the node
+  // order, the buffer parity and the rng draws are those of a recursive
+  // descent, without its stack frame per level. An unbounded-depth tree
+  // over a large grid is thousands of levels deep, deeper than a pool
+  // thread's stack holds.
+  struct Pending {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    int depth = 0;
+    std::int32_t parent = -1;
+  };
+  std::vector<Pending> pending{{0, ws.m, 0, -1}};
+  while (!pending.empty()) {
+    const Pending p = pending.back();
+    pending.pop_back();
+    const auto id = static_cast<std::int32_t>(nodes_.size());
+    if (p.parent >= 0) {
+      TreeNode& parent = nodes_[static_cast<std::size_t>(p.parent)];
+      (parent.left < 0 ? parent.left : parent.right) = id;
+    }
+    const std::size_t mid = split_node(ws, p.begin, p.end, p.depth, rng);
+    if (mid != p.begin) {
+      pending.push_back({mid, p.end, p.depth + 1, id});
+      pending.push_back({p.begin, mid, p.depth + 1, id});
+    }
+  }
+}
+
+std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
+                                              std::size_t end, int depth,
+                                              Rng& rng) {
   const std::size_t n = end - begin;
   depth_ = std::max(depth_, depth);
   const int buf = depth & 1; // which stream buffer holds this node
@@ -473,9 +502,10 @@ std::int32_t DecisionTreeRegressor::build(Workspace& ws, std::size_t begin,
   const double mean = sum / static_cast<double>(n);
   const double sse = sum_sq - sum * mean; // total squared error around mean
 
+  // A leaf returns `begin`: an interior node's split point is past it.
   const auto make_leaf = [&] {
     nodes_.push_back(TreeNode{-1, 0.0, -1, -1, mean});
-    return static_cast<std::int32_t>(nodes_.size() - 1);
+    return begin;
   };
 
   const bool depth_capped = params_.max_depth > 0 && depth >= params_.max_depth;
@@ -610,13 +640,8 @@ std::int32_t DecisionTreeRegressor::build(Workspace& ws, std::size_t begin,
     }
   }
 
-  const auto node_id = static_cast<std::int32_t>(nodes_.size());
   nodes_.push_back(TreeNode{best_feature, best_threshold, -1, -1, mean});
-  const std::int32_t left = build(ws, begin, mid, depth + 1, rng);
-  const std::int32_t right = build(ws, mid, end, depth + 1, rng);
-  nodes_[static_cast<std::size_t>(node_id)].left = left;
-  nodes_[static_cast<std::size_t>(node_id)].right = right;
-  return node_id;
+  return mid;
 }
 
 DecisionTreeRegressor

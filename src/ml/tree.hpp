@@ -97,8 +97,9 @@ public:
 private:
   struct Workspace;
 
-  std::int32_t build(Workspace& ws, std::size_t begin, std::size_t end,
-                     int depth, Rng& rng);
+  void build(Workspace& ws, Rng& rng);
+  std::size_t split_node(Workspace& ws, std::size_t begin, std::size_t end,
+                         int depth, Rng& rng);
 
   TreeParams params_;
   std::vector<TreeNode> nodes_;

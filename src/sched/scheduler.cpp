@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/ledger.hpp"
+#include "serve/advisor.hpp"
 #include "sim/power_model.hpp"
 #include "synergy/queue.hpp"
 
@@ -106,11 +107,13 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
   const bool model_driven = config_.frequency == FrequencyPolicy::kModel;
 
   // Resolve one immutable artifact snapshot per application up front —
-  // like ServeLoop, decisions within one run never mix model versions.
+  // like ServeLoop, decisions within one run never mix model versions —
+  // and reject a bad request before any job runs.
   std::map<std::string,
            std::shared_ptr<const serve::ModelArtifact>> artifacts;
   if (model_driven) {
     for (const auto& job : jobs) {
+      serve::validate(job.request);
       auto& slot = artifacts[job.spec.application];
       if (slot == nullptr) {
         slot = registry_.require(

@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "common/metrics.hpp"
-#include "common/trace.hpp"
 #include "sim/execution_model.hpp"
 #include "sim/power_model.hpp"
 
@@ -59,14 +58,10 @@ ProfileCache::Cost ProfileCache::lookup(const DeviceSpec& spec,
       // Which concurrent first lookup wins is a scheduling accident, so
       // the hit/miss split is timing-dependent (report-only), matching
       // the SweepReport determinism contract.
-      trace::counter("cache.hits", 1.0,
-                     trace::Reliability::kTimingDependent);
       metrics::counter("cache.hits", 1, metrics::Reliability::kWallClock);
       return it->second;
     }
     ++misses_;
-    trace::counter("cache.misses", 1.0,
-                   trace::Reliability::kTimingDependent);
     metrics::counter("cache.misses", 1, metrics::Reliability::kWallClock);
   }
   // Compute outside the lock; a concurrent miss for the same key derives

@@ -79,7 +79,6 @@ LaunchRecord Queue::submit(const KernelLaunch& launch) {
   }
 
   span.value(record.energy_j);
-  trace::counter("queue.launches", 1.0);
   // record.time_s/energy_j are simulated quantities (replica-seeded):
   // deterministic across pool sizes, unlike the wall time of this call.
   if (metrics::enabled()) {

@@ -2,10 +2,11 @@
 //
 //  - Off by default, and the disabled path stays cheap enough to leave in
 //    hot loops (overhead regression test with a CI-generous threshold).
-//  - Spans / counters / gauges / instants record with correct content.
+//  - Spans and instants record with correct content; counts and values
+//    live in dsem::metrics, so the trace has no counter or gauge events.
 //  - The Chrome trace_event export is structurally valid JSON.
 //  - Golden-trace determinism: a tiny faulty sweep records an identical
-//    logical event sequence (names, args, values, counters) for thread
+//    logical event sequence (names, args, values, fault markers) for thread
 //    pools of size 1, 2 and 8 — the in-process equivalent of running with
 //    DSEM_THREADS ∈ {1, 2, 8}, which sizes the global pool the same way.
 #include "common/trace.hpp"
@@ -43,8 +44,6 @@ TEST_F(TraceTest, DisabledByDefaultAndRecordsNothing) {
   {
     Span span("off.span", cat::kMeasure);
     span.value(1.0);
-    counter("off.counter", 1.0);
-    gauge("off.gauge", 2.0);
     instant("off.instant", cat::kMeasure);
   }
   EXPECT_EQ(Tracer::global().event_count(), 0u);
@@ -56,12 +55,10 @@ TEST_F(TraceTest, RecordsAllEventKindsWhenEnabled) {
     Span span("on.span", cat::kSweep);
     span.arg("payload");
     span.value(42.0);
-    counter("on.counter", 3.0);
-    gauge("on.gauge", 7.5);
     instant("on.instant", cat::kMeasure, Reliability::kStable, "mark");
   }
   const std::vector<Event> events = Tracer::global().events();
-  ASSERT_EQ(events.size(), 4u);
+  ASSERT_EQ(events.size(), 2u);
 
   bool saw_span = false;
   for (const Event& e : events) {
@@ -77,30 +74,30 @@ TEST_F(TraceTest, RecordsAllEventKindsWhenEnabled) {
   }
   EXPECT_TRUE(saw_span);
 
-  // All four were recorded serially on this thread outside any scope:
-  // stable, path 0, consecutive sequence numbers. The span takes its seq
-  // at construction, before the three free-function events.
+  // Both were recorded serially on this thread outside any scope: stable,
+  // path 0, consecutive sequence numbers. The span takes its seq at
+  // construction, before the instant.
   const auto logical = Tracer::global().logical_events();
-  ASSERT_EQ(logical.size(), 4u);
+  ASSERT_EQ(logical.size(), 2u);
   for (std::size_t i = 0; i < logical.size(); ++i) {
     EXPECT_EQ(logical[i].path, 0u) << i;
     EXPECT_EQ(logical[i].seq, i) << i;
   }
   EXPECT_EQ(logical[0].name, "on.span");
-  EXPECT_EQ(logical[1].name, "on.counter");
-  EXPECT_EQ(logical[1].value, 3.0);
-  EXPECT_EQ(logical[2].name, "on.gauge");
-  EXPECT_EQ(logical[3].name, "on.instant");
-  EXPECT_EQ(logical[3].arg, "mark");
+  EXPECT_EQ(logical[0].kind, EventKind::kSpan);
+  EXPECT_EQ(logical[0].value, 42.0);
+  EXPECT_EQ(logical[1].name, "on.instant");
+  EXPECT_EQ(logical[1].kind, EventKind::kInstant);
+  EXPECT_EQ(logical[1].arg, "mark");
 }
 
 TEST_F(TraceTest, ClearResetsEventsAndSequence) {
   set_enabled(true);
-  counter("reset.probe", 1.0);
+  instant("reset.probe", cat::kMeasure);
   const auto first = Tracer::global().logical_events();
   Tracer::global().clear();
   EXPECT_EQ(Tracer::global().event_count(), 0u);
-  counter("reset.probe", 1.0);
+  instant("reset.probe", cat::kMeasure);
   EXPECT_EQ(Tracer::global().logical_events(), first);
 }
 
@@ -108,10 +105,10 @@ TEST_F(TraceTest, RootSpanScopesNestedEvents) {
   set_enabled(true);
   {
     Span root("scope.root", cat::kSweep, /*logical_index=*/7);
-    counter("scope.inner", 1.0);
+    instant("scope.inner", cat::kMeasure);
     Span nested("scope.nested", cat::kMeasure);
   }
-  counter("scope.outer", 1.0);
+  instant("scope.outer", cat::kMeasure);
 
   const auto logical = Tracer::global().logical_events();
   ASSERT_EQ(logical.size(), 4u);
@@ -150,23 +147,22 @@ TEST_F(TraceTest, RootSpanPathDependsOnlyOnNameAndIndex) {
 
 TEST_F(TraceTest, TimingDependentEventsExcludedFromLogicalView) {
   set_enabled(true);
-  counter("td.counter", 1.0, Reliability::kTimingDependent);
-  gauge("td.gauge", 1.0, Reliability::kTimingDependent);
+  instant("td.instant", cat::kPool, Reliability::kTimingDependent);
   { Span span("td.span", cat::kPool, Reliability::kTimingDependent); }
-  EXPECT_EQ(Tracer::global().event_count(), 3u);
+  EXPECT_EQ(Tracer::global().event_count(), 2u);
   EXPECT_TRUE(Tracer::global().logical_events().empty());
 }
 
 TEST_F(TraceTest, ScopelessStableEventsInPoolTasksAreDowngraded) {
   set_enabled(true);
   ThreadPool pool(2);
-  // A stable-site counter inside a pool task but outside any root scope:
+  // A stable-site instant inside a pool task but outside any root scope:
   // its thread placement is a scheduling accident, so it must not reach
   // the logical view. With a root scope it must.
-  pool.submit([] { counter("pool.unscoped", 1.0); }).get();
+  pool.submit([] { instant("pool.unscoped", cat::kMeasure); }).get();
   pool.submit([] {
         Span root("pool.scoped_root", cat::kSweep, 0);
-        counter("pool.scoped", 1.0);
+        instant("pool.scoped", cat::kMeasure);
       })
       .get();
   // Count by name rather than asserting a global total: idle workers may
@@ -241,10 +237,7 @@ TEST_F(TraceTest, ChromeExportIsWellFormedJson) {
     Span span("json.span", cat::kSweep, 0);
     span.arg("quote \" backslash \\ newline \n tab \t");
     span.value(1.25);
-    counter("json.counter", 2.0);
-    counter("json.counter", 3.0);
-    gauge("json.gauge", 4.0, Reliability::kStable, "g");
-    instant("json.instant", cat::kMeasure);
+    instant("json.instant", cat::kMeasure, Reliability::kStable, "mark");
   }
   std::ostringstream os;
   Tracer::global().write_chrome_trace(os);
@@ -253,11 +246,10 @@ TEST_F(TraceTest, ChromeExportIsWellFormedJson) {
   EXPECT_TRUE(json_well_formed(text)) << text;
   EXPECT_EQ(text.rfind("{\"traceEvents\":[", 0), 0u);
   EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos); // span
-  EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos); // counter
   EXPECT_NE(text.find("\"ph\":\"i\""), std::string::npos); // instant
   EXPECT_NE(text.find("json.span"), std::string::npos);
-  // Counter samples carry the running total, not the delta.
-  EXPECT_NE(text.find("\"value\":5"), std::string::npos);
+  EXPECT_NE(text.find("\"value\":1.25"), std::string::npos);
+  EXPECT_NE(text.find("\"arg\":\"mark\""), std::string::npos);
   // The raw control characters must not survive into the output.
   EXPECT_EQ(text.find('\n'), text.size() - 1);
 }
@@ -271,15 +263,15 @@ TEST_F(TraceTest, EmptyTraceExportsValidJson) {
 TEST_F(TraceTest, SummaryTableListsEveryInstrumentName) {
   set_enabled(true);
   { Span span("sum.span", cat::kSweep); }
-  counter("sum.counter", 2.5);
-  gauge("sum.gauge", 9.0);
+  instant("sum.instant", cat::kMeasure);
+  instant("sum.instant", cat::kMeasure);
   std::ostringstream os;
   Tracer::global().write_summary(os);
   const std::string text = os.str();
   EXPECT_NE(text.find("sum.span"), std::string::npos);
-  EXPECT_NE(text.find("sum.counter"), std::string::npos);
-  EXPECT_NE(text.find("sum.gauge"), std::string::npos);
-  EXPECT_NE(text.find("trace summary"), std::string::npos);
+  EXPECT_NE(text.find("sum.instant"), std::string::npos);
+  EXPECT_NE(text.find("trace summary (3 events, 2 instants"), std::string::npos)
+      << text;
 }
 
 // --- Golden-trace determinism ---------------------------------------------
@@ -296,8 +288,8 @@ std::vector<double> strided_freqs(const synergy::Device& device,
 
 /// Runs a tiny faulty characterization sweep on a pool of `threads`
 /// workers and returns the logical trace it recorded. Faults make the
-/// retry/backoff instrumentation fire; the per-point replica devices make
-/// the fault pattern a pure function of the grid.
+/// retry markers fire; the per-point replica devices make the fault
+/// pattern a pure function of the grid.
 std::vector<LogicalEvent> traced_sweep(std::size_t threads) {
   Tracer::global().clear();
   set_enabled(true);
@@ -330,23 +322,18 @@ TEST_F(TraceTest, GoldenTraceIdenticalAcrossPoolSizes) {
   ASSERT_FALSE(serial.empty());
 
   // Sanity on the schema before comparing: the logical view must contain
-  // the grid-point spans, the retry counters the faults triggered, and
-  // the whole-grid tallies — and none of the timing-dependent names.
+  // the grid-point spans and a marker for each fault the retries absorbed
+  // — and none of the timing-dependent names.
   std::size_t points = 0;
-  std::size_t attempts = 0;
-  bool saw_retry = false;
+  std::size_t faults = 0;
   for (const LogicalEvent& e : serial) {
     if (e.name == "sweep.point") {
       ++points;
     }
-    if (e.name == "retry.attempts") {
-      ++attempts;
+    if (e.name == "retry.fault") {
+      ++faults;
+      EXPECT_EQ(e.kind, EventKind::kInstant);
     }
-    if (e.name == "retry.retries" || e.name == "retry.backoff_s") {
-      saw_retry = true;
-    }
-    EXPECT_NE(e.name, "cache.hits");
-    EXPECT_NE(e.name, "cache.misses");
     EXPECT_NE(e.name, "pool.task");
     EXPECT_NE(e.name, "pool.steal");
     EXPECT_NE(e.name, "pool.idle");
@@ -354,8 +341,7 @@ TEST_F(TraceTest, GoldenTraceIdenticalAcrossPoolSizes) {
   // 13 swept frequencies (stride 16 over 196 plus the last partial step)
   // + the default-clock baseline; count the grid instead of hardcoding.
   EXPECT_GT(points, 1u);
-  EXPECT_GT(attempts, points); // faults forced extra attempts
-  EXPECT_TRUE(saw_retry);
+  EXPECT_GT(faults, 0u); // faults forced retries
 
   for (std::size_t threads : {2u, 8u}) {
     const std::vector<LogicalEvent> parallel = traced_sweep(threads);
@@ -390,7 +376,6 @@ TEST_F(TraceTest, DisabledTracerOverheadStaysNegligible) {
   for (int i = 0; i < kIters; ++i) {
     Span span("overhead.span", cat::kMeasure);
     span.value(static_cast<double>(i));
-    counter("overhead.counter", 1.0);
     instant("overhead.instant", cat::kMeasure);
   }
   const double elapsed_ns =

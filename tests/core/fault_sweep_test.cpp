@@ -2,11 +2,14 @@
 // RetryPolicy, grid points that exhaust their attempts degrade into failed
 // records instead of aborting, the models train on what survived, and the
 // whole faulty pipeline stays bit-identical for any thread-pool size.
+#include <algorithm>
 #include <memory>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/metrics.hpp"
 #include "core/characterization.hpp"
 #include "core/dataset.hpp"
 #include "core/ds_model.hpp"
@@ -295,6 +298,47 @@ TEST(FaultSweepTest, PipelineBitIdenticalAcrossPoolSizes) {
   EXPECT_EQ(a.energy_j, b.energy_j);
   EXPECT_EQ(a.speedup, b.speedup);
   EXPECT_EQ(a.norm_energy, b.norm_energy);
+}
+
+TEST(FaultSweepTest, MetricsAgreeWithTheSweepReport) {
+  // The registry, not the trace, carries the grid and retry numbers. They
+  // are recorded at the sites that fill RetryStats, so a metered faulty
+  // sweep must reproduce the report's tallies exactly.
+  metrics::Registry::global().clear();
+  metrics::set_enabled(true);
+  SweepReport report;
+  faulty_dataset(4, &report);
+  const metrics::Snapshot snapshot = metrics::Registry::global().snapshot();
+  metrics::set_enabled(false);
+  metrics::Registry::global().clear();
+
+  const auto total = [&](std::string_view name) {
+    for (const metrics::CounterSnapshot& c : snapshot.counters) {
+      if (c.name == name) {
+        return c.total;
+      }
+    }
+    return std::uint64_t{0};
+  };
+  ASSERT_GT(report.retry.faults, 0u);
+  EXPECT_EQ(total("sweep.grid_points"), report.grid_points);
+  EXPECT_EQ(total("sweep.failed_points"), report.failed_points);
+  EXPECT_EQ(total("retry.attempts"), report.retry.attempts);
+  EXPECT_EQ(total("retry.retries"), report.retry.retries);
+  EXPECT_EQ(total("retry.faults"), report.retry.faults);
+  EXPECT_EQ(total("cache.hits"), report.cache_hits);
+  EXPECT_EQ(total("cache.misses"), report.cache_misses);
+
+  const auto backoff = std::find_if(
+      snapshot.histograms.begin(), snapshot.histograms.end(),
+      [](const metrics::HistogramSnapshot& h) {
+        return h.name == "retry.backoff_s";
+      });
+  ASSERT_NE(backoff, snapshot.histograms.end());
+  EXPECT_EQ(backoff->count, report.retry.retries);
+  // The histogram sum is order-dependent, so compare within rounding.
+  EXPECT_NEAR(backoff->sum, report.retry.simulated_backoff_s,
+              1e-12 * report.retry.simulated_backoff_s);
 }
 
 TEST(FaultSweepTest, ZeroRateReproducesTheUnfaultedSweepExactly) {

@@ -8,8 +8,11 @@
 // doubles) on data engineered to stress the rewrite: heavy value ties,
 // constant features, duplicated rows, feature subsampling, min-leaf
 // boundaries.
+#include <pthread.h>
+
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -265,6 +268,48 @@ TEST(TreePresort, MatchesReferenceOnContinuousData) {
     DecisionTreeRegressor tree(params);
     tree.fit(x, y);
     expect_identical_trees(ref, tree, seed);
+  }
+}
+
+/// Runs `fn` on a fresh thread whose stack is `stack_bytes` long.
+void run_on_stack(std::size_t stack_bytes, std::function<void()> fn) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, stack_bytes), 0);
+  pthread_t thread;
+  const int created = pthread_create(
+      &thread, &attr,
+      [](void* p) -> void* {
+        (*static_cast<std::function<void()>*>(p))();
+        return nullptr;
+      },
+      &fn);
+  pthread_attr_destroy(&attr);
+  ASSERT_EQ(created, 0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+}
+
+TEST(TreePresort, DeepTreeFitsOnASmallThreadStack) {
+  // Alternating targets over one feature: every split peels one sample off
+  // an end, so the tree is a chain about as deep as the data is long. A
+  // frame per level would need far more than the 256 KB stack below;
+  // the fit must not depend on the stack of the thread that runs it.
+  constexpr std::size_t n = 3000;
+  Matrix x(n, 1);
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x(i, 0) = static_cast<double>(i);
+    y[i] = static_cast<double>(i % 2);
+  }
+  TreeParams params;
+  params.seed = 5;
+  DecisionTreeRegressor tree(params);
+  run_on_stack(256 * 1024, [&] { tree.fit(x, y); });
+  EXPECT_GT(tree.depth(), 1000);
+  // Every leaf is pure, so the tree reproduces its training targets. (The
+  // recursive ReferenceTree is no oracle here: it needs the deep stack.)
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(tree.predict_one(x.row(i)), y[i]) << "row " << i;
   }
 }
 

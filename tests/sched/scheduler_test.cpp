@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
+#include "common/error.hpp"
 #include "sched/scheduler.hpp"
 #include "serve/registry.hpp"
 #include "sim/device_spec.hpp"
@@ -176,6 +178,30 @@ TEST(SchedulerToy, ModelPolicyPicksTheFrequencyComputedByHand) {
   EXPECT_DOUBLE_EQ(outcome.freq_mhz, serve_test::kFreqs[pick.index]);
   EXPECT_DOUBLE_EQ(outcome.predicted_time_s, times[pick.index]);
   EXPECT_DOUBLE_EQ(outcome.predicted_energy_j, energies[pick.index]);
+}
+
+TEST(SchedulerToy, ModelPolicyRejectsNonFiniteRequestsUpFront) {
+  auto cluster = make_cluster(2);
+  serve::ModelRegistry registry;
+  registry.put(serve_test::synthetic_artifact(11));
+  SchedConfig config;
+  config.frequency = FrequencyPolicy::kModel;
+  ClusterScheduler scheduler(cluster, registry, config);
+
+  // A non-finite feature would otherwise reach the forests and come back
+  // as a silent clock pick; the bad job is last, so the whole run must be
+  // refused before the good one executes.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf,
+                           -inf}) {
+    std::vector<TimedJob> jobs = {cronos_job(0.0, 5.0), cronos_job(1.0, 5.0)};
+    jobs[1].request.features[1] = bad;
+    EXPECT_THROW(scheduler.run(jobs), contract_error) << bad;
+    EXPECT_EQ(scheduler.stats().completed, 0u) << bad;
+  }
+  std::vector<TimedJob> jobs = {cronos_job(0.0, 5.0)};
+  jobs[0].request.max_slowdown = inf;
+  EXPECT_THROW(scheduler.run(jobs), contract_error);
 }
 
 TEST(SchedulerToy, InfeasibleJobRunsAtMaxUnderRunAtMaxFallback) {
