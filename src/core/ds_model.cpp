@@ -112,16 +112,15 @@ Prediction DomainSpecificModel::predict(std::span<const double> domain_features,
   out.time_s.reserve(freqs_mhz.size());
   out.energy_j.reserve(freqs_mhz.size());
 
-  // One batch for the whole frequency grid (baseline row last): each row
-  // is an independent predict_one, so batching changes nothing but speed.
-  ml::Matrix queries(freqs_mhz.size() + 1, domain_features.size() + 1);
-  for (std::size_t i = 0; i <= freqs_mhz.size(); ++i) {
-    auto row = queries.row(i);
-    std::copy(domain_features.begin(), domain_features.end(), row.begin());
-    row.back() = i < freqs_mhz.size() ? freqs_mhz[i] : default_freq_mhz;
-  }
-  std::vector<double> t_pred = time_model_->predict_many(queries);
-  std::vector<double> e_pred = energy_model_->predict_many(queries);
+  // One sweep of the input's row along its frequency column, baseline
+  // clock last: each value is an independent predict_one, so sweeping
+  // changes nothing but speed.
+  std::vector<double> clocks(freqs_mhz.begin(), freqs_mhz.end());
+  clocks.push_back(default_freq_mhz);
+  std::vector<double> t_pred =
+      time_model_->predict_sweep(domain_features, clocks);
+  std::vector<double> e_pred =
+      energy_model_->predict_sweep(domain_features, clocks);
   if (log_targets_) {
     for (double& t : t_pred) {
       t = std::exp(t);

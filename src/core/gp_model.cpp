@@ -148,16 +148,15 @@ Prediction GeneralPurposeModel::predict(const sim::KernelProfile& profile,
   out.freqs_mhz.assign(freqs_mhz.begin(), freqs_mhz.end());
   const std::vector<double> features = static_feature_vector(profile);
 
-  // One batch for the whole frequency grid, baseline row first: each row
-  // is an independent predict_one, so batching changes nothing but speed.
-  ml::Matrix queries(freqs_mhz.size() + 1, features.size() + 1);
-  for (std::size_t i = 0; i <= freqs_mhz.size(); ++i) {
-    auto row = queries.row(i);
-    std::copy(features.begin(), features.end(), row.begin());
-    row.back() = i == 0 ? default_freq_mhz : freqs_mhz[i - 1];
-  }
-  const std::vector<double> s_pred = speedup_model_->predict_many(queries);
-  const std::vector<double> e_pred = energy_model_->predict_many(queries);
+  // One sweep of the kernel's row along its frequency column, baseline
+  // clock first: each value is an independent predict_one, so sweeping
+  // changes nothing but speed.
+  std::vector<double> clocks{default_freq_mhz};
+  clocks.insert(clocks.end(), freqs_mhz.begin(), freqs_mhz.end());
+  const std::vector<double> s_pred =
+      speedup_model_->predict_sweep(features, clocks);
+  const std::vector<double> e_pred =
+      energy_model_->predict_sweep(features, clocks);
 
   // Normalize against the model's own output at the default frequency so
   // the predicted curve satisfies speedup(default) = norm_energy(default)

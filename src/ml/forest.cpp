@@ -1,11 +1,81 @@
 #include "ml/forest.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 
 namespace dsem::ml {
+
+namespace {
+
+// A node still to visit in one tree's sweep walk. The sorted values that
+// reach it are the unassigned ones, from the walk's cursor on, that pass
+// `x <= bound`; on the tree's rightmost path (`open`, no left turn taken
+// at a last-column split yet) that is all of them, NaN included.
+struct SweepNode {
+  std::int32_t node = 0;
+  bool open = true;
+  double bound = 0.0;
+};
+
+// Adds one tree's leaf value to acc[i] for every sorted[i] (ascending, NaN
+// last; at least one value), in one walk. Splits on a prefix column route
+// the node's whole run of values the way predict_one routes each of its
+// rows. A split on the last column forks: the values with `x <= threshold`
+// are a prefix of the run (NaN compares false, like the largest value) and
+// go left, the rest go right. Left before right, the leaves reached are the
+// tree's piecewise-constant function of the last column, in order, and the
+// walk merges the sorted values into it: a leaf takes the run of values
+// from the cursor that pass its bound. A side no value reaches is never
+// entered, which prunes the walk to the query span.
+void accumulate_sweep(std::span<const TreeNode> nodes,
+                      std::span<const double> prefix,
+                      std::span<const double> sorted, std::span<double> acc,
+                      std::vector<SweepNode>& pending) {
+  const std::size_t n = sorted.size();
+  const auto last = static_cast<unsigned>(prefix.size());
+  std::size_t pos = 0; // sorted[0, pos) already hold this tree's value
+  SweepNode s;
+  pending.clear();
+  for (;;) {
+    const TreeNode* t = &nodes[static_cast<std::size_t>(s.node)];
+    // Leaves (feature -1) wrap to a huge unsigned; only prefix splits pass.
+    while (static_cast<unsigned>(t->feature) < last) {
+      const double x = prefix[static_cast<std::size_t>(t->feature)];
+      t = &nodes[static_cast<std::size_t>(x <= t->threshold ? t->left
+                                                            : t->right)];
+    }
+    if (t->feature >= 0) {
+      const double threshold = t->threshold;
+      const double left_bound =
+          (s.open || !(threshold > s.bound)) ? threshold : s.bound;
+      if (sorted[pos] <= left_bound) {
+        pending.push_back({t->right, s.open, s.bound});
+        s = {t->left, false, left_bound};
+      } else {
+        s.node = t->right; // no value goes left: the whole run goes right
+      }
+      continue;
+    }
+    const double value = t->value;
+    do {
+      acc[pos] += value;
+      ++pos;
+    } while (pos < n && (s.open || sorted[pos] <= s.bound));
+    do {
+      if (pos == n || pending.empty()) {
+        return;
+      }
+      s = pending.back();
+      pending.pop_back();
+    } while (!s.open && !(sorted[pos] <= s.bound));
+  }
+}
+
+} // namespace
 
 RandomForestRegressor::RandomForestRegressor(ForestParams params)
     : params_(params) {
@@ -64,6 +134,10 @@ void RandomForestRegressor::fit(const Matrix& x, std::span<const double> y) {
     tree.fit_presorted(presorted, y, sample);
     trees_[t] = std::move(tree);
   });
+  split_width_ = 0;
+  for (const DecisionTreeRegressor& tree : trees_) {
+    split_width_ = std::max(split_width_, tree.split_width());
+  }
 }
 
 RandomForestRegressor
@@ -71,10 +145,11 @@ RandomForestRegressor::from_trees(ForestParams params,
                                   std::vector<DecisionTreeRegressor> trees) {
   DSEM_ENSURE(trees.size() == static_cast<std::size_t>(params.n_estimators),
               "from_trees: tree count does not match n_estimators");
+  RandomForestRegressor forest(params);
   for (const DecisionTreeRegressor& tree : trees) {
     DSEM_ENSURE(tree.node_count() > 0, "from_trees: unfitted tree");
+    forest.split_width_ = std::max(forest.split_width_, tree.split_width());
   }
-  RandomForestRegressor forest(params);
   forest.trees_ = std::move(trees);
   return forest;
 }
@@ -110,6 +185,42 @@ std::vector<double> RandomForestRegressor::predict_many(const Matrix& x) const {
     parallel_for_chunks(pool, 0, x.rows(), run);
   } else {
     run(0, x.rows());
+  }
+  return out;
+}
+
+std::vector<double>
+RandomForestRegressor::predict_sweep(std::span<const double> prefix,
+                                     std::span<const double> values) const {
+  DSEM_ENSURE(!trees_.empty(), "predict on unfitted RandomForestRegressor");
+  DSEM_ENSURE(prefix.size() + 1 >= split_width_,
+              "predict: row narrower than the forest's split features");
+  const std::size_t n = values.size();
+  if (n == 0) {
+    return {};
+  }
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return values[a] < values[b] ||
+           (!std::isnan(values[a]) && std::isnan(values[b]));
+  });
+  std::vector<double> sorted(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    sorted[i] = values[order[i]];
+  }
+
+  // Each sorted slot gains exactly one leaf value per tree, in ascending
+  // tree order, and is divided once at the end: predict_many's sum.
+  std::vector<double> acc(n, 0.0);
+  std::vector<SweepNode> pending;
+  for (const auto& tree : trees_) {
+    accumulate_sweep(tree.nodes(), prefix, sorted, acc, pending);
+  }
+  const auto scale = static_cast<double>(trees_.size());
+  std::vector<double> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[order[i]] = acc[i] / scale;
   }
   return out;
 }

@@ -36,6 +36,15 @@ public:
   /// tree's (hot) node array at a time instead of streaming the whole
   /// forest per row. Same sums as predict_one, row by row.
   std::vector<double> predict_many(const Matrix& x) const override;
+  /// One walk per tree for the whole sweep (DESIGN.md §7.15): with the
+  /// prefix fixed, a tree routes on prefix splits without forking and
+  /// forks only on last-column splits, carrying the sorted values that
+  /// reach each side. Every value takes the `x <= threshold` branch
+  /// predict_one would and rows sum trees in ascending order, so the
+  /// output is bit-identical to predict_many over the materialized rows.
+  std::vector<double>
+  predict_sweep(std::span<const double> prefix,
+                std::span<const double> values) const override;
   std::unique_ptr<Regressor> clone() const override {
     return std::make_unique<RandomForestRegressor>(params_);
   }
@@ -44,10 +53,13 @@ public:
   const ForestParams& params() const noexcept { return params_; }
   std::size_t tree_count() const noexcept { return trees_.size(); }
   const DecisionTreeRegressor& tree(std::size_t i) const { return trees_[i]; }
+  /// The widest split_width() of any tree: the columns a row needs.
+  std::size_t split_width() const noexcept { return split_width_; }
 
 private:
   ForestParams params_;
   std::vector<DecisionTreeRegressor> trees_;
+  std::size_t split_width_ = 0;
 };
 
 } // namespace dsem::ml

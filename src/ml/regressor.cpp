@@ -1,5 +1,6 @@
 #include "ml/regressor.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -26,6 +27,18 @@ std::vector<double> Regressor::predict_many(const Matrix& x) const {
     run(0, x.rows());
   }
   return out;
+}
+
+std::vector<double>
+Regressor::predict_sweep(std::span<const double> prefix,
+                         std::span<const double> values) const {
+  Matrix rows(values.size(), prefix.size() + 1);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    auto row = rows.row(i);
+    std::copy(prefix.begin(), prefix.end(), row.begin());
+    row.back() = values[i];
+  }
+  return predict_many(rows);
 }
 
 void StandardScaler::fit(const Matrix& x) {

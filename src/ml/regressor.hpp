@@ -30,6 +30,15 @@ public:
   /// be evaluated in a more cache-friendly order than row-by-row.
   virtual std::vector<double> predict_many(const Matrix& x) const;
 
+  /// Predicts the rows [prefix..., values[i]]: one input swept along its
+  /// last column (a frequency curve). out[i] is exactly predict_one of that
+  /// row. The base implementation materializes the rows and calls
+  /// predict_many; models override it when rows sharing a prefix can share
+  /// work.
+  virtual std::vector<double>
+  predict_sweep(std::span<const double> prefix,
+                std::span<const double> values) const;
+
   std::vector<double> predict(const Matrix& x) const {
     return predict_many(x);
   }

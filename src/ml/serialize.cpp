@@ -165,6 +165,19 @@ json::Value regressor_to_json(const Regressor& regressor) {
                        regressor.name());
 }
 
+std::size_t split_width(const Regressor& regressor) {
+  if (const auto* forest =
+          dynamic_cast<const RandomForestRegressor*>(&regressor)) {
+    return forest->split_width();
+  }
+  if (const auto* tree =
+          dynamic_cast<const DecisionTreeRegressor*>(&regressor)) {
+    return tree->split_width();
+  }
+  throw contract_error("no split width for regressor family: " +
+                       regressor.name());
+}
+
 std::unique_ptr<Regressor> regressor_from_json(const json::Value& value) {
   const std::string& type = value.at("type").as_string();
   if (type == "RandomForest") {

@@ -27,4 +27,9 @@ json::Value regressor_to_json(const Regressor& regressor);
 /// accepting it.
 std::unique_ptr<Regressor> regressor_from_json(const json::Value& value);
 
+/// Columns a row needs for every split of a serializable regressor to read
+/// inside it (its split_width()). Throws contract_error for the other
+/// families, like regressor_to_json.
+std::size_t split_width(const Regressor& regressor);
+
 } // namespace dsem::ml

@@ -85,7 +85,14 @@ constexpr auto kIotaD = [] {
 // wider vectors retire more of them per dispatch. Safe to widen because
 // every lane is the same IEEE expression — and no product here feeds an
 // add, so no FMA contraction can exist in any clone.
+//
+// Not under ThreadSanitizer: target_clones dispatches through an IFUNC
+// resolver, which the dynamic loader runs before the TSan runtime is
+// initialized, so every instrumented binary linking this file would crash
+// at startup. TSan builds keep the default clone only.
+#if !defined(__SANITIZE_THREAD__)
 __attribute__((target_clones("default", "avx2")))
+#endif
 void score_block(const double* ls, const double* lq, double* sc,
                  std::size_t bn, double nl0, double nr0, double sum,
                  double sum_sq) {
@@ -367,6 +374,7 @@ void DecisionTreeRegressor::fit_presorted(const detail::Presorted& ps,
   nodes_.clear();
   nodes_.reserve(2 * m); // a binary tree over m samples never exceeds 2m-1
   depth_ = 0;
+  split_width_ = 0;
 
   auto ws_owner = Workspace::acquire();
   Workspace& ws = *ws_owner;
@@ -641,6 +649,8 @@ std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
   }
 
   nodes_.push_back(TreeNode{best_feature, best_threshold, -1, -1, mean});
+  split_width_ =
+      std::max(split_width_, static_cast<std::size_t>(best_feature) + 1);
   return mid;
 }
 
@@ -655,6 +665,7 @@ DecisionTreeRegressor::from_nodes(TreeParams params,
   std::vector<std::int32_t> stack{0};
   std::size_t reached = 0;
   int depth = 0;
+  std::size_t split_width = 0;
   std::vector<int> depth_of(nodes.size(), 0);
   while (!stack.empty()) {
     const std::int32_t id = stack.back();
@@ -673,6 +684,8 @@ DecisionTreeRegressor::from_nodes(TreeParams params,
     }
     DSEM_ENSURE(node.left != -1 && node.right != -1,
                 "from_nodes: interior node missing a child");
+    split_width =
+        std::max(split_width, static_cast<std::size_t>(node.feature) + 1);
     for (const std::int32_t child : {node.left, node.right}) {
       DSEM_ENSURE(child >= 0 && child < n,
                   "from_nodes: child index out of range");
@@ -684,19 +697,20 @@ DecisionTreeRegressor::from_nodes(TreeParams params,
   DecisionTreeRegressor tree(params);
   tree.nodes_ = std::move(nodes);
   tree.depth_ = depth;
+  tree.split_width_ = split_width;
   return tree;
 }
 
 double DecisionTreeRegressor::predict_one(std::span<const double> x) const {
   DSEM_ENSURE(!nodes_.empty(), "predict on unfitted DecisionTreeRegressor");
+  DSEM_ENSURE(x.size() >= split_width_,
+              "predict: row narrower than the tree's split features");
   std::size_t node = 0;
   for (;;) {
     const TreeNode& n = nodes_[node];
     if (n.feature < 0) {
       return n.value;
     }
-    DSEM_ASSERT(static_cast<std::size_t>(n.feature) < x.size(),
-                "feature index out of range");
     node = static_cast<std::size_t>(
         x[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
                                                               : n.right);

@@ -91,6 +91,10 @@ public:
   const TreeParams& params() const noexcept { return params_; }
   std::size_t node_count() const noexcept { return nodes_.size(); }
   int depth() const noexcept { return depth_; }
+  /// Columns a row needs for every split to read inside it: 1 + the
+  /// largest split feature index, 0 for a single-leaf tree. predict_one
+  /// rejects narrower rows.
+  std::size_t split_width() const noexcept { return split_width_; }
   /// The fitted node array (preorder; index 0 is the root).
   std::span<const TreeNode> nodes() const noexcept { return nodes_; }
 
@@ -104,6 +108,7 @@ private:
   TreeParams params_;
   std::vector<TreeNode> nodes_;
   int depth_ = 0;
+  std::size_t split_width_ = 0;
 };
 
 } // namespace dsem::ml

@@ -13,8 +13,9 @@
 //
 // The whole simulation runs in simulated time, like serve::ServeLoop, and
 // is bit-identical for any DSEM_THREADS:
-//  - Model inference is batched up front (one prediction per job, fanned
-//    across the thread pool into pre-sized slots via predict_many).
+//  - Model inference is batched up front (one predict_sweep over the
+//    candidate clocks per job, fanned across the thread pool into
+//    pre-sized slots).
 //  - Admission, placement, and clock selection run serially in arrival
 //    order over those precomputed predictions.
 //  - Each job executes on a replica device whose noise stream is seeded

@@ -7,9 +7,9 @@
 // frequency_advisor example does: predict the full frequency curve,
 // extract the predicted Pareto front, pick the lowest-energy front point
 // within the budget. Batching fans independent requests across a thread
-// pool; each request's frequency grid is one ml::Regressor::predict_many
-// batch, and every answer is bit-identical to the serial single-request
-// path for any pool size.
+// pool; each request's frequency grid is one ml::Regressor::predict_sweep
+// per forest (one walk per tree), and every answer is bit-identical to the
+// serial single-request path for any pool size.
 #pragma once
 
 #include <cstddef>

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "core/kernel_features.hpp"
+#include "ml/serialize.hpp"
 #include "sim/device_spec.hpp"
 
 namespace dsem::serve {
@@ -109,6 +110,17 @@ ModelArtifact ModelArtifact::from_json(const json::Value& value) {
     artifact.ds = std::make_shared<core::DomainSpecificModel>(
         core::DomainSpecificModel::from_json(
             value.at("model"), artifact.kind == ModelKind::kHybrid));
+    // Every split must read inside the query row the artifact builds:
+    // the domain features plus frequency, or the hybrid payload's width.
+    const std::size_t row_width = artifact.kind == ModelKind::kHybrid
+                                      ? artifact.ds->input_width()
+                                      : artifact.feature_names.size() + 1;
+    for (const ml::Regressor* model :
+         {&artifact.ds->time_model(), &artifact.ds->energy_model()}) {
+      DSEM_ENSURE(ml::split_width(*model) <= row_width,
+                  "model artifact: trees split past the " +
+                      std::to_string(row_width) + "-column query row");
+    }
   } else if (kind == "general-purpose") {
     artifact.kind = ModelKind::kGeneralPurpose;
     artifact.gp = std::make_shared<core::GeneralPurposeModel>(

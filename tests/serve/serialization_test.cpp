@@ -122,6 +122,15 @@ TEST(SerializationTest, TamperedForestIsRejected) {
   EXPECT_THROW(ModelArtifact::from_json(doc), contract_error);
 }
 
+TEST(SerializationTest, TreesSplittingPastTheQueryRowAreRejected) {
+  // One feature name dropped: requests carry two features and the query
+  // row is three columns wide, but the forests still split on column 3
+  // (frequency), which that row does not have.
+  json::Value doc = synthetic_artifact(9).to_json();
+  doc.at("feature_names").as_array().pop_back();
+  EXPECT_THROW(ModelArtifact::from_json(doc), contract_error);
+}
+
 TEST(SerializationTest, EmptyFrequencyScheduleIsRejected) {
   json::Value doc = synthetic_artifact(8).to_json();
   doc.set("freqs_mhz", json::Value::array());
@@ -232,6 +241,14 @@ TEST(HybridSerializationTest, QueryWidthIsCheckedAgainstInputWidth) {
   const ModelArtifact widened = ModelArtifact::from_json(doc);
   EXPECT_THROW(widened.predict(std::vector<double>{20, 8, 8}, kFreqs),
                contract_error);
+}
+
+TEST(HybridSerializationTest, TreesSplittingPastInputWidthAreRejected) {
+  // A two-column row: one fused feature and frequency. The forests split
+  // on wider columns than that.
+  json::Value doc = serve_test::synthetic_hybrid_artifact(10).to_json();
+  doc.at("model").set("input_width", 2.0);
+  EXPECT_THROW(ModelArtifact::from_json(doc), contract_error);
 }
 
 TEST(HybridSerializationTest, TamperedForestIsRejected) {
