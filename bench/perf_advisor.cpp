@@ -1,6 +1,6 @@
 // Serving-path performance benchmarks: the full advisor loop over a
-// mixed LiGen/Cronos Poisson stream, the batched-inference hot path, and
-// the traffic generator itself.
+// mixed LiGen/Cronos Poisson stream, the batched-inference hot path, the
+// traffic generator itself, and the attribution-ledger export.
 //
 // BM_ServeMixed reports the paper-scale serving run (10^5 requests) and
 // exports its simulated latency percentiles as user counters ending in
@@ -8,8 +8,11 @@
 // (perf_advisor/BM_ServeMixed:p50_latency_ns, ...). The percentiles are
 // deterministic (simulated time), so they gate answer-quality drift
 // exactly; wall-clock throughput lives in the benchmark's own real_time.
+#include <filesystem>
+
 #include <benchmark/benchmark.h>
 
+#include "obs/ledger.hpp"
 #include "serve/loop.hpp"
 #include "serve/train.hpp"
 #include "sim/device.hpp"
@@ -118,6 +121,43 @@ void BM_GenerateTrace(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_GenerateTrace)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+/// Ledger::write_file over served request records shaped like a nominal
+/// serve run's: alternating apps, mostly cache hits, 17-digit doubles.
+void BM_LedgerWriteFile(benchmark::State& state) {
+  const auto records = static_cast<std::size_t>(state.range(0));
+  obs::Ledger ledger;
+  for (std::size_t k = 0; k < records; ++k) {
+    obs::RequestRecord record;
+    record.index = k;
+    record.id = obs::derive_record_id("req", k);
+    record.application = k % 2 == 0 ? "cronos" : "ligen";
+    record.model = record.application + "/v100@perf_advisor";
+    record.arrival_s = static_cast<double>(k) * 5e-4;
+    record.cache_hit = k % 8 != 0;
+    record.service_s = record.cache_hit ? 2e-6 : 2e-4;
+    record.completion_s = record.arrival_s + record.service_s;
+    record.latency_s = record.service_s;
+    record.batch = k + 1;
+    record.freq_mhz = 1000.0 + static_cast<double>(k % 97) * 7.5;
+    record.predicted_time_s = 0.1 + static_cast<double>(k % 89) / 3.0;
+    record.predicted_energy_j = 25.0 + static_cast<double>(k % 83) / 7.0;
+    record.max_slowdown = 0.03;
+    ledger.add(std::move(record));
+  }
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "perf_advisor_ledger.json")
+          .string();
+  for (auto _ : state) {
+    ledger.write_file(path);
+  }
+  state.counters["bytes"] =
+      static_cast<double>(std::filesystem::file_size(path));
+  std::filesystem::remove(path);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_LedgerWriteFile)->Arg(20000)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -99,7 +99,10 @@ int main(int argc, char** argv) {
                 "pipeline and merge them into one BENCH_<date>.json");
   cli.add_flag("smoke", "fast mode for CI (--benchmark_min_time=0.01, "
                         "shrunken pipeline workloads)");
-  cli.add_option("out", "output path (default: BENCH_<date>.json)", "");
+  cli.add_option("out",
+                 "output path (default: BENCH_<date>.json); a regular file, "
+                 "replaced by rename once complete",
+                 "");
   cli.add_option("bench-dir",
                  "directory holding the perf_* binaries (default: this "
                  "executable's directory)",

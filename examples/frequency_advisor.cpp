@@ -192,13 +192,17 @@ int main(int argc, char** argv) {
                  "(skips training for their (app, device) keys)",
                  "");
   cli.add_option("train-out",
-                 "save the target app's trained model artifact here", "");
+                 "save the target app's trained model artifact here; a "
+                 "regular file, replaced by rename once complete",
+                 "");
   cli.add_option("model-kind",
                  "model family to train: ds (domain-specific) | hybrid",
                  "ds");
   cli.add_option("dataset-out",
                  "export the target app's training sweep as a "
-                 "dsem-dataset-v1 document", "");
+                 "dsem-dataset-v1 document; a regular file, replaced by "
+                 "rename once complete",
+                 "");
   cli.add_option("dataset-stride",
                  "dataset-out: train on every Nth supported frequency", "8");
   cli.add_flag("serve", "replay a synthetic request stream instead of "

@@ -1,11 +1,13 @@
 #include "common/json.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <cstring>
+#include <filesystem>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
 
@@ -84,53 +86,214 @@ Value& Value::at(std::string_view key) {
   return *v;
 }
 
-void escape(std::ostream& os, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-    case '"':
-      os << "\\\"";
-      break;
-    case '\\':
-      os << "\\\\";
-      break;
-    case '\n':
-      os << "\\n";
-      break;
-    case '\t':
-      os << "\\t";
-      break;
-    case '\r':
-      os << "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(c) < 0x20) {
-        const char* hex = "0123456789abcdef";
-        os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-      } else {
-        os << c;
-      }
-    }
+void Fnv1aSink::append(std::string_view bytes) {
+  std::uint64_t h = hash_;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
   }
+  hash_ = h;
 }
 
 namespace {
 
-void write_number(std::ostream& os, double v) {
-  DSEM_ENSURE(std::isfinite(v), "json: cannot serialize a non-finite number");
-  // Integral values within the exactly-representable range print without
-  // a decimal point (counts, iteration totals); everything else prints
-  // round-trip exact.
+/// Longest escape of one input byte ("\u00XX").
+constexpr std::size_t kMaxEscape = 6;
+
+/// Writes the JSON string-escape of `s` at `out`, which needs
+/// kMaxEscape * s.size() bytes. Returns the end of the text.
+char* escape_to(char* out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (const char ch : s) {
+    const auto c = static_cast<unsigned char>(ch);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      *out++ = ch;
+      continue;
+    }
+    *out++ = '\\';
+    switch (c) {
+    case '"':
+    case '\\':
+      *out++ = ch;
+      break;
+    case '\n':
+      *out++ = 'n';
+      break;
+    case '\t':
+      *out++ = 't';
+      break;
+    case '\r':
+      *out++ = 'r';
+      break;
+    default:
+      std::memcpy(out, "u00", 3);
+      out[3] = kHex[c >> 4];
+      out[4] = kHex[c & 0xf];
+      out += 5;
+    }
+  }
+  return out;
+}
+
+/// Longest number text: "-1.2345678901234567e-308" is 24 bytes.
+constexpr std::size_t kMaxNumber = 32;
+
+/// The one number format: integral values below 2^53 in magnitude as
+/// int64 (counts, iteration totals), everything else as "%.17g"
+/// (round-trip exact), which to_chars(general, 17) is defined to match.
+/// out needs kMaxNumber bytes.
+char* format_number(char* out, double n) {
   constexpr double kExactIntLimit = 9007199254740992.0; // 2^53
-  if (v == std::floor(v) && std::abs(v) < kExactIntLimit) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-    os << buf;
-  } else {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    os << buf;
+  if (std::abs(n) < kExactIntLimit) {
+    const auto integral = static_cast<long long>(n);
+    if (static_cast<double>(integral) == n) {
+      return std::to_chars(out, out + kMaxNumber, integral).ptr;
+    }
+  }
+  return std::to_chars(out, out + kMaxNumber, n, std::chars_format::general,
+                       17)
+      .ptr;
+}
+
+} // namespace
+
+void escape(std::ostream& os, std::string_view s) {
+  std::string out(kMaxEscape * s.size(), '\0');
+  out.resize(static_cast<std::size_t>(escape_to(out.data(), s) - out.data()));
+  os << out;
+}
+
+Writer::Writer(Sink& sink, int indent) : sink_(&sink), indent_(indent) {}
+
+char* Writer::reserve(std::size_t bytes) {
+  if (used_ >= kChunkBytes) {
+    flush();
+  }
+  if (used_ + bytes > buffer_.size()) {
+    buffer_.resize(std::max(2 * buffer_.size(), used_ + bytes));
+  }
+  return buffer_.data() + used_;
+}
+
+char* Writer::begin_element(std::size_t token_bytes) {
+  const std::size_t depth = open_.size();
+  const auto pad = static_cast<std::size_t>(std::max(indent_, 0)) * depth;
+  char* out = reserve(token_bytes + 2 + pad);
+  if (after_key_) {
+    after_key_ = false;
+    return out;
+  }
+  if (depth == 0) {
+    return out; // a top-level value
+  }
+  if (open_.back()) {
+    *out++ = ',';
+  }
+  open_.back() = true;
+  return indent_ >= 0 ? newline(out, depth) : out;
+}
+
+char* Writer::newline(char* out, std::size_t depth) const {
+  *out++ = '\n';
+  const std::size_t pad = static_cast<std::size_t>(indent_) * depth;
+  std::memset(out, ' ', pad);
+  return out + pad;
+}
+
+Writer& Writer::open(char bracket) {
+  char* out = begin_element(1);
+  *out++ = bracket;
+  open_.push_back(false);
+  return commit(out);
+}
+
+Writer& Writer::close(char bracket) {
+  DSEM_ASSERT(!open_.empty() && !after_key_, "json: unbalanced container");
+  const bool had_elements = open_.back();
+  open_.pop_back();
+  const std::size_t depth = open_.size();
+  const auto pad = static_cast<std::size_t>(std::max(indent_, 0)) * depth;
+  char* out = reserve(2 + pad);
+  if (had_elements && indent_ >= 0) {
+    out = newline(out, depth);
+  }
+  *out++ = bracket;
+  return commit(out);
+}
+
+Writer& Writer::key(std::string_view name) {
+  char* out = begin_element(kMaxEscape * name.size() + 4);
+  *out++ = '"';
+  out = escape_to(out, name);
+  *out++ = '"';
+  *out++ = ':';
+  if (indent_ >= 0) {
+    *out++ = ' ';
+  }
+  after_key_ = true;
+  return commit(out);
+}
+
+Writer& Writer::null() {
+  char* out = begin_element(4);
+  std::memcpy(out, "null", 4);
+  return commit(out + 4);
+}
+
+Writer& Writer::value(bool b) {
+  char* out = begin_element(5);
+  const std::string_view text = b ? "true" : "false";
+  std::memcpy(out, text.data(), text.size());
+  return commit(out + text.size());
+}
+
+Writer& Writer::value(double n) {
+  DSEM_ENSURE(std::isfinite(n), "json: cannot serialize a non-finite number");
+  return commit(format_number(begin_element(kMaxNumber), n));
+}
+
+Writer& Writer::value(std::string_view s) {
+  char* out = begin_element(kMaxEscape * s.size() + 2);
+  *out++ = '"';
+  out = escape_to(out, s);
+  *out++ = '"';
+  return commit(out);
+}
+
+Writer& Writer::value(const Value& v) {
+  switch (v.type()) {
+  case Value::Type::kNull:
+    return null();
+  case Value::Type::kBool:
+    return value(v.as_bool());
+  case Value::Type::kNumber:
+    return value(v.as_number());
+  case Value::Type::kString:
+    return value(std::string_view(v.as_string()));
+  case Value::Type::kArray:
+    begin_array();
+    for (const Value& element : v.as_array()) {
+      value(element);
+    }
+    return end_array();
+  case Value::Type::kObject:
+    begin_object();
+    for (const auto& [name, field] : v.as_object()) {
+      key(name).value(field);
+    }
+    return end_object();
+  }
+  return *this;
+}
+
+void Writer::flush() {
+  if (used_ > 0) {
+    sink_->append(std::string_view(buffer_.data(), used_));
+    used_ = 0;
   }
 }
+
+namespace {
 
 /// Recursive-descent parser over a string_view with position tracking.
 class Parser {
@@ -401,90 +564,88 @@ private:
 
 } // namespace
 
-void Value::write_impl(std::ostream& os, int indent, int depth) const {
-  const auto newline_pad = [&](int d) {
-    if (indent >= 0) {
-      os << '\n' << std::string(static_cast<std::size_t>(indent * d), ' ');
-    }
-  };
-  switch (type_) {
-  case Type::kNull:
-    os << "null";
-    break;
-  case Type::kBool:
-    os << (bool_ ? "true" : "false");
-    break;
-  case Type::kNumber:
-    write_number(os, number_);
-    break;
-  case Type::kString:
-    os << '"';
-    escape(os, string_);
-    os << '"';
-    break;
-  case Type::kArray: {
-    if (array_.empty()) {
-      os << "[]";
-      break;
-    }
-    os << '[';
-    for (std::size_t i = 0; i < array_.size(); ++i) {
-      if (i > 0) {
-        os << ',';
-      }
-      newline_pad(depth + 1);
-      array_[i].write_impl(os, indent, depth + 1);
-    }
-    newline_pad(depth);
-    os << ']';
-    break;
-  }
-  case Type::kObject: {
-    if (object_.empty()) {
-      os << "{}";
-      break;
-    }
-    os << '{';
-    for (std::size_t i = 0; i < object_.size(); ++i) {
-      if (i > 0) {
-        os << ',';
-      }
-      newline_pad(depth + 1);
-      os << '"';
-      escape(os, object_[i].first);
-      os << "\":";
-      if (indent >= 0) {
-        os << ' ';
-      }
-      object_[i].second.write_impl(os, indent, depth + 1);
-    }
-    newline_pad(depth);
-    os << '}';
-    break;
-  }
-  }
-}
-
 void Value::write(std::ostream& os, int indent) const {
-  write_impl(os, indent, 0);
+  os << dump(indent);
 }
 
 std::string Value::dump(int indent) const {
-  std::ostringstream os;
-  write(os, indent);
-  return os.str();
+  std::string out;
+  StringSink sink(out);
+  Writer writer(sink, indent);
+  writer.value(*this);
+  writer.flush();
+  return out;
 }
 
 Value Value::parse(std::string_view text) {
   return Parser(text).parse_document();
 }
 
+namespace {
+
+/// Buffered file output that reports every failure as contract_error.
+class FileSink final : public Sink {
+public:
+  explicit FileSink(std::string path)
+      : path_(std::move(path)), file_(std::fopen(path_.c_str(), "wb")) {
+    DSEM_ENSURE(file_ != nullptr, "cannot open output file: " + path_);
+  }
+  FileSink(const FileSink&) = delete;
+  FileSink& operator=(const FileSink&) = delete;
+  ~FileSink() override {
+    if (file_ != nullptr) {
+      std::fclose(file_);
+    }
+  }
+
+  void append(std::string_view bytes) override {
+    DSEM_ENSURE(std::fwrite(bytes.data(), 1, bytes.size(), file_) ==
+                    bytes.size(),
+                "failed writing output file: " + path_);
+  }
+
+  void close() {
+    const int rc = std::fclose(file_);
+    file_ = nullptr;
+    DSEM_ENSURE(rc == 0, "failed writing output file: " + path_);
+  }
+
+private:
+  std::string path_;
+  std::FILE* file_;
+};
+
+} // namespace
+
+void write_file(const std::string& path,
+                const std::function<void(Writer&)>& emit) {
+  namespace fs = std::filesystem;
+  std::error_code error;
+  const fs::file_status status = fs::status(path, error);
+  DSEM_ENSURE(!fs::exists(status) || fs::is_regular_file(status),
+              "output path is not a regular file: " + path);
+  // Resolve symlinks, so the rename replaces the file a link points to
+  // and leaves the link itself in place.
+  const fs::path target = fs::weakly_canonical(path, error);
+  DSEM_ENSURE(!error, "cannot resolve output path: " + path);
+  const std::string temp = target.string() + ".tmp";
+  try {
+    FileSink sink(temp);
+    Writer writer(sink, 2);
+    emit(writer);
+    writer.flush();
+    sink.append("\n");
+    sink.close();
+    DSEM_ENSURE(std::rename(temp.c_str(), target.c_str()) == 0,
+                "cannot replace output file: " + path);
+  } catch (...) {
+    std::remove(temp.c_str());
+    throw;
+  }
+}
+
 void write_file(const std::string& path, const Value& value) {
-  std::ofstream out(path);
-  DSEM_ENSURE(out.good(), "cannot open output file: " + path);
-  value.write(out, 2);
-  out << "\n";
-  DSEM_ENSURE(out.good(), "failed writing output file: " + path);
+  write_file(path, [&](Writer& writer) { writer.value(value); });
 }
 
 } // namespace dsem::json

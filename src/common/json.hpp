@@ -1,17 +1,26 @@
-// Minimal JSON document model: parse, build, serialize.
+// Minimal JSON document model and streaming writer: parse, build,
+// serialize.
 //
 // Exists so the observability layer (metrics snapshots, run manifests,
 // BENCH_*.json perf reports) can speak one machine-readable format without
 // an external dependency. Deliberately small: the six JSON types, a
-// recursive-descent parser, and a writer with deterministic formatting —
-// object keys keep insertion order, integral numbers print without a
-// decimal point, and non-integral doubles print with "%.17g" (round-trip
-// exact), so semantically identical documents serialize byte-identically.
-// That determinism is load-bearing: golden-snapshot tests compare metrics
-// JSON across DSEM_THREADS settings as strings.
+// recursive-descent parser, and one Writer with deterministic formatting —
+// object keys keep insertion order, integral numbers below 2^53 print as
+// int64, and every other double prints as printf("%.17g") would (round-
+// trip exact), so semantically identical documents serialize
+// byte-identically. That determinism is load-bearing: golden-snapshot
+// tests compare metrics JSON across DSEM_THREADS settings as strings.
+// The "%.17g" text comes from std::to_chars(general, 17), which the
+// standard defines to match it; tests/common/json_test.cpp pins it
+// against snprintf.
+//
+// Writer is the only formatter. Value::write/dump and write_file are its
+// clients, and large documents (the ledger export) stream through it
+// straight from their own structs without building a Value.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -107,8 +116,6 @@ public:
   bool operator==(const Value&) const = default;
 
 private:
-  void write_impl(std::ostream& os, int indent, int depth) const;
-
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;
@@ -117,11 +124,113 @@ private:
   Object object_;
 };
 
-/// Appends the JSON string-escape of `s` (no surrounding quotes) to `os`.
+/// Destination of a Writer's bytes, handed over in chunks of about
+/// Writer::kChunkBytes.
+class Sink {
+public:
+  virtual ~Sink() = default;
+  virtual void append(std::string_view bytes) = 0;
+};
+
+/// Appends to a caller-owned string.
+class StringSink final : public Sink {
+public:
+  explicit StringSink(std::string& out) : out_(&out) {}
+  void append(std::string_view bytes) override { out_->append(bytes); }
+
+private:
+  std::string* out_;
+};
+
+/// Folds the bytes into a running 64-bit FNV-1a hash.
+class Fnv1aSink final : public Sink {
+public:
+  void append(std::string_view bytes) override;
+  std::uint64_t digest() const noexcept { return hash_; }
+
+private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Streaming serializer: appends tokens to a buffer and hands it to the
+/// sink whenever it passes kChunkBytes. indent < 0 emits the compact
+/// layout; indent >= 0 puts every element on its own line, indented
+/// that many spaces per nesting level, with ": " after keys.
+/// Consecutive top-level values are written back to back. Non-finite
+/// numbers raise contract_error. Call flush() once the document is
+/// complete; a writer destroyed unflushed drops its buffered tail.
+class Writer {
+public:
+  static constexpr std::size_t kChunkBytes = 64 * 1024;
+
+  explicit Writer(Sink& sink, int indent = -1);
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
+
+  Writer& begin_object() { return open('{'); }
+  Writer& end_object() { return close('}'); }
+  Writer& begin_array() { return open('['); }
+  Writer& end_array() { return close(']'); }
+  /// Object key; the next call writes its value.
+  Writer& key(std::string_view name);
+
+  Writer& null();
+  Writer& value(bool b);
+  Writer& value(double n);
+  /// Integers go through double, like Value's integral constructor.
+  template <typename T,
+            typename = std::enable_if_t<std::is_integral_v<T> &&
+                                        !std::is_same_v<T, bool>>>
+  Writer& value(T n) {
+    return value(static_cast<double>(n));
+  }
+  Writer& value(std::string_view s);
+  Writer& value(const char* s) { return value(std::string_view(s)); }
+  Writer& value(const std::string& s) { return value(std::string_view(s)); }
+  Writer& value(const Value& v);
+
+  /// Hands every buffered byte to the sink.
+  void flush();
+
+private:
+  /// Room for `bytes` more bytes at the end of the buffer, after handing
+  /// a full chunk to the sink.
+  char* reserve(std::size_t bytes);
+  /// Writes the separator (comma, newline, indent) an element needs and
+  /// returns where its `token_bytes` (at most) go.
+  char* begin_element(std::size_t token_bytes);
+  char* newline(char* out, std::size_t depth) const;
+  Writer& commit(char* end) {
+    used_ = static_cast<std::size_t>(end - buffer_.data());
+    return *this;
+  }
+  Writer& open(char bracket);
+  Writer& close(char bracket);
+
+  Sink* sink_;
+  int indent_;
+  std::vector<char> buffer_;
+  std::size_t used_ = 0;
+  std::vector<bool> open_; ///< per open container: has an element yet
+  bool after_key_ = false;
+};
+
+/// Appends the JSON string-escape of `s` (no surrounding quotes) to `os`;
+/// the same escape the Writer applies to keys and strings.
 void escape(std::ostream& os, std::string_view s);
 
-/// Pretty-prints `value` to `path` with a trailing newline (throws
-/// contract_error naming the path on I/O failure).
+/// Pretty-prints the document `emit` writes to `path` with a trailing
+/// newline. `path` must be a regular file or absent (contract_error
+/// otherwise); a symlink is followed to the file it names. The bytes go
+/// to that file's name plus ".tmp", which is renamed over it only once
+/// the whole document is written, so the file is replaced, not
+/// rewritten in place: its permissions and hard links are not kept. On
+/// any failure (a non-finite number, an I/O error) the temp is removed,
+/// the file is left as it was, and contract_error propagates. Two
+/// concurrent writers to one path share the temp name; that is not
+/// supported.
+void write_file(const std::string& path,
+                const std::function<void(Writer&)>& emit);
 void write_file(const std::string& path, const Value& value);
 
 } // namespace dsem::json

@@ -1,6 +1,6 @@
 #include "obs/ledger.hpp"
 
-#include <cstdio>
+#include <charconv>
 #include <map>
 
 #include "common/rng.hpp"
@@ -9,95 +9,94 @@ namespace dsem::obs {
 
 namespace {
 
-std::uint64_t fnv1a64(std::string_view bytes,
-                      std::uint64_t h = 0xcbf29ce484222325ULL) noexcept {
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::string hex16(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string(buf);
+  char digits[16];
+  char* end = std::to_chars(digits, digits + 16, value, 16).ptr;
+  return std::string(static_cast<std::size_t>(digits + 16 - end), '0')
+      .append(digits, end);
 }
 
-json::Value to_json(const RequestRecord& r) {
-  auto out = json::Value::object();
-  out.set("index", r.index);
-  out.set("id", r.id);
-  out.set("application", r.application);
-  out.set("model", r.model);
-  out.set("arrival_s", r.arrival_s);
-  out.set("queue_wait_s", r.queue_wait_s);
-  out.set("service_s", r.service_s);
-  out.set("completion_s", r.completion_s);
-  out.set("latency_s", r.latency_s);
-  out.set("cache_hit", r.cache_hit);
-  out.set("shed", r.shed);
-  out.set("batch", r.batch);
-  out.set("freq_mhz", r.freq_mhz);
-  out.set("predicted_time_s", r.predicted_time_s);
-  out.set("predicted_energy_j", r.predicted_energy_j);
-  out.set("max_slowdown", r.max_slowdown);
-  out.set("budget_infeasible", r.budget_infeasible);
-  out.set("cause", to_string(r.cause));
-  return out;
+void write_record(json::Writer& w, const RequestRecord& r) {
+  w.begin_object()
+      .key("index").value(r.index)
+      .key("id").value(r.id)
+      .key("application").value(r.application)
+      .key("model").value(r.model)
+      .key("arrival_s").value(r.arrival_s)
+      .key("queue_wait_s").value(r.queue_wait_s)
+      .key("service_s").value(r.service_s)
+      .key("completion_s").value(r.completion_s)
+      .key("latency_s").value(r.latency_s)
+      .key("cache_hit").value(r.cache_hit)
+      .key("shed").value(r.shed)
+      .key("batch").value(r.batch)
+      .key("freq_mhz").value(r.freq_mhz)
+      .key("predicted_time_s").value(r.predicted_time_s)
+      .key("predicted_energy_j").value(r.predicted_energy_j)
+      .key("max_slowdown").value(r.max_slowdown)
+      .key("budget_infeasible").value(r.budget_infeasible)
+      .key("cause").value(to_string(r.cause))
+      .end_object();
 }
 
-json::Value to_json(const JobRecord& j) {
-  auto out = json::Value::object();
-  out.set("index", j.index);
-  out.set("id", j.id);
-  out.set("application", j.application);
-  out.set("model", j.model);
-  out.set("rank", j.rank);
-  out.set("freq_mhz", j.freq_mhz);
-  out.set("arrival_s", j.arrival_s);
-  out.set("start_s", j.start_s);
-  out.set("finish_s", j.finish_s);
-  out.set("deadline_s", j.deadline_s);
-  out.set("queue_wait_s", j.queue_wait_s);
-  out.set("predicted_time_s", j.predicted_time_s);
-  out.set("predicted_energy_j", j.predicted_energy_j);
-  out.set("true_time_s", j.true_time_s);
-  out.set("true_energy_j", j.true_energy_j);
-  out.set("time_residual", j.time_residual);
-  out.set("energy_residual", j.energy_residual);
-  out.set("slack_consumed", j.slack_consumed);
-  out.set("infeasible", j.infeasible);
-  out.set("rejected", j.rejected);
-  out.set("missed", j.missed);
-  out.set("cause", to_string(j.cause));
-  return out;
+void write_record(json::Writer& w, const JobRecord& j) {
+  w.begin_object()
+      .key("index").value(j.index)
+      .key("id").value(j.id)
+      .key("application").value(j.application)
+      .key("model").value(j.model)
+      .key("rank").value(j.rank)
+      .key("freq_mhz").value(j.freq_mhz)
+      .key("arrival_s").value(j.arrival_s)
+      .key("start_s").value(j.start_s)
+      .key("finish_s").value(j.finish_s)
+      .key("deadline_s").value(j.deadline_s)
+      .key("queue_wait_s").value(j.queue_wait_s)
+      .key("predicted_time_s").value(j.predicted_time_s)
+      .key("predicted_energy_j").value(j.predicted_energy_j)
+      .key("true_time_s").value(j.true_time_s)
+      .key("true_energy_j").value(j.true_energy_j)
+      .key("time_residual").value(j.time_residual)
+      .key("energy_residual").value(j.energy_residual)
+      .key("slack_consumed").value(j.slack_consumed)
+      .key("infeasible").value(j.infeasible)
+      .key("rejected").value(j.rejected)
+      .key("missed").value(j.missed)
+      .key("cause").value(to_string(j.cause))
+      .end_object();
+}
+
+template <typename Record>
+void write_records(json::Writer& w, const std::vector<Record>& records) {
+  w.begin_array();
+  for (const Record& record : records) {
+    write_record(w, record);
+  }
+  w.end_array();
 }
 
 /// Miss-cause tally with every taxonomy key present (stable field set for
 /// goldens and dsem_inspect even when a cause never occurs).
 template <typename Record>
-json::Value tally_causes(const std::vector<Record>& records) {
+void write_causes(json::Writer& w, const std::vector<Record>& records) {
   std::uint64_t counts[5] = {};
   for (const Record& record : records) {
     ++counts[static_cast<std::size_t>(record.cause)];
   }
-  auto out = json::Value::object();
-  out.set("none", counts[0]);
-  out.set("shed", counts[1]);
-  out.set("infeasible", counts[2]);
-  out.set("model_error", counts[3]);
-  out.set("placement", counts[4]);
-  return out;
+  w.begin_object();
+  for (std::size_t cause = 0; cause < 5; ++cause) {
+    w.key(to_string(static_cast<MissCause>(cause))).value(counts[cause]);
+  }
+  w.end_object();
 }
 
-json::Value energy_map_json(const std::map<std::string, double>& by_app) {
-  auto out = json::Value::object();
+void write_energy_map(json::Writer& w,
+                      const std::map<std::string, double>& by_app) {
+  w.begin_object();
   for (const auto& [app, joules] : by_app) {
-    out.set(app, joules);
+    w.key(app).value(joules);
   }
-  return out;
+  w.end_object();
 }
 
 } // namespace
@@ -119,7 +118,9 @@ const char* to_string(MissCause cause) noexcept {
 }
 
 std::string derive_record_id(const char* kind, std::uint64_t index) {
-  return std::string(kind) + "-" + hex16(derive_seed(fnv1a64(kind), index));
+  json::Fnv1aSink kind_hash;
+  kind_hash.append(kind);
+  return std::string(kind) + "-" + hex16(derive_seed(kind_hash.digest(), index));
 }
 
 Ledger::Ledger(LedgerConfig config) : config_(std::move(config)) {}
@@ -140,28 +141,8 @@ void Ledger::clear() {
   jobs_.clear();
 }
 
-json::Value Ledger::to_json(bool summary_only) const {
+void Ledger::write(json::Writer& w, bool summary_only) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-
-  auto doc = json::Value::object();
-  doc.set("schema", kLedgerSchema);
-  doc.set("program", config_.program);
-
-  auto config = json::Value::object();
-  auto drift_cfg = json::Value::object();
-  drift_cfg.set("window", config_.drift.window);
-  drift_cfg.set("quantile", config_.drift.quantile);
-  drift_cfg.set("threshold", config_.drift.threshold);
-  drift_cfg.set("min_samples", config_.drift.min_samples);
-  config.set("drift", std::move(drift_cfg));
-  auto slo_cfg = json::Value::object();
-  slo_cfg.set("latency_objective_s", config_.slo.latency_objective_s);
-  slo_cfg.set("latency_budget", config_.slo.latency_budget);
-  slo_cfg.set("miss_budget", config_.slo.miss_budget);
-  slo_cfg.set("window_s", config_.slo.window_s);
-  config.set("slo", std::move(slo_cfg));
-  doc.set("config", std::move(config));
-
   // Request-stream summary: everything accumulates in record-append
   // order so the energy sums reconcile bit-exactly with ServeStats.
   std::uint64_t served = 0, shed = 0, cache_hits = 0, cache_misses = 0;
@@ -213,58 +194,76 @@ json::Value Ledger::to_json(bool summary_only) const {
                      j.rejected || j.missed);
   }
 
-  auto summary = json::Value::object();
-  auto requests = json::Value::object();
-  requests.set("count", requests_.size());
-  requests.set("served", served);
-  requests.set("shed", shed);
-  requests.set("cache_hits", cache_hits);
-  requests.set("cache_misses", cache_misses);
-  requests.set("predicted_energy_j", request_energy);
-  requests.set("energy_by_application", energy_map_json(request_energy_by_app));
-  requests.set("miss_causes", tally_causes(requests_));
-  requests.set("slo", latency_slo.report().to_json());
-  summary.set("requests", std::move(requests));
+  // FNV-1a of the compact record arrays: the summary-view goldens pin
+  // every record byte-for-byte without storing them.
+  json::Fnv1aSink hash;
+  json::Writer compact(hash);
+  write_records(compact, requests_);
+  write_records(compact, jobs_);
+  compact.flush();
 
-  auto jobs = json::Value::object();
-  jobs.set("count", jobs_.size());
-  jobs.set("completed", completed);
-  jobs.set("rejected", rejected);
-  jobs.set("infeasible", infeasible);
-  jobs.set("missed", missed);
-  jobs.set("predicted_energy_j", predicted_energy);
-  jobs.set("true_energy_j", true_energy);
-  jobs.set("energy_by_application", energy_map_json(job_energy_by_app));
-  jobs.set("miss_causes", tally_causes(jobs_));
-  jobs.set("slo", deadline_slo.report().to_json());
-  summary.set("jobs", std::move(jobs));
+  w.begin_object()
+      .key("schema").value(kLedgerSchema)
+      .key("program").value(config_.program);
+  w.key("config").begin_object();
+  w.key("drift").begin_object()
+      .key("window").value(config_.drift.window)
+      .key("quantile").value(config_.drift.quantile)
+      .key("threshold").value(config_.drift.threshold)
+      .key("min_samples").value(config_.drift.min_samples)
+      .end_object();
+  w.key("slo").begin_object()
+      .key("latency_objective_s").value(config_.slo.latency_objective_s)
+      .key("latency_budget").value(config_.slo.latency_budget)
+      .key("miss_budget").value(config_.slo.miss_budget)
+      .key("window_s").value(config_.slo.window_s)
+      .end_object();
+  w.end_object();
 
-  summary.set("drift", drift.to_json());
-
-  // Digest of the full record arrays: the committed summary-view goldens
-  // pin every record byte-for-byte without storing them.
-  auto request_array = json::Value::array();
-  for (const RequestRecord& r : requests_) {
-    request_array.push_back(obs::to_json(r));
-  }
-  auto job_array = json::Value::array();
-  for (const JobRecord& j : jobs_) {
-    job_array.push_back(obs::to_json(j));
-  }
-  summary.set("records_digest",
-              hex16(fnv1a64(job_array.dump(),
-                            fnv1a64(request_array.dump()))));
-  doc.set("summary", std::move(summary));
+  w.key("summary").begin_object();
+  w.key("requests").begin_object()
+      .key("count").value(requests_.size())
+      .key("served").value(served)
+      .key("shed").value(shed)
+      .key("cache_hits").value(cache_hits)
+      .key("cache_misses").value(cache_misses)
+      .key("predicted_energy_j").value(request_energy);
+  write_energy_map(w.key("energy_by_application"), request_energy_by_app);
+  write_causes(w.key("miss_causes"), requests_);
+  w.key("slo").value(latency_slo.report().to_json()).end_object();
+  w.key("jobs").begin_object()
+      .key("count").value(jobs_.size())
+      .key("completed").value(completed)
+      .key("rejected").value(rejected)
+      .key("infeasible").value(infeasible)
+      .key("missed").value(missed)
+      .key("predicted_energy_j").value(predicted_energy)
+      .key("true_energy_j").value(true_energy);
+  write_energy_map(w.key("energy_by_application"), job_energy_by_app);
+  write_causes(w.key("miss_causes"), jobs_);
+  w.key("slo").value(deadline_slo.report().to_json()).end_object();
+  w.key("drift").value(drift.to_json());
+  w.key("records_digest").value(hex16(hash.digest()));
+  w.end_object();
 
   if (!summary_only) {
-    doc.set("requests", std::move(request_array));
-    doc.set("jobs", std::move(job_array));
+    write_records(w.key("requests"), requests_);
+    write_records(w.key("jobs"), jobs_);
   }
-  return doc;
+  w.end_object();
+}
+
+json::Value Ledger::to_json(bool summary_only) const {
+  std::string text;
+  json::StringSink sink(text);
+  json::Writer writer(sink);
+  write(writer, summary_only);
+  writer.flush();
+  return json::Value::parse(text);
 }
 
 void Ledger::write_file(const std::string& path) const {
-  json::write_file(path, to_json(false));
+  json::write_file(path, [&](json::Writer& w) { write(w, false); });
 }
 
 Ledger& Ledger::global() {

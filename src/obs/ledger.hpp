@@ -166,10 +166,13 @@ public:
   /// `summary_only` — the record arrays themselves. Deterministic: byte-
   /// identical for any DSEM_THREADS on a deterministic pipeline. The
   /// committed goldens pin the summary view; its digest field extends
-  /// byte-identity to every record.
+  /// byte-identity to every record. Parsed from the serializer's compact
+  /// output.
   json::Value to_json(bool summary_only = false) const;
 
-  /// Pretty-printed to_json(false) with a trailing newline.
+  /// Pretty-printed to_json(false) with a trailing newline, streamed from
+  /// the records without building a json::Value. Replaces `path` only
+  /// once the whole document is written (json::write_file).
   void write_file(const std::string& path) const;
 
   /// The process-wide ledger --ledger-out (obs::Session) records into.
@@ -177,6 +180,10 @@ public:
   static Ledger& global();
 
 private:
+  /// The one ledger layout: streams the document straight from the
+  /// records.
+  void write(json::Writer& w, bool summary_only) const;
+
   mutable std::mutex mutex_;
   LedgerConfig config_;
   std::vector<RequestRecord> requests_;

@@ -25,11 +25,13 @@ void Session::add_cli_options(CliParser& cli) {
                  "");
   cli.add_option(
       "metrics-out",
-      "write a dsem-run-v1 JSON manifest (sweep report + metrics) here", "");
+      "write a dsem-run-v1 JSON manifest (sweep report + metrics) here; "
+      "a regular file, replaced by rename once complete",
+      "");
   cli.add_option(
       "ledger-out",
       "write a dsem-ledger-v1 attribution ledger (per-request / per-job "
-      "records) here",
+      "records) here; a regular file, replaced by rename once complete",
       "");
 }
 

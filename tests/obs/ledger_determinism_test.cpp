@@ -2,7 +2,8 @@
 // ledgers written by a 10^4-request serve run and a 10^4-job scheduler
 // run are bit-identical JSON for thread pools of 1, 2, and 8 workers,
 // their summaries match committed goldens byte for byte (the summary's
-// records_digest extends that pin to every record), their totals
+// records_digest extends that pin to every record), the streamed file
+// export equals the pretty-printed document, their totals
 // reconcile exactly with ServeStats / SchedStats, and every record obeys
 // the miss-cause taxonomy.
 //
@@ -10,6 +11,7 @@
 //   DSEM_WRITE_GOLDEN=1 ./dsem_obs_tests --gtest_filter=LedgerDeterminism.*
 // then commit the rewritten tests/data/golden_ledger_*.json.
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -30,6 +32,17 @@ using serve::ModelRegistry;
 using serve::TimedJob;
 using serve::TimedRequest;
 using serve::TrafficConfig;
+
+/// The bytes Ledger::write_file exports for `ledger`.
+std::string exported_bytes(const obs::Ledger& ledger, const char* name) {
+  const std::string path = testing::TempDir() + name;
+  ledger.write_file(path);
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream content;
+  content << in.rdbuf();
+  std::filesystem::remove(path);
+  return content.str();
+}
 
 // Trained once, shared by every test in the grouped suite.
 const ModelRegistry& shared_registry() {
@@ -72,6 +85,7 @@ struct ServeLedgerRun {
   serve::ServeStats stats;
   std::string full_json;    ///< to_json(false): summary + record arrays
   std::string summary_json; ///< to_json(true): the committed golden view
+  std::string file_bytes;   ///< what write_file put on disk
 };
 
 const ServeLedgerRun& serve_run(std::size_t threads) {
@@ -96,6 +110,7 @@ const ServeLedgerRun& serve_run(std::size_t threads) {
   run.stats = loop.stats();
   run.full_json = ledger.to_json(false).dump(2);
   run.summary_json = ledger.to_json(true).dump(2);
+  run.file_bytes = exported_bytes(ledger, "dsem_serve_ledger.json");
   return (*cache)[threads] = std::move(run);
 }
 
@@ -104,6 +119,7 @@ struct SchedLedgerRun {
   sched::SchedStats stats;
   std::string full_json;
   std::string summary_json;
+  std::string file_bytes;
 };
 
 const SchedLedgerRun& sched_run(std::size_t threads) {
@@ -130,6 +146,7 @@ const SchedLedgerRun& sched_run(std::size_t threads) {
   run.stats = scheduler.stats();
   run.full_json = ledger.to_json(false).dump(2);
   run.summary_json = ledger.to_json(true).dump(2);
+  run.file_bytes = exported_bytes(ledger, "dsem_sched_ledger.json");
   return (*cache)[threads] = std::move(run);
 }
 
@@ -180,6 +197,18 @@ TEST(LedgerDeterminism, SchedLedgerBitIdenticalForPools1_2_8) {
   EXPECT_EQ(serial.full_json, eight.full_json);
   EXPECT_EQ(serial.records, two.records);
   EXPECT_EQ(serial.records, eight.records);
+}
+
+TEST(LedgerDeterminism, WriteFileIsThePrettyPrintedDocument) {
+  // The streamed export and the parsed document must agree byte for byte.
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    EXPECT_EQ(serve_run(threads).file_bytes,
+              serve_run(threads).full_json + "\n")
+        << threads;
+    EXPECT_EQ(sched_run(threads).file_bytes,
+              sched_run(threads).full_json + "\n")
+        << threads;
+  }
 }
 
 TEST(LedgerDeterminism, ServeSummaryMatchesCommittedGolden) {
