@@ -208,7 +208,7 @@ Writer& Writer::open(char bracket) {
 }
 
 Writer& Writer::close(char bracket) {
-  DSEM_ASSERT(!open_.empty() && !after_key_, "json: unbalanced container");
+  DSEM_ENSURE(!open_.empty() && !after_key_, "json: unbalanced container");
   const bool had_elements = open_.back();
   open_.pop_back();
   const std::size_t depth = open_.size();

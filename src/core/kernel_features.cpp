@@ -105,7 +105,7 @@ std::vector<double> hybrid_feature_block(std::span<const KernelLaunch> launches,
         class_s;
     top_class_s = std::max(top_class_s, class_s);
   }
-  DSEM_ASSERT(total_s > 0.0, "execution model produced a zero-time run");
+  DSEM_ENSURE(total_s > 0.0, "execution model produced a zero-time run");
 
   // Ratio denominators are clamped away from zero so a pure-compute or
   // zero-op profile still yields finite features.

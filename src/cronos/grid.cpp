@@ -58,6 +58,7 @@ State::State(GridDims dims, int num_vars) : dims_(dims) {
   }
 }
 
+// The width checks below cannot fire: the solver's buffers match its state.
 void State::cell(int z, int y, int x, std::span<double> out) const {
   DSEM_ASSERT(out.size() == fields_.size(), "cell: span width mismatch");
   for (std::size_t v = 0; v < fields_.size(); ++v) {

@@ -59,6 +59,7 @@ public:
 
 private:
   std::size_t index(int z, int y, int x) const noexcept {
+    // Cannot fire from the solver: it stays within kGhost of the interior.
     DSEM_ASSERT(x >= -kGhost && x < dims_.nx + kGhost, "x out of halo range");
     DSEM_ASSERT(y >= -kGhost && y < dims_.ny + kGhost, "y out of halo range");
     DSEM_ASSERT(z >= -kGhost && z < dims_.nz + kGhost, "z out of halo range");

@@ -9,9 +9,7 @@
 #include <mutex>
 #include <numeric>
 
-#if defined(__SSE2__)
 #include <emmintrin.h>
-#endif
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
@@ -27,18 +25,28 @@ namespace {
 // units (and their per-slot outputs) is the same for every pool.
 constexpr std::size_t kParallelNodeMinSamples = 4096;
 
-// A candidate split for one feature: the best (score, threshold) found by
-// scanning that feature's sorted stream, chained from the node SSE with
-// the same strict `score < best - 1e-12` improvement rule the reduce step
-// applies across features.
+// A candidate split for one feature: the best score found by scanning that
+// feature's sorted stream, chained from the node SSE with the same strict
+// `score < best - 1e-12` improvement rule the reduce step applies across
+// features, and the stream position it splits after: entries
+// [0, position] go left. The partition and the threshold both follow it.
 struct Candidate {
   double score = 0.0;
-  double threshold = 0.0;
+  std::size_t position = 0;
   bool valid = false;
 };
 
-// Scans one feature's sorted stream for the best split of a node holding
-// entries [0, n). The stream carries values and row ids; targets are
+// The threshold of a split between adjacent stream values lo < hi, by
+// scikit-learn's rule: the midpoint, or `lo` when the midpoint rounds onto
+// `hi` or is not finite (overflow). Then `x <= threshold` routes every
+// training row to the side the build sent it.
+double split_threshold(double lo, double hi) {
+  const double mid = 0.5 * (lo + hi);
+  return std::isfinite(mid) && mid != hi ? mid : lo;
+}
+
+// Scans one feature's sorted stream for the best split position of a node
+// holding entries [0, n). The stream carries values and row ids; targets are
 // gathered through the row id (`targets[rows[i]]` is the very double a
 // dedicated target stream would hold, so dropping that stream changes no
 // bit — it only saves 16 bytes per entry per level of partition traffic).
@@ -51,11 +59,14 @@ struct Candidate {
 // loop; larger nodes run it in L1-resident blocks of three passes — a
 // scalar prefix chain, a branchless score pass the compiler vectorizes
 // (packed divisions are the expensive op here, and SIMD retires several
-// per cycle-group where the fused loop serializes them), and a scalar
-// selection chain. Every candidate's score is computed by the exact same
-// IEEE operations in both shapes (tie positions compute a score the
-// selection chain never consults, exactly as the fused loop's `continue`
-// never consults one), so the cutover size is a pure performance knob.
+// per cycle-group where the fused loop serializes them), and a selection
+// walk — an SSE2 packed filter, then the exact chain over its hits. SSE2 is
+// part of the x86-64 baseline (the `target_clones` below already tie this
+// file to x86), so that walk is the only one. Every candidate's score is
+// computed by the exact same IEEE operations in both shapes (tie positions
+// compute a score the selection never consults, exactly as the fused
+// loop's `continue` never consults one), and both keep only the winning
+// position, so the cutover size is a pure performance knob.
 //
 // The cutover is the row-count cutoff below which a node skips the
 // blocked presorted-stream machinery entirely. Small trees are made
@@ -146,9 +157,8 @@ Candidate scan_feature(const double* value, const std::uint32_t* rows,
       // the blocked path's selection chain, for the same reason.
       const bool improve =
           (score < best_score - 1e-12) & (value[i] != value[i + 1]);
-      const double thr = 0.5 * (value[i] + value[i + 1]);
       best_score = improve ? score : best_score;
-      out.threshold = improve ? thr : out.threshold;
+      out.position = improve ? i : out.position;
       out.valid = out.valid | improve;
     }
     out.score = best_score;
@@ -182,7 +192,6 @@ Candidate scan_feature(const double* value, const std::uint32_t* rows,
     // dense pass is branch-free and the sparse pass's accept branch is
     // predictable because ties (the random ~1/3 of a bootstrap stream that
     // made the fused chain mispredict) never reach it.
-#if defined(__SSE2__)
     const __m128d entry_limit = _mm_set1_pd(best_score - 1e-12);
     for (std::size_t g = 0; g < bn; g += 64) {
       const std::size_t gn = std::min<std::size_t>(64, bn - g);
@@ -207,21 +216,11 @@ Candidate scan_feature(const double* value, const std::uint32_t* rows,
         const std::size_t jj = g + t;
         if (sc[jj] < best_score - 1e-12) {
           best_score = sc[jj];
-          out.threshold = 0.5 * (value[b + jj] + value[b + jj + 1]);
+          out.position = b + jj;
           out.valid = true;
         }
       }
     }
-#else
-    for (std::size_t j = 0; j < bn; ++j) {
-      const bool improve =
-          (sc[j] < best_score - 1e-12) & (value[b + j] != value[b + j + 1]);
-      const double thr = 0.5 * (value[b + j] + value[b + j + 1]);
-      best_score = improve ? sc[j] : best_score;
-      out.threshold = improve ? thr : out.threshold;
-      out.valid = out.valid | improve;
-    }
-#endif
   }
   out.score = best_score;
   return out;
@@ -449,7 +448,7 @@ void DecisionTreeRegressor::fit_presorted(const detail::Presorted& ps,
           ++out;
         }
       }
-      DSEM_ASSERT(out == m, "bootstrap expansion lost samples");
+      DSEM_ENSURE(out == m, "bootstrap expansion lost samples");
     }
   }
 
@@ -556,14 +555,14 @@ std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
   }
 
   int best_feature = -1;
-  double best_threshold = 0.0;
+  std::size_t best_position = 0;
   double best_score = sse; // must strictly improve on no-split
   for (std::size_t fi = 0; fi < tries; ++fi) {
     const Candidate& c = ws.cand[fi];
     if (c.valid && c.score < best_score - 1e-12) {
       best_score = c.score;
       best_feature = static_cast<int>(ws.features[fi]);
-      best_threshold = c.threshold;
+      best_position = c.position;
     }
   }
 
@@ -571,24 +570,22 @@ std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
     return make_leaf();
   }
 
-  // Mark each sample's side from the winning stream (its `value` is the
-  // same double the seed's predicate read from the matrix), then keep both
-  // orderings consistent: std::partition on `indices` reproduces the
-  // seed's node ordering, and a stable partition of every sorted stream
-  // into the other buffer preserves (value, target, row) order within
-  // each child.
+  // The winning stream's first `best_position + 1` entries go left. Then
+  // keep both orderings consistent: std::partition on `indices` reproduces
+  // the seed's node ordering, and a stable partition of every sorted
+  // stream into the other buffer preserves (value, target, row) order
+  // within each child.
   const double* chosen_value =
       ws.stream_value(buf, static_cast<std::size_t>(best_feature));
   const std::uint32_t* chosen_index =
       ws.stream_index(buf, static_cast<std::size_t>(best_feature));
-  std::size_t nl = 0;
+  const std::size_t mid = begin + best_position + 1;
+  DSEM_ENSURE(mid < end, "split position leaves the right side empty");
   for (std::size_t i = begin; i < end; ++i) {
-    const bool left = chosen_value[i] <= best_threshold;
-    ws.go_left[chosen_index[i]] = left ? 1 : 0;
-    nl += left ? 1 : 0;
+    ws.go_left[chosen_index[i]] = i < mid ? 1 : 0;
   }
-  DSEM_ASSERT(nl > 0 && nl < n, "degenerate partition");
-  const std::size_t mid = begin + nl;
+  const double threshold =
+      split_threshold(chosen_value[mid - 1], chosen_value[mid]);
 
   const int other = buf ^ 1;
   const auto partition_stream = [&](std::size_t f) {
@@ -609,7 +606,7 @@ std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
       wl += left;
       wr += std::size_t{1} - left;
     }
-    DSEM_ASSERT(wl == mid && wr == end, "stream partition mismatch");
+    DSEM_ENSURE(wl == mid && wr == end, "stream partition mismatch");
   };
   if (n >= kParallelNodeMinSamples && k >= 2) {
     parallel_for(ws.pool != nullptr ? *ws.pool : ThreadPool::global(), 0, k,
@@ -642,13 +639,13 @@ std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
       ws.swap_r[nfit] = static_cast<std::uint32_t>(i);
       nfit += ws.go_left[idx[i]];
     }
-    DSEM_ASSERT(nmis == nfit, "stream/index partition mismatch");
+    DSEM_ENSURE(nmis == nfit, "stream/index partition mismatch");
     for (std::size_t s = 0; s < nmis; ++s) {
       std::swap(idx[ws.swap_l[s]], idx[ws.swap_r[s]]);
     }
   }
 
-  nodes_.push_back(TreeNode{best_feature, best_threshold, -1, -1, mean});
+  nodes_.push_back(TreeNode{best_feature, threshold, -1, -1, mean});
   split_width_ =
       std::max(split_width_, static_cast<std::size_t>(best_feature) + 1);
   return mid;

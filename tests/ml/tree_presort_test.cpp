@@ -1,18 +1,23 @@
 // Split-finder equivalence and determinism for the pre-sorted training
 // path (DESIGN.md §7.10).
 //
-// `ReferenceTree` below is the seed algorithm verbatim — per-node copies
-// of (value, target) pairs, std::sort, sequential candidate chain — kept
-// here as the executable specification. The production tree must emit a
-// bit-identical node array (features, thresholds, leaf means as exact
-// doubles) on data engineered to stress the rewrite: heavy value ties,
-// constant features, duplicated rows, feature subsampling, min-leaf
-// boundaries.
+// `ReferenceTree` below is the seed algorithm — per-node copies of
+// (value, target) pairs, std::sort, sequential candidate chain — kept here
+// as the executable specification. Its one departure from the seed is the
+// threshold rule (`split_threshold`): the seed's bare midpoint could round
+// onto the upper value, and the partition then never separated the node.
+// The production tree must emit a bit-identical node array (features,
+// thresholds, leaf means as exact doubles) on data engineered to stress
+// the rewrite: heavy value ties, constant features, duplicated rows,
+// feature subsampling, min-leaf boundaries, and degenerate columns
+// (adjacent doubles, ±0, subnormals, values near ±DBL_MAX).
 #include <pthread.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -28,7 +33,14 @@
 namespace dsem::ml {
 namespace {
 
-// --- Reference implementation (the seed's fit, verbatim) --------------------
+// --- Reference implementation (the seed's fit) ------------------------------
+
+// scikit-learn's threshold rule: the midpoint of adjacent distinct values
+// lo < hi, or `lo` when the midpoint rounds onto `hi` or is not finite.
+double split_threshold(double lo, double hi) {
+  const double mid = 0.5 * (lo + hi);
+  return std::isfinite(mid) && mid != hi ? mid : lo;
+}
 
 class ReferenceTree {
 public:
@@ -127,7 +139,8 @@ private:
         if (score < best_score - 1e-12) {
           best_score = score;
           best_feature = static_cast<int>(f);
-          best_threshold = 0.5 * (column[i].first + column[i + 1].first);
+          best_threshold =
+              split_threshold(column[i].first, column[i + 1].first);
         }
       }
     }
@@ -184,6 +197,63 @@ std::pair<Matrix, std::vector<double>> tricky_data(std::size_t n,
   return {std::move(x), std::move(y)};
 }
 
+// Degenerate columns, each a known way for a midpoint threshold to miss
+// the split it stands for: a run of n adjacent doubles (every vector
+// distinct), a short tie-heavy run of 4 adjacent doubles, a constant
+// column, ±0 mixed with subnormals, and values near ±DBL_MAX whose
+// midpoints overflow. Targets are a shuffled 0..n-1 plus a jitter:
+// distinct, at least 0.5 apart, and generic enough that some split always
+// separates a mixed node.
+std::pair<Matrix, std::vector<double>> degenerate_data(std::size_t n,
+                                                       std::uint64_t seed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  constexpr double kMin = std::numeric_limits<double>::min();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  const auto ulps = [](double base, std::size_t steps) {
+    for (std::size_t s = 0; s < steps; ++s) {
+      base = std::nextafter(base, kInf);
+    }
+    return base;
+  };
+  Rng rng(seed);
+  // Seeds alternate the mantissa parity the long run starts on; both runs
+  // step through both parities.
+  double base = rng.uniform(-4.0, 4.0);
+  if ((std::bit_cast<std::uint64_t>(base) & 1) != seed % 2) {
+    base = ulps(base, 1);
+  }
+  const double short_base = rng.uniform(0.5, 2.0);
+  const double constant = rng.uniform(-1.0, 1.0);
+  const double signed_zeros[] = {-0.0, 0.0,   -kTiny, kTiny, 2 * kTiny,
+                                 kMin, -kMin, std::nextafter(kMin, 0.0)};
+  const double huge[] = {kMax,    -kMax,    std::nextafter(kMax, 0.0),
+                         1.6e308, 1.7e308,  -1.6e308,
+                         -1.7e308, 0.0};
+
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(order[i - 1], order[rng.uniform_int(i)]);
+  }
+  Matrix x(n, 5);
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x(i, 0) = ulps(base, order[i]);
+    x(i, 1) = ulps(short_base, rng.uniform_int(4));
+    x(i, 2) = constant;
+    x(i, 3) = signed_zeros[rng.uniform_int(std::size(signed_zeros))];
+    x(i, 4) = huge[rng.uniform_int(std::size(huge))];
+  }
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(order[i - 1], order[rng.uniform_int(i)]);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    y[i] = static_cast<double>(order[i]) + rng.uniform(0.0, 0.5);
+  }
+  return {std::move(x), std::move(y)};
+}
+
 void expect_identical_trees(const ReferenceTree& ref,
                             const DecisionTreeRegressor& tree,
                             std::uint64_t seed) {
@@ -199,6 +269,42 @@ void expect_identical_trees(const ReferenceTree& ref,
     ASSERT_EQ(a.threshold, b.threshold) << "node " << i << " seed " << seed;
     ASSERT_EQ(a.value, b.value) << "node " << i << " seed " << seed;
   }
+}
+
+// Fits the reference and the production tree on (x, y), checks their node
+// arrays and predictions for bit equality, and returns the production tree.
+DecisionTreeRegressor expect_matches_reference(const Matrix& x,
+                                               std::span<const double> y,
+                                               const TreeParams& params,
+                                               std::uint64_t seed) {
+  ReferenceTree ref(params);
+  ref.fit(x, y);
+  DecisionTreeRegressor tree(params);
+  tree.fit(x, y);
+  expect_identical_trees(ref, tree, seed);
+  if (::testing::Test::HasFatalFailure()) {
+    return tree;
+  }
+
+  // Same traversal, same leaves: predictions are bit-identical too.
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    double out = 0.0;
+    std::size_t node = 0;
+    for (;;) {
+      const TreeNode& nd = ref.nodes()[node];
+      if (nd.feature < 0) {
+        out = nd.value;
+        break;
+      }
+      node = static_cast<std::size_t>(
+          x(r, static_cast<std::size_t>(nd.feature)) <= nd.threshold
+              ? nd.left
+              : nd.right);
+    }
+    EXPECT_EQ(out, tree.predict_one(x.row(r)))
+        << "row " << r << " seed " << seed;
+  }
+  return tree;
 }
 
 // --- Equivalence property tests ---------------------------------------------
@@ -221,28 +327,20 @@ TEST(TreePresort, MatchesReferenceOnRandomTrickyData) {
     }
 
     const auto [x, y] = tricky_data(n, k, seed);
-    ReferenceTree ref(params);
-    ref.fit(x, y);
-    DecisionTreeRegressor tree(params);
-    tree.fit(x, y);
-    expect_identical_trees(ref, tree, seed);
+    expect_matches_reference(x, y, params, seed);
 
-    // Same traversal, same leaves: predictions are bit-identical too.
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      double out = 0.0;
-      std::size_t node = 0;
-      for (;;) {
-        const TreeNode& nd = ref.nodes()[node];
-        if (nd.feature < 0) {
-          out = nd.value;
-          break;
-        }
-        node = static_cast<std::size_t>(
-            x(r, static_cast<std::size_t>(nd.feature)) <= nd.threshold
-                ? nd.left
-                : nd.right);
-      }
-      ASSERT_EQ(out, tree.predict_one(x.row(r))) << "row " << r;
+    // The degenerate columns, under the seed's parameters and fully grown.
+    // Every row of those has a distinct feature vector, so an unlimited
+    // tree without bootstrap must reproduce each training target.
+    const auto [dx, dy] = degenerate_data(n, seed);
+    expect_matches_reference(dx, dy, params, seed);
+    TreeParams full;
+    full.seed = params.seed;
+    const DecisionTreeRegressor tree =
+        expect_matches_reference(dx, dy, full, seed);
+    for (std::size_t r = 0; r < dx.rows(); ++r) {
+      ASSERT_EQ(tree.predict_one(dx.row(r)), dy[r])
+          << "row " << r << " seed " << seed;
     }
   }
 }
@@ -269,6 +367,44 @@ TEST(TreePresort, MatchesReferenceOnContinuousData) {
     tree.fit(x, y);
     expect_identical_trees(ref, tree, seed);
   }
+}
+
+// --- Termination on midpoints that miss the split ---------------------------
+//
+// Two rows, targets {0, 1}, one split between lo < hi whose midpoint is not
+// strictly between them. A partition by `x <= midpoint` sends both rows
+// left and re-splits the same node forever, so these tests rely on the
+// ctest TIMEOUT of tests/CMakeLists.txt. The split must separate the rows,
+// with the threshold on the lower value.
+
+void expect_two_row_split(double lo, double hi) {
+  Matrix x(2, 1);
+  x(0, 0) = lo;
+  x(1, 0) = hi;
+  const std::vector<double> y{0.0, 1.0};
+  DecisionTreeRegressor tree(TreeParams{});
+  tree.fit(x, y);
+  ASSERT_EQ(tree.node_count(), 3u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(tree.nodes()[0].threshold),
+            std::bit_cast<std::uint64_t>(lo));
+  EXPECT_EQ(tree.predict_one(x.row(0)), 0.0);
+  EXPECT_EQ(tree.predict_one(x.row(1)), 1.0);
+}
+
+TEST(TreePresort, SplitTerminatesWhenMidpointRoundsOntoHi) {
+  // The midpoint of adjacent doubles ties and rounds to even: onto hi.
+  const double lo = std::nextafter(1.0, 2.0);
+  expect_two_row_split(lo, std::nextafter(lo, 2.0));
+}
+
+TEST(TreePresort, SplitTerminatesWhenMidpointIsNegativeZero) {
+  // -denorm_min / 2 rounds to -0.0, which compares equal to hi = 0.0.
+  expect_two_row_split(-std::numeric_limits<double>::denorm_min(), 0.0);
+}
+
+TEST(TreePresort, SplitTerminatesWhenMidpointOverflows) {
+  // lo + hi overflows, so the midpoint is +inf.
+  expect_two_row_split(1.6e308, 1.7e308);
 }
 
 /// Runs `fn` on a fresh thread whose stack is `stack_bytes` long.
