@@ -1,7 +1,9 @@
 #include "serve/advisor.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
+#include <string_view>
 
 #include "common/error.hpp"
 
@@ -9,11 +11,24 @@ namespace dsem::serve {
 
 namespace {
 
-/// %.17g: shortest text that round-trips an IEEE double exactly.
-std::string exact(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
+/// Longest key-number texts: "%.17g" of a double
+/// ("-1.2345678901234567e-308") and an int64 ("-9223372036854775808").
+constexpr std::size_t kMaxDouble = 24;
+constexpr std::size_t kMaxInt64 = 20;
+
+/// Quantized features must fit an int64: |f/step| < 2^63.
+constexpr double kQuantLimit = 0x1p63;
+
+char* put(char* out, std::string_view text) {
+  std::memcpy(out, text.data(), text.size());
+  return out + text.size();
+}
+
+/// "%.17g": the text that round-trips an IEEE double exactly.
+char* put_exact(char* out, double value) {
+  return std::to_chars(out, out + kMaxDouble, value,
+                       std::chars_format::general, 17)
+      .ptr;
 }
 
 /// Requests below this count run serially; the pool fan-out overhead is
@@ -31,6 +46,15 @@ void validate(const AdviseRequest& request) {
   DSEM_ENSURE(std::isfinite(request.max_slowdown) &&
                   request.max_slowdown >= 0.0,
               "advisor: slowdown budget must be finite and >= 0");
+}
+
+void validate_key_range(const AdviseRequest& request, double quant_step) {
+  DSEM_ENSURE(std::isfinite(quant_step) && quant_step > 0.0,
+              "advisor: quantization step must be finite and > 0");
+  for (const double f : request.features) {
+    DSEM_ENSURE(std::abs(f / quant_step) < kQuantLimit,
+                "advisor: quantized feature outside the int64 range");
+  }
 }
 
 std::size_t pick_within_slowdown(const core::Prediction& pred,
@@ -57,16 +81,23 @@ std::size_t pick_within_slowdown(const core::Prediction& pred,
 
 std::string cache_key(const ModelKey& key, const AdviseRequest& request,
                       double quant_step) {
-  DSEM_ENSURE(quant_step > 0.0, "advisor: quantization step must be > 0");
-  std::string out = key.to_string();
-  out += "|b";
-  out += exact(request.max_slowdown);
-  out += "|q";
-  out += exact(quant_step);
+  validate_key_range(request, quant_step);
+  // One pass into a buffer sized for the longest possible text, trimmed
+  // once at the end.
+  std::string out(key.application.size() + 1 + key.device.size() +
+                      2 * (2 + kMaxDouble) +
+                      request.features.size() * (1 + kMaxInt64),
+                  '\0');
+  char* p = put(out.data(), key.application);
+  *p++ = '/';
+  p = put(p, key.device);
+  p = put_exact(put(p, "|b"), request.max_slowdown);
+  p = put_exact(put(p, "|q"), quant_step);
   for (const double f : request.features) {
-    out += '|';
-    out += std::to_string(std::llround(f / quant_step));
+    *p++ = '|';
+    p = std::to_chars(p, p + kMaxInt64, std::llround(f / quant_step)).ptr;
   }
+  out.resize(static_cast<std::size_t>(p - out.data()));
   return out;
 }
 

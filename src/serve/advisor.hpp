@@ -40,6 +40,12 @@ struct AdviseRequest {
 /// before a request reaches cache_key or the forests.
 void validate(const AdviseRequest& request);
 
+/// Throws contract_error unless `quant_step` is finite and > 0 and every
+/// feature quantizes into int64 (|f/step| < 2^63): past it, llround would
+/// key far-apart inputs alike. cache_key calls it, and ServeLoop::run
+/// checks its whole trace with it before serving any of it.
+void validate_key_range(const AdviseRequest& request, double quant_step);
+
 /// Index into `pred` of the advised frequency: the lowest predicted
 /// normalized energy among Pareto-front points within the slowdown
 /// budget. When the budget is tighter than every front point, the answer
@@ -55,7 +61,9 @@ std::size_t pick_within_slowdown(const core::Prediction& pred,
 /// Features are quantized to multiples of `quant_step` (llround(f/step)),
 /// so near-identical inputs share an answer; the slowdown budget is kept
 /// exact (%.17g) because it changes which answer is *correct*, not just
-/// how precise it is. `quant_step` itself is part of the key.
+/// how precise it is. `quant_step` itself is part of the key, e.g.
+/// "cronos/v100|b0.029999999999999999|q1|120|48|48". Throws
+/// contract_error outside validate_key_range.
 std::string cache_key(const ModelKey& key, const AdviseRequest& request,
                       double quant_step);
 

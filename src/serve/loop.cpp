@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <deque>
-#include <map>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
@@ -12,6 +12,21 @@
 
 namespace dsem::serve {
 
+namespace {
+
+/// One application's share of a batch: the snapshot resolved at batch
+/// start, its provenance, its energy sum and the batch positions that
+/// missed. A run() reuses its slots from batch to batch; each batch ends
+/// by releasing its snapshots.
+struct AppSlot {
+  std::shared_ptr<const ModelArtifact> artifact;
+  std::string model;        ///< provenance "app/device@origin"
+  double* energy = nullptr; ///< the app's ServeStats::energy_by_application
+  std::vector<std::size_t> misses;
+};
+
+} // namespace
+
 ServeLoop::ServeLoop(const ModelRegistry& registry, ServeConfig config)
     : registry_(registry), config_(config), advisor_(config.pool),
       cache_(config.cache_capacity) {
@@ -19,6 +34,9 @@ ServeLoop::ServeLoop(const ModelRegistry& registry, ServeConfig config)
   DSEM_ENSURE(config_.hit_cost_s > 0.0 && config_.miss_cost_s > 0.0,
               "serve: service costs must be > 0");
   DSEM_ENSURE(!config_.device.empty(), "serve: empty device name");
+  DSEM_ENSURE(std::isfinite(config_.cache_quant_step) &&
+                  config_.cache_quant_step > 0.0,
+              "serve: cache quantization step must be finite and > 0");
 }
 
 std::shared_ptr<const ModelArtifact>
@@ -47,6 +65,7 @@ ServeLoop::run(std::span<const TimedRequest> trace) {
   // reaches cache_key or the forests.
   for (std::size_t i = 0; i < trace.size(); ++i) {
     validate(trace[i].request);
+    validate_key_range(trace[i].request, config_.cache_quant_step);
     DSEM_ENSURE(i == 0 || trace[i - 1].arrival_s <= trace[i].arrival_s,
                 "serve: trace arrivals must be ascending");
   }
@@ -64,6 +83,12 @@ ServeLoop::run(std::span<const TimedRequest> trace) {
   }
 
   std::deque<std::size_t> waiting;
+  // Per-batch containers, allocated once per run and reused.
+  std::vector<std::size_t> batch;
+  std::vector<std::size_t> slot_of; ///< batch position -> slots index
+  std::vector<std::string> keys;
+  std::vector<bool> hit;
+  std::vector<AppSlot> slots;
   std::size_t next_arrival = 0;
   double server_free_s = 0.0;
   double last_completion_s = 0.0;
@@ -116,20 +141,37 @@ ServeLoop::run(std::span<const TimedRequest> trace) {
 
     const std::size_t batch_count =
         std::min(config_.batch_size, waiting.size());
-    std::vector<std::size_t> batch(waiting.begin(),
-                                   waiting.begin() + batch_count);
+    batch.assign(waiting.begin(), waiting.begin() + batch_count);
     waiting.erase(waiting.begin(), waiting.begin() + batch_count);
     ++stats_.batches;
 
     // Resolve the batch's artifacts from the registry FIRST: a replaced
     // snapshot invalidates its cached answers before any lookup below can
     // serve them (the re-registration staleness bug, ROADMAP item 1).
-    std::map<std::string, std::shared_ptr<const ModelArtifact>> artifacts;
-    for (const std::size_t index : batch) {
-      const std::string& app = trace[index].request.application;
-      if (!artifacts.contains(app)) {
-        artifacts[app] = resolve_artifact(app);
+    std::size_t active = 0;
+    slot_of.resize(batch.size());
+    for (std::size_t b = 0; b < batch.size(); ++b) {
+      const std::string& app = trace[batch[b]].request.application;
+      std::size_t s = 0;
+      while (s < active && slots[s].artifact->key.application != app) {
+        ++s;
       }
+      if (s == active) {
+        if (active == slots.size()) {
+          slots.emplace_back();
+        }
+        AppSlot& slot = slots[active++];
+        slot.artifact = resolve_artifact(app);
+        const ModelKey& key = slot.artifact->key;
+        slot.model.assign(key.application)
+            .append(1, '/')
+            .append(key.device)
+            .append(1, '@')
+            .append(slot.artifact->origin);
+        slot.energy = &stats_.energy_by_application[app];
+        slot.misses.clear();
+      }
+      slot_of[b] = s;
     }
 
     // Cache lookups see the cache as of batch start (no insertions
@@ -137,36 +179,39 @@ ServeLoop::run(std::span<const TimedRequest> trace) {
     // logical request order. Identical keys that miss together are
     // computed together — the answer is the same, so the later insert is
     // a refresh.
-    std::vector<std::string> keys(batch.size());
-    std::vector<bool> hit(batch.size(), false);
-    std::map<std::string, std::vector<std::size_t>> misses_by_app;
+    keys.resize(batch.size());
+    hit.assign(batch.size(), false);
     for (std::size_t b = 0; b < batch.size(); ++b) {
       const AdviseRequest& request = trace[batch[b]].request;
-      keys[b] = cache_key({request.application, config_.device}, request,
+      AppSlot& slot = slots[slot_of[b]];
+      keys[b] = cache_key(slot.artifact->key, request,
                           config_.cache_quant_step);
       AdviseResponse& response = responses[batch[b]];
       if (cache_.get(keys[b], response.answer)) {
         hit[b] = true;
         ++stats_.cache_hits;
       } else {
-        misses_by_app[request.application].push_back(b);
+        slot.misses.push_back(b);
         ++stats_.cache_misses;
       }
     }
 
     // Batched inference for the misses, against the snapshots resolved at
     // batch start. Answers land in slots indexed by batch position.
-    for (const auto& [app, positions] : misses_by_app) {
-      const auto& artifact = artifacts.at(app);
+    for (std::size_t s = 0; s < active; ++s) {
+      const AppSlot& slot = slots[s];
+      if (slot.misses.empty()) {
+        continue;
+      }
       std::vector<AdviseRequest> requests;
-      requests.reserve(positions.size());
-      for (const std::size_t b : positions) {
+      requests.reserve(slot.misses.size());
+      for (const std::size_t b : slot.misses) {
         requests.push_back(trace[batch[b]].request);
       }
       const std::vector<AdviseAnswer> answers =
-          advisor_.advise_batch(*artifact, requests);
-      for (std::size_t k = 0; k < positions.size(); ++k) {
-        responses[batch[positions[k]]].answer = answers[k];
+          advisor_.advise_batch(*slot.artifact, requests);
+      for (std::size_t k = 0; k < slot.misses.size(); ++k) {
+        responses[batch[slot.misses[k]]].answer = answers[k];
       }
     }
 
@@ -176,26 +221,24 @@ ServeLoop::run(std::span<const TimedRequest> trace) {
         std::max(server_free_s, responses[batch.front()].arrival_s);
     for (std::size_t b = 0; b < batch.size(); ++b) {
       AdviseResponse& response = responses[batch[b]];
+      const AppSlot& slot = slots[slot_of[b]];
       const double service_start_s = now_s;
       now_s += hit[b] ? config_.hit_cost_s : config_.miss_cost_s;
       response.cache_hit = hit[b];
       response.completion_s = now_s;
       response.latency_s = now_s - response.arrival_s;
-      const std::string& app = trace[batch[b]].request.application;
-      const auto& artifact = artifacts.at(app);
-      response.model = artifact->key.to_string() + "@" + artifact->origin;
+      response.model = slot.model;
       if (!hit[b]) {
         cache_.put(keys[b], response.answer);
       }
       ++stats_.served;
       stats_.predicted_energy_j += response.answer.predicted_energy_j;
-      stats_.energy_by_application[app] +=
-          response.answer.predicted_energy_j;
+      *slot.energy += response.answer.predicted_energy_j;
       if (ledger != nullptr) {
         obs::RequestRecord record;
         record.index = static_cast<std::uint64_t>(batch[b]);
         record.id = obs::derive_record_id("req", record.index);
-        record.application = app;
+        record.application = slot.artifact->key.application;
         record.model = response.model;
         record.arrival_s = response.arrival_s;
         record.queue_wait_s = service_start_s - response.arrival_s;
@@ -214,6 +257,9 @@ ServeLoop::run(std::span<const TimedRequest> trace) {
     }
     server_free_s = now_s;
     last_completion_s = std::max(last_completion_s, now_s);
+    for (std::size_t s = 0; s < active; ++s) {
+      slots[s].artifact.reset();
+    }
   }
 
   // Deterministic accounting: latencies are simulated, so the histogram

@@ -26,7 +26,7 @@ void LruCache::put(const std::string& key, const AdviseAnswer& answer) {
     order_.pop_back();
   }
   order_.emplace_front(key, answer);
-  map_.emplace(key, order_.begin());
+  map_.emplace(order_.front().first, order_.begin());
 }
 
 std::size_t LruCache::erase_prefix(const std::string& prefix) {

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <list>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -58,9 +59,10 @@ public:
 
 private:
   std::size_t capacity_;
-  /// Front = most recently used.
+  /// Front = most recently used. Each node owns its key; list nodes never
+  /// move, so the index can key on views into them.
   std::list<std::pair<std::string, AdviseAnswer>> order_;
-  std::unordered_map<std::string, decltype(order_)::iterator> map_;
+  std::unordered_map<std::string_view, decltype(order_)::iterator> map_;
 };
 
 } // namespace dsem::serve

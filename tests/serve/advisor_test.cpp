@@ -1,6 +1,13 @@
 // The advisor's pick policy, cache-key quantization, and single-vs-batch
 // bit-identity.
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -99,6 +106,132 @@ TEST(AdvisorTest, CacheKeyGolden) {
   request.max_slowdown = 0.03;
   EXPECT_EQ(cache_key(ModelKey{"cronos", "v100"}, request, 1.0),
             "cronos/v100|b0.029999999999999999|q1|120|48|48");
+}
+
+/// The key as first formulated: "%.17g" through snprintf for the budget
+/// and the step, std::to_string for each quantized feature. cache_key must
+/// keep producing these bytes.
+std::string printf_reference_key(const ModelKey& key,
+                                 const AdviseRequest& request,
+                                 double quant_step) {
+  const auto exact = [](double value) {
+    char buffer[32];
+    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+    return std::string(buffer);
+  };
+  std::string out = key.to_string();
+  out += "|b" + exact(request.max_slowdown);
+  out += "|q" + exact(quant_step);
+  for (const double f : request.features) {
+    out += "|" + std::to_string(std::llround(f / quant_step));
+  }
+  return out;
+}
+
+TEST(AdvisorTest, CacheKeyMatchesPrintfReference) {
+  constexpr double kInt64Edge = 0x1p63;
+  const ModelKey keys[] = {{"cronos", "v100"},
+                           {"ligen", "mi100"},
+                           {"an-application-name-past-the-sso", "dev"}};
+  Rng rng(0x5EED);
+  const auto budget = [&]() -> double {
+    switch (rng.uniform_int(6)) {
+    case 0:
+      return rng.uniform(0.0, 0.5);
+    case 1: // subnormal (or zero): exponent bits all clear
+      return std::bit_cast<double>(rng() >> 12);
+    case 2:
+      return -0.0;
+    case 3: // integral, below and past 2^53
+      return static_cast<double>(
+          rng.uniform_int(rng.uniform_int(2) == 0 ? 1000 : 1ULL << 54));
+    case 4:
+      return 1e300 * rng.uniform(0.5, 2.0);
+    default: // any finite non-negative bit pattern
+      for (;;) {
+        const double value = std::bit_cast<double>(rng() >> 1);
+        if (std::isfinite(value)) {
+          return value;
+        }
+      }
+    }
+  };
+  const auto step = [&]() -> double {
+    switch (rng.uniform_int(4)) {
+    case 0:
+      return 1.0;
+    case 1:
+      return 0.25;
+    case 2:
+      return std::pow(10.0, static_cast<double>(rng.uniform_int(13)) - 6.0);
+    default:
+      return rng.uniform(1e-3, 10.0);
+    }
+  };
+  const auto feature = [&](double quant_step) -> double {
+    double value = 0.0;
+    switch (rng.uniform_int(5)) {
+    case 0:
+      value = rng.uniform(-1e4, 1e4);
+      break;
+    case 1: // an exact tie: llround rounds it away from zero
+      value = (static_cast<double>(rng.uniform_int(200)) - 99.5) * quant_step;
+      break;
+    case 2:
+      value = -0.0;
+      break;
+    case 3: // near the int64 edge, either sign
+      value = (rng.uniform_int(2) == 0 ? 1.0 : -1.0) *
+              rng.uniform(0x1p62, kInt64Edge) * quant_step;
+      break;
+    default:
+      value = static_cast<double>(rng.uniform_int(100000));
+    }
+    return std::abs(value / quant_step) < kInt64Edge ? value : 0.0;
+  };
+
+  for (int i = 0; i < 100000; ++i) {
+    const ModelKey& key = keys[rng.uniform_int(std::size(keys))];
+    AdviseRequest request;
+    request.application = key.application;
+    request.max_slowdown = budget();
+    const double quant_step = step();
+    request.features.resize(1 + rng.uniform_int(6));
+    for (double& f : request.features) {
+      f = feature(quant_step);
+    }
+    ASSERT_EQ(cache_key(key, request, quant_step),
+              printf_reference_key(key, request, quant_step))
+        << "request " << i;
+  }
+}
+
+TEST(AdvisorTest, CacheKeyRejectsFeaturesOutsideInt64) {
+  const ModelKey key{"cronos", "v100"};
+  AdviseRequest request;
+  request.application = "cronos";
+  request.features = {1, 2, 3};
+  // llround is unspecified past int64: +-1e300 once both keyed as
+  // INT64_MIN, so each could be served the other's answer.
+  for (const double outside : {1e300, -1e300, 0x1p63, -0x1p63}) {
+    AdviseRequest wide = request;
+    wide.features[1] = outside;
+    EXPECT_THROW(cache_key(key, wide, 1.0), contract_error) << outside;
+  }
+  // A step that is not finite keyed every request alike ("qinf|0|0|0");
+  // one that pushes f/step past int64 is out of range too.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double quant_step :
+       {inf, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::denorm_min()}) {
+    EXPECT_THROW(cache_key(key, request, quant_step), contract_error)
+        << quant_step;
+  }
+  // The largest magnitudes inside the range still key exactly.
+  request.features = {0x1p63 - 1024, -(0x1p63 - 1024), 0};
+  EXPECT_EQ(cache_key(key, request, 1.0),
+            "cronos/v100|b0.029999999999999999|q1|9223372036854774784|"
+            "-9223372036854774784|0");
 }
 
 TEST(AdvisorTest, CacheKeyQuantizesFeatures) {
@@ -221,6 +354,58 @@ TEST(AdvisorTest, ServeLoopRejectsNonFiniteRequestsUpFront) {
     requests[1].request = non_finite;
     EXPECT_THROW(loop.run(requests), contract_error);
     EXPECT_TRUE(ledger.requests().empty());
+  }
+}
+
+TEST(AdvisorTest, ServeLoopRejectsOutOfRangeFeaturesUpFront) {
+  // A finite feature can still quantize past int64: 1e19 at step 1, or an
+  // ordinary 1000 at step 1e-16. The loop rejects it before serving the
+  // batches ahead of it, so stats, cache and ledger keep the previous
+  // run's state.
+  serve::ModelRegistry registry;
+  registry.put(synthetic_artifact(13));
+  for (const auto& [quant_step, feature] :
+       {std::pair{1.0, 1e19}, std::pair{1e-16, 1000.0}}) {
+    obs::Ledger ledger;
+    serve::ServeConfig config;
+    config.cache_quant_step = quant_step;
+    config.ledger = &ledger;
+    serve::ServeLoop loop(registry, config);
+    std::vector<serve::TimedRequest> requests(200);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      requests[i].request.application = "cronos";
+      requests[i].request.features = {1.0 + static_cast<double>(i % 7), 2, 3};
+    }
+    loop.run(std::span(requests).first(10));
+    const serve::ServeStats before = loop.stats();
+    const std::size_t cached = loop.cache().size();
+    ASSERT_EQ(ledger.requests().size(), 10U);
+
+    requests.back().request.features[1] = feature;
+    EXPECT_THROW(loop.run(requests), contract_error) << quant_step;
+    EXPECT_EQ(loop.stats().requests, before.requests);
+    EXPECT_EQ(loop.stats().served, before.served);
+    EXPECT_EQ(loop.stats().batches, before.batches);
+    EXPECT_EQ(loop.stats().cache_hits, before.cache_hits);
+    EXPECT_EQ(loop.stats().cache_misses, before.cache_misses);
+    EXPECT_EQ(loop.stats().predicted_energy_j, before.predicted_energy_j);
+    EXPECT_EQ(loop.stats().energy_by_application,
+              before.energy_by_application);
+    EXPECT_EQ(loop.cache().size(), cached);
+    EXPECT_EQ(ledger.requests().size(), 10U);
+  }
+}
+
+TEST(AdvisorTest, ServeLoopRejectsNonFiniteQuantStep) {
+  serve::ModelRegistry registry;
+  registry.put(synthetic_artifact(13));
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double quant_step :
+       {inf, -inf, std::numeric_limits<double>::quiet_NaN(), 0.0, -1.0}) {
+    serve::ServeConfig config;
+    config.cache_quant_step = quant_step;
+    EXPECT_THROW(serve::ServeLoop(registry, config), contract_error)
+        << quant_step;
   }
 }
 
