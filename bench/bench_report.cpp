@@ -1,9 +1,7 @@
-#include "common/bench_report.hpp"
+#include "bench_report.hpp"
 
-#include <fstream>
 #include <map>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/table.hpp"
@@ -202,15 +200,6 @@ void print_compare(std::ostream& os, const CompareResult& result,
      << " regression(s), " << result.improvements.size()
      << " improvement(s), " << result.missing.size() << " missing, "
      << result.added.size() << " added\n";
-}
-
-json::Value load_file(const std::string& path) {
-  std::ifstream in(path);
-  DSEM_ENSURE(in.good(), "cannot open JSON file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  DSEM_ENSURE(!in.bad(), "failed reading JSON file: " + path);
-  return json::Value::parse(buffer.str());
 }
 
 } // namespace dsem::benchreport

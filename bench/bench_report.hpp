@@ -102,8 +102,4 @@ std::vector<Delta> match_prefix(const std::vector<Delta>& deltas,
 void print_compare(std::ostream& os, const CompareResult& result,
                    const CompareOptions& options = {});
 
-/// Reads and parses a JSON document (throws contract_error on I/O or
-/// parse failure).
-json::Value load_file(const std::string& path);
-
 } // namespace dsem::benchreport

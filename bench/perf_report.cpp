@@ -3,7 +3,7 @@
 // Runs the perf_* Google Benchmark binaries (siblings of this executable,
 // or --bench-dir) with JSON output, runs the fig01 characterization
 // pipeline in-process with metrics enabled, and merges everything into a
-// single "dsem-bench-v1" report (see src/common/bench_report.hpp for the
+// single "dsem-bench-v1" report (see bench/bench_report.hpp for the
 // schema). --smoke caps each micro-benchmark at --benchmark_min_time=0.01
 // so CI can afford the run; the mode is recorded in the report so
 // baselines are only compared like-for-like.
@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "common/bench_report.hpp"
+#include "bench_report.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
@@ -55,8 +55,7 @@ void run_micro_benchmark(json::Value& report, const std::string& bench_dir,
   const int rc = std::system(cmd.c_str());
   DSEM_ENSURE(rc == 0, name + " failed with status " + std::to_string(rc));
   const std::size_t merged =
-      benchreport::merge_google_benchmark(report, name,
-                                          benchreport::load_file(tmp));
+      benchreport::merge_google_benchmark(report, name, json::read_file(tmp));
   DSEM_ENSURE(merged > 0, name + " produced no benchmark entries");
   std::remove(tmp.c_str());
 }

@@ -23,9 +23,7 @@
 // "dsem-run-v1" manifest (--metrics-out) and prints its counters and
 // gauges next to the ledger view.
 #include <algorithm>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -39,14 +37,6 @@
 namespace {
 
 using namespace dsem;
-
-json::Value load_json(const std::string& path) {
-  std::ifstream in(path);
-  DSEM_ENSURE(in.good(), "cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return json::Value::parse(buffer.str());
-}
 
 double num(const json::Value& object, std::string_view key) {
   return object.at(key).as_number();
@@ -206,7 +196,7 @@ void print_slo(const json::Value& summary) {
 }
 
 void print_metrics(const std::string& path) {
-  json::Value doc = load_json(path);
+  json::Value doc = json::read_file(path);
   // Accept either the snapshot itself or a dsem-run-v1 manifest wrapping
   // one under "metrics".
   const json::Value* snapshot = &doc;
@@ -249,7 +239,7 @@ int main(int argc, char** argv) {
     DSEM_ENSURE(cli.positional().size() == 1,
                 "usage: dsem_inspect LEDGER.json [--metrics RUN.json] "
                 "[--top N]");
-    const json::Value doc = load_json(cli.positional().front());
+    const json::Value doc = json::read_file(cli.positional().front());
     DSEM_ENSURE(doc.at("schema").as_string() ==
                     std::string(obs::kLedgerSchema),
                 "dsem_inspect: not a dsem-ledger-v1 document");

@@ -564,10 +564,6 @@ private:
 
 } // namespace
 
-void Value::write(std::ostream& os, int indent) const {
-  os << dump(indent);
-}
-
 std::string Value::dump(int indent) const {
   std::string out;
   StringSink sink(out);
@@ -646,6 +642,22 @@ void write_file(const std::string& path,
 
 void write_file(const std::string& path, const Value& value) {
   write_file(path, [&](Writer& writer) { writer.value(value); });
+}
+
+Value read_file(const std::string& path) {
+  namespace fs = std::filesystem;
+  std::error_code error;
+  DSEM_ENSURE(fs::is_regular_file(fs::status(path, error)),
+              "input path is not a regular file: " + path);
+  const std::uintmax_t size = fs::file_size(path, error);
+  DSEM_ENSURE(!error, "cannot size input file: " + path);
+  std::string text(static_cast<std::size_t>(size), '\0');
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  DSEM_ENSURE(file != nullptr, "cannot open input file: " + path);
+  const std::size_t read = std::fread(text.data(), 1, text.size(), file);
+  std::fclose(file);
+  DSEM_ENSURE(read == text.size(), "failed reading input file: " + path);
+  return Value::parse(text);
 }
 
 } // namespace dsem::json

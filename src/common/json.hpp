@@ -14,9 +14,11 @@
 // standard defines to match it; tests/common/json_test.cpp pins it
 // against snprintf.
 //
-// Writer is the only formatter. Value::write/dump and write_file are its
-// clients, and large documents (the ledger export) stream through it
-// straight from their own structs without building a Value.
+// Writer is the only formatter. Value::dump and write_file are its
+// clients, and large documents (the ledger export, the Chrome trace)
+// stream through it straight from their own structs without building a
+// Value. write_file and read_file are the only ways a document crosses a
+// file boundary.
 #pragma once
 
 #include <cstdint>
@@ -105,7 +107,6 @@ public:
 
   /// Serializes. indent < 0 emits the compact single-line form; indent
   /// >= 0 pretty-prints with that many spaces per nesting level.
-  void write(std::ostream& os, int indent = -1) const;
   std::string dump(int indent = -1) const;
 
   /// Parses one JSON document (throws dsem::contract_error with position
@@ -216,7 +217,9 @@ private:
 };
 
 /// Appends the JSON string-escape of `s` (no surrounding quotes) to `os`;
-/// the same escape the Writer applies to keys and strings.
+/// the same escape the Writer applies to keys and strings. Nothing in the
+/// library formats JSON through an ostream; this stays only for the
+/// benchmark package's span exporter (dsem_bench/spans.cpp).
 void escape(std::ostream& os, std::string_view s);
 
 /// Pretty-prints the document `emit` writes to `path` with a trailing
@@ -232,5 +235,14 @@ void escape(std::ostream& os, std::string_view s);
 void write_file(const std::string& path,
                 const std::function<void(Writer&)>& emit);
 void write_file(const std::string& path, const Value& value);
+
+/// Reads and parses the document at `path`, the mirror of write_file.
+/// `path` must name a regular file (a symlink is followed): a directory,
+/// FIFO, device or missing path raises contract_error naming the path
+/// before any byte is read, so `/dev/zero` or a pipe cannot make the read
+/// grow without bound. The file is read once into a string sized from
+/// the file and parsed by Value::parse (its kMaxDepth bound included); an
+/// I/O or parse failure raises contract_error.
+Value read_file(const std::string& path);
 
 } // namespace dsem::json

@@ -47,14 +47,11 @@ namespace {
 struct Instrument {
   Kind kind = Kind::kCounter;
   Reliability reliability = Reliability::kDeterministic;
-  std::uint64_t count = 0;       ///< increments / samples / updates
+  std::uint64_t count = 0;       ///< counter/gauge: increments / updates
   std::uint64_t total = 0;       ///< counter: sum of deltas
   double value = 0.0;            ///< gauge: last value written
   std::uint64_t last_update = 0; ///< gauge: global write order
-  double sum = 0.0;              ///< histogram
-  double min = 0.0;
-  double max = 0.0;
-  std::vector<std::uint64_t> buckets; ///< histogram; sized on first sample
+  HistogramSnapshot histogram;   ///< histogram: this shard's samples
 };
 
 /// Per-thread instrument sink. Owned by the registry state, never freed: a
@@ -107,6 +104,7 @@ Instrument& instrument(Shard& shard, std::string_view name, Kind kind,
   Instrument inst;
   inst.kind = kind;
   inst.reliability = r;
+  inst.histogram.reliability = r;
   return shard.instruments.emplace(std::string(name), std::move(inst))
       .first->second;
 }
@@ -138,17 +136,7 @@ void record_gauge(std::string_view name, double value, Reliability r) {
 void record_histogram(std::string_view name, double value, Reliability r) {
   Shard& shard = local_shard();
   std::lock_guard lock(shard.mutex);
-  Instrument& inst = instrument(shard, name, Kind::kHistogram, r);
-  if (inst.count == 0) {
-    inst.min = inst.max = value;
-    inst.buckets.assign(kHistogramBuckets, 0);
-  } else {
-    inst.min = std::min(inst.min, value);
-    inst.max = std::max(inst.max, value);
-  }
-  ++inst.count;
-  inst.sum += value;
-  ++inst.buckets[bucket_index(value)];
+  instrument(shard, name, Kind::kHistogram, r).histogram.observe(value);
 }
 
 } // namespace detail
@@ -291,21 +279,11 @@ Snapshot Registry::snapshot() const {
         HistogramSnapshot& out = histograms[name];
         if (out.name.empty()) {
           out.name = name;
-          out.reliability = inst.reliability;
-          out.min = inst.min;
-          out.max = inst.max;
-          out.buckets.assign(kHistogramBuckets, 0);
         } else {
           DSEM_ENSURE(out.reliability == inst.reliability,
                       "metrics: reliability mismatch across shards: " + name);
-          out.min = std::min(out.min, inst.min);
-          out.max = std::max(out.max, inst.max);
         }
-        out.count += inst.count;
-        out.sum += inst.sum;
-        for (std::size_t b = 0; b < inst.buckets.size(); ++b) {
-          out.buckets[b] += inst.buckets[b];
-        }
+        out.merge(inst.histogram);
         break;
       }
       }
@@ -323,11 +301,6 @@ Snapshot Registry::snapshot() const {
   }
   out.histograms.reserve(histograms.size());
   for (auto& [_, h] : histograms) {
-    // Trim trailing empty buckets: snapshots travel into JSON-adjacent
-    // code and tests; no reason to carry hundreds of zeros.
-    while (!h.buckets.empty() && h.buckets.back() == 0) {
-      h.buckets.pop_back();
-    }
     out.histograms.push_back(std::move(h));
   }
   return out;

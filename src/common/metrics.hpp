@@ -187,16 +187,15 @@ struct HistogramSnapshot {
   double quantile(double q) const;
   double mean() const noexcept;
 
-  /// Standalone accumulation, for histograms that live outside the
-  /// registry (the obs:: drift monitor folds residuals into snapshots
-  /// directly). Same bucket geometry and min/max/sum semantics as
-  /// recording through the registry.
+  /// Adds one sample. The registry's per-shard histograms record through
+  /// it, and so do histograms that live outside the registry (the obs::
+  /// drift monitor folds residuals into snapshots directly).
   void observe(double value);
 
-  /// Folds `other` into this snapshot — the same merge the registry
-  /// applies across per-thread shards, so merging two registries'
-  /// snapshots equals one registry that saw all samples (bucket counts,
-  /// count, min, max exactly; `sum` is the one order-dependent field).
+  /// Folds `other` into this snapshot — the merge the registry applies
+  /// across per-thread shards, so merging two registries' snapshots
+  /// equals one registry that saw all samples (bucket counts, count, min,
+  /// max exactly; `sum` is the one order-dependent field).
   /// Names/reliability must match unless one side is empty (count 0).
   void merge(const HistogramSnapshot& other);
 };

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
 #include <tuple>
 
-#include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -303,42 +302,39 @@ std::vector<LogicalEvent> Tracer::logical_events() const {
   return out;
 }
 
-void Tracer::write_chrome_trace(std::ostream& os) const {
-  os << "{\"traceEvents\":[";
-  bool first = true;
+void Tracer::write_chrome_trace(json::Writer& writer) const {
+  writer.begin_object().key("traceEvents").begin_array();
   for (const Event& e : events()) {
     const bool span = e.kind == EventKind::kSpan;
-    os << (first ? "" : ",") << "{\"name\":\"";
-    first = false;
-    json::escape(os, e.name);
-    os << "\",\"cat\":\"";
-    json::escape(os, e.category);
-    os << "\",\"ph\":\"" << (span ? "X" : "i") << "\",\"pid\":1,\"tid\":"
-       << e.tid << ",\"ts\":" << static_cast<double>(e.start_ns) / 1000.0;
+    writer.begin_object();
+    writer.key("name").value(e.name).key("cat").value(e.category);
+    writer.key("ph").value(span ? "X" : "i").key("pid").value(1);
+    writer.key("tid").value(e.tid);
+    writer.key("ts").value(static_cast<double>(e.start_ns) / 1e3);
     if (span) {
-      os << ",\"dur\":" << static_cast<double>(e.dur_ns) / 1000.0;
+      writer.key("dur").value(static_cast<double>(e.dur_ns) / 1e3);
     } else {
-      os << ",\"s\":\"t\"";
+      writer.key("s").value("t");
     }
-    os << ",\"args\":{";
-    const char* sep = "";
+    writer.key("args").begin_object();
     if (e.has_value) {
-      os << "\"value\":" << e.value;
-      sep = ",";
+      writer.key("value");
+      if (std::isfinite(e.value)) {
+        writer.value(e.value);
+      } else {
+        writer.null();
+      }
     }
     if (!e.arg.empty()) {
-      os << sep << "\"arg\":\"";
-      json::escape(os, e.arg);
-      os << "\"";
-      sep = ",";
+      writer.key("arg").value(e.arg);
     }
     if (e.stable) {
-      os << sep << "\"logical_path\":\"" << e.logical_path
-         << "\",\"logical_seq\":" << e.logical_seq;
+      writer.key("logical_path").value(std::to_string(e.logical_path));
+      writer.key("logical_seq").value(e.logical_seq);
     }
-    os << "}}";
+    writer.end_object().end_object();
   }
-  os << "],\"displayTimeUnit\":\"ms\"}\n";
+  writer.end_array().key("displayTimeUnit").value("ms").end_object();
 }
 
 void Tracer::write_summary(std::ostream& os) const {
@@ -382,13 +378,6 @@ void Tracer::write_summary(std::ostream& os) const {
   os << "trace summary (" << event_count() << " events, " << instant_count
      << " instants; span times ms total / us mean-min-max)\n";
   table.print(os);
-}
-
-void write_chrome_file(const std::string& path) {
-  std::ofstream out(path);
-  DSEM_ENSURE(out.good(), "cannot open trace output file: " + path);
-  Tracer::global().write_chrome_trace(out);
-  DSEM_ENSURE(out.good(), "failed writing trace output file: " + path);
 }
 
 } // namespace dsem::trace

@@ -2,11 +2,12 @@
 //
 // A process-wide, off-by-default event recorder: RAII spans and instant
 // markers, recorded into per-thread buffers and exported either as Chrome
-// trace_event JSON (loadable in chrome://tracing / Perfetto) or as a flat
-// summary table (common/table). The trace is the timeline: what ran, in
-// what order, and where a fault struck. Counts and values (retries, cache
-// hits, launches, phase seconds) belong to dsem::metrics (metrics.hpp),
-// which aggregates them without one record per event.
+// trace_event JSON (loadable in chrome://tracing / Perfetto) through a
+// json::Writer, or as a flat summary table (common/table). The trace is
+// the timeline: what ran, in what order, and where a fault struck. Counts
+// and values (retries, cache hits, launches, phase seconds) belong to
+// dsem::metrics (metrics.hpp), which aggregates them without one record
+// per event.
 // The disabled path is a single relaxed-atomic load and branch — cheap
 // enough to leave the instrumentation in hot layers permanently (a
 // regression test in tests/common/trace_test.cpp asserts this).
@@ -42,6 +43,10 @@
 #include <iosfwd>
 #include <string>
 #include <vector>
+
+namespace dsem::json {
+class Writer;
+} // namespace dsem::json
 
 namespace dsem::trace {
 
@@ -234,8 +239,11 @@ public:
   /// identical across DSEM_THREADS for deterministic pipelines.
   std::vector<LogicalEvent> logical_events() const;
 
-  /// Chrome trace_event JSON ({"traceEvents": [...]}).
-  void write_chrome_trace(std::ostream& os) const;
+  /// Chrome trace_event JSON ({"traceEvents": [...]}) as one document
+  /// on `writer`. Timestamps and durations are microseconds at full
+  /// precision; `logical_path` is a decimal string (a 64-bit hash does not
+  /// survive a double), and a non-finite span value is written as null.
+  void write_chrome_trace(json::Writer& writer) const;
 
   /// Flat per-name summary (spans: count/total/mean/min/max; instants:
   /// count) rendered with common/table.
@@ -244,8 +252,5 @@ public:
 private:
   Tracer() = default;
 };
-
-/// Writes the global tracer's Chrome trace to `path` (throws on I/O error).
-void write_chrome_file(const std::string& path);
 
 } // namespace dsem::trace

@@ -1,8 +1,5 @@
 #include "core/dataset.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "common/error.hpp"
 
 namespace dsem::core {
@@ -228,12 +225,7 @@ void save_dataset(const Dataset& dataset, const std::string& path) {
 }
 
 Dataset load_dataset(const std::string& path) {
-  std::ifstream in(path);
-  DSEM_ENSURE(in.good(), "cannot open dataset: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  DSEM_ENSURE(!in.bad(), "failed reading dataset: " + path);
-  return dataset_from_json(json::Value::parse(buffer.str()));
+  return dataset_from_json(json::read_file(path));
 }
 
 } // namespace dsem::core

@@ -71,7 +71,8 @@ json::Value dataset_to_json(const Dataset& dataset);
 /// payloads raise contract_error.
 Dataset dataset_from_json(const json::Value& value);
 
-/// File variants: pretty-printed JSON with a trailing newline.
+/// File variants through json::write_file / json::read_file:
+/// pretty-printed JSON with a trailing newline, regular files only.
 void save_dataset(const Dataset& dataset, const std::string& path);
 Dataset load_dataset(const std::string& path);
 

@@ -21,7 +21,8 @@ json::Value run_manifest(const std::string& program,
 
 void Session::add_cli_options(CliParser& cli) {
   cli.add_option("trace-out",
-                 "write a Chrome trace-event JSON of the run to this path",
+                 "write a Chrome trace-event JSON of the run here; a "
+                 "regular file, replaced by rename once complete",
                  "");
   cli.add_option(
       "metrics-out",
@@ -53,7 +54,9 @@ Session::Session(const CliParser& cli)
 void Session::finish(std::ostream& os, const std::string& program,
                      json::Value sweep_report) const {
   if (!trace_out_.empty()) {
-    trace::write_chrome_file(trace_out_);
+    json::write_file(trace_out_, [](json::Writer& writer) {
+      trace::Tracer::global().write_chrome_trace(writer);
+    });
     os << "\ntrace written to " << trace_out_ << "\n";
     trace::Tracer::global().write_summary(os);
   }

@@ -1,8 +1,5 @@
 #include "serve/artifact.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "common/error.hpp"
 #include "core/kernel_features.hpp"
 #include "ml/serialize.hpp"
@@ -136,13 +133,8 @@ void ModelArtifact::save_file(const std::string& path) const {
 }
 
 ModelArtifact ModelArtifact::load_file(const std::string& path) {
-  std::ifstream in(path);
-  DSEM_ENSURE(in.good(), "cannot open model artifact: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  DSEM_ENSURE(!in.bad(), "failed reading model artifact: " + path);
   // Origin is kept exactly as stored so save → load → save is byte-equal.
-  return from_json(json::Value::parse(buffer.str()));
+  return from_json(json::read_file(path));
 }
 
 } // namespace dsem::serve

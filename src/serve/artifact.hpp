@@ -87,8 +87,9 @@ struct ModelArtifact {
   /// a clean error, never a crash or a silently wrong model).
   static ModelArtifact from_json(const json::Value& value);
 
-  /// File variants: pretty-printed JSON with a trailing newline (the repo
-  /// convention), parsed back with full validation.
+  /// File variants through json::write_file / json::read_file:
+  /// pretty-printed JSON with a trailing newline (the repo convention),
+  /// parsed back with full validation. Either path must be a regular file.
   void save_file(const std::string& path) const;
   static ModelArtifact load_file(const std::string& path);
 };

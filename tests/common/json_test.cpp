@@ -22,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/stat.h>
+
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -157,13 +159,6 @@ TEST(JsonParser, RejectsMalformedDocuments) {
     EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos)
         << e.what();
   }
-}
-
-TEST(JsonParser, WriteToStreamMatchesDump) {
-  const Value v = Value::parse(R"({"k":[1,2.5,"s"]})");
-  std::ostringstream os;
-  v.write(os);
-  EXPECT_EQ(os.str(), v.dump());
 }
 
 TEST(JsonParser, RejectsNestingDeeperThanMaxDepth) {
@@ -412,7 +407,7 @@ TEST(JsonWriter, StreamEscapeMatchesTheWriter) {
   EXPECT_EQ(Value::parse("\"" + os.str() + "\"").as_string(), all);
 }
 
-std::string read_file(const std::string& path) {
+std::string read_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream content;
   content << in.rdbuf();
@@ -422,7 +417,7 @@ std::string read_file(const std::string& path) {
 TEST(JsonWriteFile, WritesPrettyDocumentWithTrailingNewline) {
   const std::string path = testing::TempDir() + "dsem_json_write.json";
   write_file(path, mixed_document());
-  EXPECT_EQ(read_file(path), mixed_document().dump(2) + "\n");
+  EXPECT_EQ(read_bytes(path), mixed_document().dump(2) + "\n");
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::filesystem::remove(path);
 }
@@ -443,7 +438,7 @@ TEST(JsonWriteFile, FailedWriteLeavesPreviousFileIntact) {
   }
   doc.push_back(std::numeric_limits<double>::quiet_NaN());
   EXPECT_THROW(write_file(path, doc), contract_error);
-  EXPECT_EQ(read_file(path), previous);
+  EXPECT_EQ(read_bytes(path), previous);
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::filesystem::remove(path);
 }
@@ -463,7 +458,7 @@ TEST(JsonWriteFile, SymlinkedPathReplacesTheFileItNames) {
   write_file(link.string(), mixed_document());
   EXPECT_TRUE(fs::is_symlink(link));
   EXPECT_EQ(fs::read_symlink(link), target);
-  EXPECT_EQ(read_file(target.string()), mixed_document().dump(2) + "\n");
+  EXPECT_EQ(read_bytes(target.string()), mixed_document().dump(2) + "\n");
   EXPECT_FALSE(fs::exists(link.string() + ".tmp"));
   EXPECT_FALSE(fs::exists(target.string() + ".tmp"));
   fs::remove_all(dir);
@@ -482,6 +477,43 @@ TEST(JsonWriteFile, NonRegularTargetRaises) {
 TEST(JsonWriteFile, UnopenablePathRaises) {
   EXPECT_THROW(write_file(testing::TempDir() + "no/such/dir/x.json", Value()),
                contract_error);
+}
+
+TEST(JsonFile, ReadParsesWhatWriteFileWroteThroughASymlink) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "dsem_json_read";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path target = dir / "doc.json";
+  const fs::path link = dir / "link.json";
+  write_file(target.string(), mixed_document());
+  fs::create_symlink(target, link);
+  EXPECT_EQ(read_file(target.string()), mixed_document());
+  EXPECT_EQ(read_file(link.string()), mixed_document());
+  fs::remove_all(dir);
+}
+
+TEST(JsonFile, ReadRejectsNonRegularFiles) {
+  // Without the check, /dev/zero is read until the allocation fails and
+  // a FIFO blocks the reader until a writer appears.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "dsem_json_read_dir";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path fifo = dir / "pipe.json";
+  ASSERT_EQ(mkfifo(fifo.c_str(), 0600), 0);
+  for (const std::string& path :
+       {std::string("/dev/zero"), dir.string(), fifo.string(),
+        (dir / "missing.json").string()}) {
+    try {
+      read_file(path);
+      ADD_FAILURE() << "expected contract_error for " << path;
+    } catch (const contract_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+  }
+  fs::remove_all(dir);
 }
 
 } // namespace

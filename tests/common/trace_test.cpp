@@ -4,7 +4,8 @@
 //    hot loops (overhead regression test with a CI-generous threshold).
 //  - Spans and instants record with correct content; counts and values
 //    live in dsem::metrics, so the trace has no counter or gauge events.
-//  - The Chrome trace_event export is structurally valid JSON.
+//  - The Chrome trace_event export parses back to every recorded event:
+//    full-precision timestamps and values, null for a non-finite value.
 //  - Golden-trace determinism: a tiny faulty sweep records an identical
 //    logical event sequence (names, args, values, fault markers) for thread
 //    pools of size 1, 2 and 8 — the in-process equivalent of running with
@@ -12,13 +13,17 @@
 #include "common/trace.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "core/characterization.hpp"
 
@@ -184,51 +189,14 @@ TEST_F(TraceTest, ScopelessStableEventsInPoolTasksAreDowngraded) {
 
 // --- Chrome export ---------------------------------------------------------
 
-/// Minimal structural JSON check: balanced containers outside strings,
-/// valid escape usage, single top-level value. Not a full parser, but it
-/// catches every quoting/nesting mistake an exporter can make.
-bool json_well_formed(const std::string& text) {
-  std::vector<char> stack;
-  bool in_string = false;
-  bool escaped = false;
-  for (char c : text) {
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return false; // control characters must be escaped
-      }
-      continue;
-    }
-    switch (c) {
-    case '"':
-      in_string = true;
-      break;
-    case '{':
-    case '[':
-      stack.push_back(c);
-      break;
-    case '}':
-      if (stack.empty() || stack.back() != '{') {
-        return false;
-      }
-      stack.pop_back();
-      break;
-    case ']':
-      if (stack.empty() || stack.back() != '[') {
-        return false;
-      }
-      stack.pop_back();
-      break;
-    default:
-      break;
-    }
-  }
-  return !in_string && stack.empty();
+/// The global tracer's Chrome export, in the compact layout.
+std::string chrome_json() {
+  std::string text;
+  json::StringSink sink(text);
+  json::Writer writer(sink);
+  Tracer::global().write_chrome_trace(writer);
+  writer.flush();
+  return text;
 }
 
 TEST_F(TraceTest, ChromeExportIsWellFormedJson) {
@@ -239,25 +207,81 @@ TEST_F(TraceTest, ChromeExportIsWellFormedJson) {
     span.value(1.25);
     instant("json.instant", cat::kMeasure, Reliability::kStable, "mark");
   }
-  std::ostringstream os;
-  Tracer::global().write_chrome_trace(os);
-  const std::string text = os.str();
+  const std::string text = chrome_json();
+  const json::Value doc = json::Value::parse(text);
 
-  EXPECT_TRUE(json_well_formed(text)) << text;
   EXPECT_EQ(text.rfind("{\"traceEvents\":[", 0), 0u);
+  EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ms");
   EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos); // span
   EXPECT_NE(text.find("\"ph\":\"i\""), std::string::npos); // instant
   EXPECT_NE(text.find("json.span"), std::string::npos);
   EXPECT_NE(text.find("\"value\":1.25"), std::string::npos);
   EXPECT_NE(text.find("\"arg\":\"mark\""), std::string::npos);
   // The raw control characters must not survive into the output.
-  EXPECT_EQ(text.find('\n'), text.size() - 1);
+  EXPECT_EQ(text.find('\n'), std::string::npos);
 }
 
 TEST_F(TraceTest, EmptyTraceExportsValidJson) {
-  std::ostringstream os;
-  Tracer::global().write_chrome_trace(os);
-  EXPECT_TRUE(json_well_formed(os.str()));
+  const json::Value doc = json::Value::parse(chrome_json());
+  EXPECT_TRUE(doc.at("traceEvents").as_array().empty());
+}
+
+TEST_F(TraceTest, ChromeExportRoundTripsEveryEvent) {
+  set_enabled(true);
+  {
+    Span root("rt.root", cat::kSweep, 7);
+    root.arg("input \"a\"\n");
+    root.value(1234567.891); // six significant digits would drop the .891
+    {
+      Span nan_span("rt.nan", cat::kMeasure);
+      nan_span.value(std::numeric_limits<double>::quiet_NaN());
+    }
+    {
+      Span inf_span("rt.inf", cat::kMeasure, Reliability::kTimingDependent);
+      inf_span.value(-std::numeric_limits<double>::infinity());
+    }
+    instant("rt.instant", cat::kQueue, Reliability::kStable, "retry");
+  }
+  const std::vector<Event> events = Tracer::global().events();
+  const json::Value doc = json::Value::parse(chrome_json());
+  const json::Value::Array& exported = doc.at("traceEvents").as_array();
+  ASSERT_EQ(exported.size(), events.size());
+  ASSERT_EQ(events.size(), 4u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Event& e = events[i];
+    const json::Value& out = exported[i];
+    SCOPED_TRACE(e.name);
+    const bool span = e.kind == EventKind::kSpan;
+    EXPECT_EQ(out.at("name").as_string(), e.name);
+    EXPECT_EQ(out.at("cat").as_string(), e.category);
+    EXPECT_EQ(out.at("ph").as_string(), span ? "X" : "i");
+    EXPECT_EQ(out.at("tid").as_number(), static_cast<double>(e.tid));
+    EXPECT_EQ(out.at("ts").as_number(), static_cast<double>(e.start_ns) / 1e3);
+    if (span) {
+      EXPECT_EQ(out.at("dur").as_number(),
+                static_cast<double>(e.dur_ns) / 1e3);
+    } else {
+      EXPECT_EQ(out.find("dur"), nullptr);
+    }
+    const json::Value& args = out.at("args");
+    const json::Value* value = args.find("value");
+    ASSERT_EQ(value != nullptr, e.has_value);
+    if (e.has_value && std::isfinite(e.value)) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(value->as_number()),
+                std::bit_cast<std::uint64_t>(e.value));
+    } else if (e.has_value) {
+      EXPECT_TRUE(value->is_null());
+    }
+    const json::Value* arg = args.find("arg");
+    EXPECT_EQ(arg == nullptr ? std::string() : arg->as_string(), e.arg);
+    const json::Value* path = args.find("logical_path");
+    ASSERT_EQ(path != nullptr, e.stable);
+    if (e.stable) {
+      EXPECT_EQ(path->as_string(), std::to_string(e.logical_path));
+      EXPECT_EQ(args.at("logical_seq").as_number(),
+                static_cast<double>(e.logical_seq));
+    }
+  }
 }
 
 TEST_F(TraceTest, SummaryTableListsEveryInstrumentName) {

@@ -4,7 +4,6 @@
 #include "obs/session.hpp"
 
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -50,14 +49,6 @@ CliParser parsed(const std::vector<std::string>& args) {
   return cli;
 }
 
-json::Value load(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return json::Value::parse(buffer.str());
-}
-
 TEST_F(SessionTest, FlagsTurnSinksOnAndFinishWritesEachFile) {
   const std::string trace_path =
       testing::TempDir() + "dsem_session_trace.json";
@@ -87,14 +78,14 @@ TEST_F(SessionTest, FlagsTurnSinksOnAndFinishWritesEachFile) {
   std::ostringstream out;
   session.finish(out, "session_test", sweep_report);
 
-  EXPECT_TRUE(load(trace_path).at("traceEvents").is_array());
-  const json::Value manifest = load(run_path);
+  EXPECT_TRUE(json::read_file(trace_path).at("traceEvents").is_array());
+  const json::Value manifest = json::read_file(run_path);
   EXPECT_EQ(manifest.at("schema").as_string(), kRunSchema);
   EXPECT_EQ(manifest.at("program").as_string(), "session_test");
   EXPECT_TRUE(manifest.at("sweep_report") == sweep_report);
   EXPECT_EQ(manifest.at("metrics").at("schema").as_string(),
             metrics::kMetricsSchema);
-  const json::Value ledger = load(ledger_path);
+  const json::Value ledger = json::read_file(ledger_path);
   EXPECT_EQ(ledger.at("schema").as_string(), kLedgerSchema);
   EXPECT_EQ(ledger.at("program").as_string(), "session_test");
   EXPECT_EQ(ledger.at("requests").as_array().size(), 3u);

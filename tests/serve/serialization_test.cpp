@@ -73,6 +73,17 @@ TEST(SerializationTest, FileRoundTripIsByteIdentical) {
   std::remove(path_b.c_str());
 }
 
+TEST(SerializationTest, NonRegularFileIsRejectedBeforeReading) {
+  // /dev/zero never ends: an unchecked read grows until bad_alloc.
+  try {
+    ModelArtifact::load_file("/dev/zero");
+    FAIL() << "expected contract_error";
+  } catch (const contract_error& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/zero"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SerializationTest, SchemaMismatchIsACleanError) {
   json::Value doc = synthetic_artifact(4).to_json();
   doc.set("schema", "dsem-model-v0");
