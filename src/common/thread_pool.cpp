@@ -1,7 +1,11 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <string>
 
 #include "common/trace.hpp"
 
@@ -9,31 +13,42 @@ namespace dsem {
 
 namespace {
 
-// DSEM_THREADS sizing for the global pool: a positive integer pins the
-// worker count (1 = exact serial execution); unset, empty, 0, or
-// malformed values fall back to hardware_concurrency.
-std::size_t global_pool_size() {
-  const char* env = std::getenv("DSEM_THREADS");
-  if (env == nullptr || *env == '\0') {
-    return 0;
-  }
-  char* end = nullptr;
-  const long value = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || value <= 0) {
-    return 0;
-  }
-  return static_cast<std::size_t>(value);
-}
+// The live ScopedGlobalPool's pool, if any. Atomic so that worker threads
+// reading it inside a region never race a seam created between regions.
+std::atomic<ThreadPool*> g_scoped_pool{nullptr};
 
 } // namespace
+
+std::size_t threads_from_env(const char* value) {
+  if (value == nullptr || *value == '\0') {
+    return 0;
+  }
+  std::size_t threads = 0;
+  const char* const end = value + std::strlen(value);
+  const auto [ptr, ec] = std::from_chars(value, end, threads);
+  DSEM_ENSURE(ec == std::errc{} && ptr == end,
+              "DSEM_THREADS must be a decimal integer >= 0, got \"" +
+                  std::string(value) + "\"");
+  return threads;
+}
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    workers_.reserve(threads);
+    for (std::size_t i = 0; i < threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (const std::exception& e) {
+    // Out of threads or memory: release the workers already running, so
+    // the failure is an error rather than a hang or a terminate. Only the
+    // process pool is sized from outside the program, hence the hint.
+    stop();
+    throw contract_error("ThreadPool: cannot start " +
+                         std::to_string(threads) + " workers (" + e.what() +
+                         "); DSEM_THREADS sizes the process pool");
   }
 }
 
@@ -106,9 +121,18 @@ void ThreadPool::worker_loop() {
 }
 
 ThreadPool& ThreadPool::global() {
-  static ThreadPool pool(global_pool_size());
+  ThreadPool* const scoped = g_scoped_pool.load();
+  if (scoped != nullptr) {
+    return *scoped;
+  }
+  static ThreadPool pool(threads_from_env(std::getenv("DSEM_THREADS")));
   return pool;
 }
+
+ScopedGlobalPool::ScopedGlobalPool(std::size_t threads)
+    : pool_(threads), previous_(g_scoped_pool.exchange(&pool_)) {}
+
+ScopedGlobalPool::~ScopedGlobalPool() { g_scoped_pool.store(previous_); }
 
 void parallel_for_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t, std::size_t)>& fn,

@@ -10,6 +10,9 @@
 // its chunks it executes queued tasks on the calling thread, so nested
 // parallel sections (e.g. a forest fit inside a cross-validation fold)
 // cannot deadlock the pool and idle no worker.
+//
+// The library runs every parallel region on ThreadPool::global(): one
+// process pool, sized by DSEM_THREADS, that nested regions share.
 #pragma once
 
 #include <chrono>
@@ -31,6 +34,8 @@ namespace dsem {
 class ThreadPool {
 public:
   /// Creates `threads` workers; 0 means hardware_concurrency (min 1).
+  /// Throws contract_error, with no worker left running, when the system
+  /// cannot start them all.
   explicit ThreadPool(std::size_t threads = 0);
 
   ThreadPool(const ThreadPool&) = delete;
@@ -83,9 +88,9 @@ public:
     }
   }
 
-  /// Singleton pool shared across the library. Sized once on first use:
-  /// the DSEM_THREADS environment variable when set to a positive integer
-  /// (1 forces exact serial execution), hardware_concurrency otherwise.
+  /// The process pool every library layer runs on. Created on first use
+  /// with threads_from_env(getenv("DSEM_THREADS")) workers (1 forces exact
+  /// serial execution); a live ScopedGlobalPool takes its place.
   static ThreadPool& global();
 
 private:
@@ -97,6 +102,27 @@ private:
   std::condition_variable cv_;
   bool stopping_ = false;
 };
+
+/// Test seam, the in-process equivalent of DSEM_THREADS: owns a fresh pool
+/// of `threads` workers and makes it ThreadPool::global() until destroyed,
+/// then restores the previous global pool. Create and destroy one only
+/// while no parallel region is running.
+class ScopedGlobalPool {
+public:
+  explicit ScopedGlobalPool(std::size_t threads);
+  ScopedGlobalPool(const ScopedGlobalPool&) = delete;
+  ScopedGlobalPool& operator=(const ScopedGlobalPool&) = delete;
+  ~ScopedGlobalPool();
+
+private:
+  ThreadPool pool_;
+  ThreadPool* previous_;
+};
+
+/// The worker count a DSEM_THREADS value asks for: null, empty and "0"
+/// mean 0 (hardware_concurrency). Throws contract_error naming the value
+/// unless it is a decimal integer >= 0.
+std::size_t threads_from_env(const char* value);
 
 /// Invoke fn(i) for each i in [begin, end), partitioned into contiguous
 /// chunks across the pool. Blocks until all iterations complete. The first

@@ -44,7 +44,7 @@ struct Characterization {
 /// Full-sweep characterization: every supported frequency (or `freqs`),
 /// normalized against the device's default/auto configuration. Runs the
 /// grid through the deterministic parallel sweep engine — see
-/// core/sweep.hpp for the pool/cache knobs and the determinism contract.
+/// core/sweep.hpp for the cache knob and the determinism contract.
 Characterization characterize(synergy::Device& device,
                               const Workload& workload,
                               const SweepOptions& options,

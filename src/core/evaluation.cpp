@@ -116,7 +116,7 @@ AccuracyReport evaluate_accuracy(
     const Dataset& dataset,
     std::span<const std::unique_ptr<Workload>> workloads,
     const GeneralPurposeModel& gp, std::span<const std::string> report,
-    const ml::Regressor* prototype, ThreadPool* pool) {
+    const ml::Regressor* prototype) {
   DSEM_ENSURE(workloads.size() == dataset.num_groups(),
               "workload list does not match dataset groups");
 
@@ -138,14 +138,14 @@ AccuracyReport evaluate_accuracy(
 
   // Leave-one-input-out folds are independent: each trains its own model
   // on disjoint state and writes one pre-sized row. Folds run in parallel
-  // on the pool; the forest fits inside each fold nest on the same pool
-  // without deadlock (blocked waiters execute queued tasks).
+  // on the global pool; the forest fits inside each fold nest on the same
+  // pool without deadlock (blocked waiters execute queued tasks).
   AccuracyReport out;
   out.rows.resize(report.size());
   trace::Span loocv_span("loocv.evaluate", trace::cat::kEval);
   loocv_span.value(static_cast<double>(report.size()));
   parallel_for(
-      pool != nullptr ? *pool : ThreadPool::global(), 0, report.size(),
+      0, report.size(),
       [&](std::size_t i) {
         // Logical ROOT per fold: the fold's training span and prediction
         // events key off the fold index, not the executing thread.
@@ -201,7 +201,7 @@ ExtrapolationReport evaluate_extrapolation(
     const Dataset& dataset,
     std::span<const std::unique_ptr<Workload>> workloads,
     const GeneralPurposeModel& gp, std::size_t holdout_count,
-    const ml::Regressor* prototype, ThreadPool* pool) {
+    const ml::Regressor* prototype) {
   DSEM_ENSURE(workloads.size() == dataset.num_groups(),
               "workload list does not match dataset groups");
   DSEM_ENSURE(holdout_count >= 1, "extrapolation needs a non-empty holdout");
@@ -247,7 +247,7 @@ ExtrapolationReport evaluate_extrapolation(
   metrics::ScopedTimer timer("eval.extrapolation_s");
   out.accuracy.rows.resize(by_work.size());
   parallel_for(
-      pool != nullptr ? *pool : ThreadPool::global(), 0, by_work.size(),
+      0, by_work.size(),
       [&](std::size_t i) {
         score_fold(dataset, workloads, gp, by_work[i].second, train_rows,
                    prototype, out.accuracy.rows[i]);

@@ -23,10 +23,6 @@
 #include "core/ds_model.hpp"
 #include "core/gp_model.hpp"
 
-namespace dsem {
-class ThreadPool;
-} // namespace dsem
-
 namespace dsem::core {
 
 /// One held-out input's MAPEs. The ds_* columns score the evaluated
@@ -63,14 +59,14 @@ TruthCurves truth_curves(const Dataset& dataset, int group);
 /// `workloads` must be the same list (same order) build_dataset consumed;
 /// `report` selects which inputs appear in the output, in that order
 /// (empty = every usable group, in group order). `prototype` is cloned per
-/// fold (null = Random Forest default). Folds run on `pool` (null = global
-/// pool); the output is bit-identical for any pool size.
+/// fold (null = Random Forest default). Folds run on the global pool; the
+/// output is bit-identical for any pool size.
 AccuracyReport evaluate_accuracy(
     const Dataset& dataset,
     std::span<const std::unique_ptr<Workload>> workloads,
     const GeneralPurposeModel& gp,
     std::span<const std::string> report = {},
-    const ml::Regressor* prototype = nullptr, ThreadPool* pool = nullptr);
+    const ml::Regressor* prototype = nullptr);
 
 struct ParetoEvaluation {
   TruthCurves truth;
@@ -106,6 +102,6 @@ ExtrapolationReport evaluate_extrapolation(
     const Dataset& dataset,
     std::span<const std::unique_ptr<Workload>> workloads,
     const GeneralPurposeModel& gp, std::size_t holdout_count = 1,
-    const ml::Regressor* prototype = nullptr, ThreadPool* pool = nullptr);
+    const ml::Regressor* prototype = nullptr);
 
 } // namespace dsem::core

@@ -35,7 +35,7 @@ public:
              int repetitions = 3, std::size_t freq_stride = 4);
 
   /// Same, with full sweep-engine control (retry policy, report sink,
-  /// shared cache/pool). Grid points that exhaust their retries are
+  /// shared cache). Grid points that exhaust their retries are
   /// dropped from the training set; a kernel whose baseline fails drops
   /// entirely. Throws only if nothing survives.
   void train(synergy::Device& device,

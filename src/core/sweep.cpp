@@ -3,6 +3,7 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 #include "core/sweep_report.hpp"
 
@@ -54,12 +55,10 @@ std::vector<FrequencySweep> sweep_grid(synergy::Device& device,
       options.cache != nullptr ? options.cache->misses() : 0;
 
   std::vector<PointResult> grid(n);
-  ThreadPool& pool = options.pool != nullptr ? *options.pool
-                                             : ThreadPool::global();
   trace::Span sweep_span("sweep.grid", trace::cat::kSweep);
   sweep_span.value(static_cast<double>(n));
   parallel_for(
-      pool, 0, n,
+      0, n,
       [&](std::size_t idx) {
         const std::size_t t = idx / stride;
         const std::size_t k = idx % stride;

@@ -2,8 +2,8 @@
 //
 // Every experiment in the paper walks the same grid: (workload/run) x
 // (default clock + each frequency) x repetitions. This engine runs that
-// grid on a ThreadPool with results that are bit-identical for ANY pool
-// size, including 1:
+// grid on the process pool with results that are bit-identical for ANY
+// pool size, including 1:
 //
 //  - Each grid point runs on its own replica of the simulated device,
 //    seeded as derive_seed(base_seed, flat_index). The noise stream a
@@ -14,16 +14,15 @@
 //  - The shared base device is never touched: its RNG does not advance,
 //    and concurrent points cannot race on it.
 //
-// Thread count comes from SweepOptions::pool (nullptr = ThreadPool::
-// global(), sized by the DSEM_THREADS environment variable; DSEM_THREADS=1
-// reproduces serial execution exactly).
+// Grid points, and every parallel region nested inside one, run on
+// ThreadPool::global(), sized by the DSEM_THREADS environment variable
+// (DSEM_THREADS=1 reproduces serial execution exactly).
 #pragma once
 
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/measurement.hpp"
 
 namespace dsem::core {
@@ -32,8 +31,6 @@ struct SweepReport;
 
 struct SweepOptions {
   int repetitions = kDefaultRepetitions;
-  /// Pool to run grid points on; nullptr = ThreadPool::global().
-  ThreadPool* pool = nullptr;
   /// Shared memoization of noise-free launch costs (nullptr disables).
   /// Purely an arithmetic cache: results are bit-identical either way.
   sim::ProfileCache* cache = nullptr;

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
+#include "common/thread_pool.hpp"
 
 namespace dsem::ml {
 
@@ -88,22 +89,19 @@ void RandomForestRegressor::fit(const Matrix& x, std::span<const double> y) {
   metrics::ScopedTimer timer("ml.forest.fit_s");
   const std::size_t n = x.rows();
   const auto n_trees = static_cast<std::size_t>(params_.n_estimators);
-  ThreadPool& pool =
-      params_.pool != nullptr ? *params_.pool : ThreadPool::global();
 
   TreeParams tp;
   tp.max_depth = params_.max_depth;
   tp.min_samples_split = params_.min_samples_split;
   tp.min_samples_leaf = params_.min_samples_leaf;
   tp.max_features = params_.max_features;
-  tp.pool = params_.pool;
 
   trees_.assign(n_trees, DecisionTreeRegressor(tp));
 
   // Sort every feature once and share the result: each tree re-sorts its
   // bootstrap in O(k·n) from this order instead of O(k·n log n) from
   // scratch (DESIGN.md §7.10).
-  const auto presorted = detail::Presorted::build(x, y, params_.pool);
+  const auto presorted = detail::Presorted::build(x, y);
 
   // Derive one independent seed per tree up front so results do not depend
   // on scheduling order (CP.2: no shared mutable RNG across tasks).
@@ -113,7 +111,7 @@ void RandomForestRegressor::fit(const Matrix& x, std::span<const double> y) {
     s = seeder.next();
   }
 
-  parallel_for(pool, 0, n_trees, [&](std::size_t t) {
+  parallel_for(0, n_trees, [&](std::size_t t) {
     Rng rng(seeds[t]);
     TreeParams tree_params = tp;
     tree_params.seed = rng();
@@ -179,10 +177,8 @@ std::vector<double> RandomForestRegressor::predict_many(const Matrix& x) const {
       out[r] /= scale;
     }
   };
-  if (x.rows() >= 256) {
-    ThreadPool& pool =
-        params_.pool != nullptr ? *params_.pool : ThreadPool::global();
-    parallel_for_chunks(pool, 0, x.rows(), run);
+  if (x.rows() >= kParallelPredictMinRows) {
+    parallel_for_chunks(ThreadPool::global(), 0, x.rows(), run);
   } else {
     run(0, x.rows());
   }

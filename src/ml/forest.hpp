@@ -3,7 +3,6 @@
 // stream, so fitting is deterministic regardless of scheduling).
 #pragma once
 
-#include "common/thread_pool.hpp"
 #include "ml/tree.hpp"
 
 namespace dsem::ml {
@@ -16,9 +15,6 @@ struct ForestParams {
   int max_features = 0;      ///< 0 = all features (sklearn regressor default)
   bool bootstrap = true;
   std::uint64_t seed = 42;
-  /// Pool for tree fitting and batch prediction; nullptr = the global
-  /// pool. Pool size never affects the fitted forest or its predictions.
-  ThreadPool* pool = nullptr;
 };
 
 class RandomForestRegressor final : public Regressor {

@@ -8,12 +8,6 @@
 
 namespace dsem::ml {
 
-namespace {
-// Batches below this stay serial: the values are identical either way,
-// and tiny batches (the LOOCV inner loop) don't amortize task dispatch.
-constexpr std::size_t kParallelPredictMinRows = 256;
-} // namespace
-
 std::vector<double> Regressor::predict_many(const Matrix& x) const {
   std::vector<double> out(x.rows());
   const auto run = [&](std::size_t lo, std::size_t hi) {

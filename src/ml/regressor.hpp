@@ -14,6 +14,11 @@
 
 namespace dsem::ml {
 
+/// predict_many batches below this many rows stay serial: the values are
+/// identical either way, and tiny batches (the LOOCV inner loop) don't
+/// amortize task dispatch.
+inline constexpr std::size_t kParallelPredictMinRows = 256;
+
 class Regressor {
 public:
   virtual ~Regressor() = default;

@@ -10,9 +10,8 @@
 namespace dsem::ml {
 
 SvrRbf::SvrRbf(double c, double epsilon, double gamma, int max_iter,
-               double tol, ThreadPool* pool)
-    : c_(c), epsilon_(epsilon), gamma_(gamma), max_iter_(max_iter), tol_(tol),
-      pool_(pool) {
+               double tol)
+    : c_(c), epsilon_(epsilon), gamma_(gamma), max_iter_(max_iter), tol_(tol) {
   DSEM_ENSURE(c > 0.0, "SVR C must be positive");
   DSEM_ENSURE(epsilon >= 0.0, "SVR epsilon must be non-negative");
   DSEM_ENSURE(gamma > 0.0, "SVR gamma must be positive");
@@ -51,7 +50,7 @@ void SvrRbf::fit(const Matrix& x, std::span<const double> y) {
   // values for any pool size, no extra flops on small machines.
   Matrix k(n, n);
   parallel_for_chunks(
-      pool_ != nullptr ? *pool_ : ThreadPool::global(), 0, n,
+      ThreadPool::global(), 0, n,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           const auto ri = support_.row(i);

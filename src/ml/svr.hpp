@@ -10,26 +10,17 @@
 
 #include "ml/regressor.hpp"
 
-namespace dsem {
-class ThreadPool;
-}
-
 namespace dsem::ml {
 
 class SvrRbf final : public Regressor {
 public:
-  /// `pool` parallelizes the kernel-matrix build during fit (each entry is
-  /// the same scalar formula → bit-identical for any pool size); nullptr =
-  /// the global pool.
   explicit SvrRbf(double c = 10.0, double epsilon = 0.01, double gamma = 1.0,
-                  int max_iter = 300, double tol = 1e-5,
-                  ThreadPool* pool = nullptr);
+                  int max_iter = 300, double tol = 1e-5);
 
   void fit(const Matrix& x, std::span<const double> y) override;
   double predict_one(std::span<const double> x) const override;
   std::unique_ptr<Regressor> clone() const override {
-    return std::make_unique<SvrRbf>(c_, epsilon_, gamma_, max_iter_, tol_,
-                                    pool_);
+    return std::make_unique<SvrRbf>(c_, epsilon_, gamma_, max_iter_, tol_);
   }
   std::string name() const override { return "SVR_RBF"; }
 
@@ -43,7 +34,6 @@ private:
   double gamma_;
   int max_iter_;
   double tol_;
-  ThreadPool* pool_;
 
   StandardScaler scaler_;
   Matrix support_; // standardized training samples

@@ -230,8 +230,7 @@ Candidate scan_feature(const double* value, const std::uint32_t* rows,
 
 namespace detail {
 
-Presorted Presorted::build(const Matrix& x, std::span<const double> y,
-                           ThreadPool* pool) {
+Presorted Presorted::build(const Matrix& x, std::span<const double> y) {
   DSEM_ENSURE(x.rows() == y.size(), "Presorted: X/y size mismatch");
   DSEM_ENSURE(x.rows() > 0, "Presorted: empty dataset");
   Presorted ps;
@@ -261,8 +260,7 @@ Presorted Presorted::build(const Matrix& x, std::span<const double> y,
   };
 
   if (ps.n >= kParallelNodeMinSamples && ps.k >= 2) {
-    parallel_for(pool != nullptr ? *pool : ThreadPool::global(), 0, ps.k,
-                 sort_one);
+    parallel_for(0, ps.k, sort_one);
   } else {
     for (std::size_t f = 0; f < ps.k; ++f) {
       sort_one(f);
@@ -285,7 +283,6 @@ struct DecisionTreeRegressor::Workspace {
   std::size_t m = 0; ///< training samples
   std::size_t k = 0; ///< features
   std::size_t min_leaf = 1;
-  ThreadPool* pool = nullptr;
 
   std::vector<double> value[2];        ///< k streams × m entries, per buffer
   std::vector<std::uint32_t> index[2]; ///< training row of each entry
@@ -357,7 +354,7 @@ DecisionTreeRegressor::DecisionTreeRegressor(TreeParams params)
 void DecisionTreeRegressor::fit(const Matrix& x, std::span<const double> y) {
   DSEM_ENSURE(x.rows() == y.size(), "fit: X/y size mismatch");
   DSEM_ENSURE(x.rows() > 0, "fit: empty dataset");
-  const auto ps = detail::Presorted::build(x, y, params_.pool);
+  const auto ps = detail::Presorted::build(x, y);
   fit_presorted(ps, y, {});
 }
 
@@ -380,7 +377,6 @@ void DecisionTreeRegressor::fit_presorted(const detail::Presorted& ps,
   ws.m = m;
   ws.k = ps.k;
   ws.min_leaf = static_cast<std::size_t>(params_.min_samples_leaf);
-  ws.pool = params_.pool;
   for (int buf = 0; buf < 2; ++buf) {
     ws.value[buf].resize(ps.k * m);
     ws.index[buf].resize(ps.k * m);
@@ -546,8 +542,7 @@ std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
                      ws.min_leaf, sum, sum_sq, sse);
   };
   if (parallel) {
-    parallel_for(ws.pool != nullptr ? *ws.pool : ThreadPool::global(), 0,
-                 tries, scan_one);
+    parallel_for(0, tries, scan_one);
   } else {
     for (std::size_t fi = 0; fi < tries; ++fi) {
       scan_one(fi);
@@ -609,8 +604,7 @@ std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
     DSEM_ENSURE(wl == mid && wr == end, "stream partition mismatch");
   };
   if (n >= kParallelNodeMinSamples && k >= 2) {
-    parallel_for(ws.pool != nullptr ? *ws.pool : ThreadPool::global(), 0, k,
-                 partition_stream);
+    parallel_for(0, k, partition_stream);
   } else {
     for (std::size_t f = 0; f < k; ++f) {
       partition_stream(f);

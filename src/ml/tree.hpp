@@ -6,17 +6,13 @@
 // maintains that order down both children with a stable partition, so no
 // node ever sorts. Candidate-feature scans are independent and reduce in
 // candidate order, which lets large nodes fan the scan out across the
-// ThreadPool without changing a single chosen split.
+// global pool without changing a single chosen split.
 #pragma once
 
 #include <cstdint>
 
 #include "common/rng.hpp"
 #include "ml/regressor.hpp"
-
-namespace dsem {
-class ThreadPool;
-}
 
 namespace dsem::ml {
 
@@ -26,10 +22,6 @@ struct TreeParams {
   int min_samples_leaf = 1;   ///< each side of a split keeps at least this
   int max_features = 0;       ///< features tried per node; 0 = all
   std::uint64_t seed = 17;    ///< for feature subsampling
-  /// Pool for the candidate-feature scan and order maintenance at large
-  /// nodes; nullptr = the global pool. Pool size never affects the fitted
-  /// tree (every parallel unit writes its own pre-sized slot).
-  ThreadPool* pool = nullptr;
 };
 
 /// One node of a fitted tree. Leaves have feature == -1 and carry `value`;
@@ -55,8 +47,7 @@ struct Presorted {
   std::vector<double> value;
   std::vector<std::uint32_t> row;
 
-  static Presorted build(const Matrix& x, std::span<const double> y,
-                         ThreadPool* pool);
+  static Presorted build(const Matrix& x, std::span<const double> y);
 };
 
 } // namespace detail

@@ -101,7 +101,6 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
   // Attribution-ledger sink, resolved once per run (see ServeLoop::run).
   obs::Ledger* const ledger = obs::active_ledger(config_.ledger);
 
-  ThreadPool& pool = config_.pool ? *config_.pool : ThreadPool::global();
   const sim::DeviceSpec& spec = cluster_.device(0).spec();
   const double default_mhz = cluster_.device(0).default_frequency();
   const bool model_driven = config_.frequency == FrequencyPolicy::kModel;
@@ -148,7 +147,7 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
   // (reference runtime at the default clock, noise-free) and, under the
   // model policy, the predicted time/energy curves over the candidates.
   std::vector<JobPlan> plans(jobs.size());
-  parallel_for(pool, 0, jobs.size(), [&](std::size_t i) {
+  parallel_for(0, jobs.size(), [&](std::size_t i) {
     const serve::TimedJob& job = jobs[i];
     JobPlan& plan = plans[i];
 

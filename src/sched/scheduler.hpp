@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "celerity/cluster.hpp"
-#include "common/thread_pool.hpp"
 #include "serve/registry.hpp"
 #include "serve/traffic.hpp"
 #include "sim/profile_cache.hpp"
@@ -78,8 +77,6 @@ struct SchedConfig {
   /// Candidate clocks = every `freq_stride`-th artifact frequency (the
   /// maximum is always included). Stride 1 plans over the full grid.
   std::size_t freq_stride = 4;
-  /// Pool for the batched prediction pass; nullptr = ThreadPool::global().
-  ThreadPool* pool = nullptr;
   /// Base seed of the per-job execution noise streams (derived by index).
   std::uint64_t seed = 0x5C4EDULL;
   /// Explicit attribution-ledger sink: when set, every job is recorded

@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 
 namespace dsem::serve {
 
@@ -139,8 +140,7 @@ Advisor::advise_batch(const ModelArtifact& artifact,
     }
     return out;
   }
-  ThreadPool& pool = pool_ != nullptr ? *pool_ : ThreadPool::global();
-  parallel_for(pool, 0, requests.size(),
+  parallel_for(0, requests.size(),
                [&](std::size_t i) { out[i] = advise(artifact, requests[i]); });
   return out;
 }

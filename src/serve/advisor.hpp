@@ -6,7 +6,7 @@
 // it from a trained artifact exactly the way the one-shot
 // frequency_advisor example does: predict the full frequency curve,
 // extract the predicted Pareto front, pick the lowest-energy front point
-// within the budget. Batching fans independent requests across a thread
+// within the budget. Batching fans independent requests across the global
 // pool; each request's frequency grid is one ml::Regressor::predict_sweep
 // per forest (one walk per tree), and every answer is bit-identical to the
 // serial single-request path for any pool size.
@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/ds_model.hpp"
 #include "serve/artifact.hpp"
 #include "serve/lru_cache.hpp"
@@ -69,9 +68,6 @@ std::string cache_key(const ModelKey& key, const AdviseRequest& request,
 
 class Advisor {
 public:
-  /// `pool` runs batched requests; nullptr = ThreadPool::global().
-  explicit Advisor(ThreadPool* pool = nullptr) : pool_(pool) {}
-
   /// Answers one request from a domain-specific or hybrid artifact
   /// (curves from ModelArtifact::predict over the artifact's schedule).
   AdviseAnswer advise(const ModelArtifact& artifact,
@@ -84,9 +80,6 @@ public:
   std::vector<AdviseAnswer>
   advise_batch(const ModelArtifact& artifact,
                std::span<const AdviseRequest> requests) const;
-
-private:
-  ThreadPool* pool_;
 };
 
 } // namespace dsem::serve

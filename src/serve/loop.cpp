@@ -28,8 +28,7 @@ struct AppSlot {
 } // namespace
 
 ServeLoop::ServeLoop(const ModelRegistry& registry, ServeConfig config)
-    : registry_(registry), config_(config), advisor_(config.pool),
-      cache_(config.cache_capacity) {
+    : registry_(registry), config_(config), cache_(config.cache_capacity) {
   DSEM_ENSURE(config_.batch_size > 0, "serve: batch size must be > 0");
   DSEM_ENSURE(config_.hit_cost_s > 0.0 && config_.miss_cost_s > 0.0,
               "serve: service costs must be > 0");

@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "serve/lru_cache.hpp"
 #include "serve/registry.hpp"
 #include "serve/traffic.hpp"
@@ -61,8 +60,6 @@ struct ServeConfig {
   /// Simulated service cost of a cache hit / miss, seconds.
   double hit_cost_s = 2e-6;
   double miss_cost_s = 2e-4;
-  /// Pool for batched inference; nullptr = ThreadPool::global().
-  ThreadPool* pool = nullptr;
   /// Explicit attribution-ledger sink: when set, every request is
   /// recorded here regardless of obs::enabled(). When null, records go
   /// to obs::Ledger::global() iff the global switch is on (--ledger-out).

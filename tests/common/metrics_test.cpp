@@ -7,8 +7,9 @@
 //  - Histogram quantiles follow common/statistics semantics to within one
 //    log-bucket of relative error.
 //  - Golden-snapshot determinism: the deterministic JSON view of a tiny
-//    faulty sweep is bit-identical for pools of 1, 2 and 8 workers (the
-//    in-process equivalent of DSEM_THREADS ∈ {1, 2, 8}).
+//    faulty sweep is bit-identical on global pools of 1, 2 and 8 workers.
+//    ScopedGlobalPool swaps the process pool every layer runs on, so this
+//    is the in-process equivalent of DSEM_THREADS ∈ {1, 2, 8}.
 #include "common/metrics.hpp"
 
 #include <chrono>
@@ -216,8 +217,8 @@ TEST_F(MetricsTest, JsonViewsFilterWallClockContent) {
   EXPECT_EQ(det_hist.find("mean"), nullptr);
 }
 
-/// Runs the trace test's tiny faulty characterization sweep on a pool of
-/// `threads` workers and returns the deterministic metrics JSON it
+/// Runs the trace test's tiny faulty characterization sweep on a global
+/// pool of `threads` workers and returns the deterministic metrics JSON it
 /// recorded. Faults make the retry instrumentation fire; per-point
 /// replica devices make everything a pure function of the grid.
 std::string metered_sweep(std::size_t threads) {
@@ -232,11 +233,10 @@ std::string metered_sweep(std::size_t threads) {
     synergy::Device device(sim_dev);
     const core::CronosWorkload workload(cronos::GridDims{12, 6, 6}, 2);
 
-    ThreadPool pool(threads);
+    ScopedGlobalPool pool(threads);
     sim::ProfileCache cache;
     core::SweepOptions options;
     options.repetitions = 2;
-    options.pool = &pool;
     options.cache = &cache;
     options.retry = core::RetryPolicy{4, 0.01, 2.0};
     const auto all = device.supported_frequencies();

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -315,6 +316,45 @@ TEST(ThreadPool, DeepNestedParallelForCompletes) {
 
 TEST(GlobalPool, IsSingleton) {
   EXPECT_EQ(&ThreadPool::global(), &ThreadPool::global());
+}
+
+TEST(GlobalPool, ScopedPoolIsGlobalUntilDestroyedAndNests) {
+  ThreadPool* const process = &ThreadPool::global();
+  {
+    ScopedGlobalPool outer(3);
+    ThreadPool* const three = &ThreadPool::global();
+    EXPECT_NE(three, process);
+    EXPECT_EQ(three->thread_count(), 3u);
+    {
+      ScopedGlobalPool inner(1);
+      EXPECT_EQ(ThreadPool::global().thread_count(), 1u);
+    }
+    EXPECT_EQ(&ThreadPool::global(), three);
+  }
+  EXPECT_EQ(&ThreadPool::global(), process);
+}
+
+TEST(GlobalPool, ThreadsFromEnvAcceptsDecimalCounts) {
+  EXPECT_EQ(threads_from_env(nullptr), 0u);
+  EXPECT_EQ(threads_from_env(""), 0u);
+  EXPECT_EQ(threads_from_env("0"), 0u);
+  EXPECT_EQ(threads_from_env("1"), 1u);
+  EXPECT_EQ(threads_from_env("8"), 8u);
+  EXPECT_EQ(threads_from_env("100000"), 100000u);
+}
+
+TEST(GlobalPool, ThreadsFromEnvRejectsEverythingElse) {
+  for (const char* bad : {"abc", "-3", "+3", " 4", "4 ", "4x", "0x10", "2.5",
+                          "99999999999999999999999"}) {
+    try {
+      threads_from_env(bad);
+      ADD_FAILURE() << "accepted \"" << bad << "\"";
+    } catch (const contract_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("DSEM_THREADS"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
+  }
 }
 
 } // namespace

@@ -7,9 +7,10 @@
 //  - The Chrome trace_event export parses back to every recorded event:
 //    full-precision timestamps and values, null for a non-finite value.
 //  - Golden-trace determinism: a tiny faulty sweep records an identical
-//    logical event sequence (names, args, values, fault markers) for thread
-//    pools of size 1, 2 and 8 — the in-process equivalent of running with
-//    DSEM_THREADS ∈ {1, 2, 8}, which sizes the global pool the same way.
+//    logical event sequence (names, args, values, fault markers) on global
+//    pools of 1, 2 and 8 workers. ScopedGlobalPool swaps the process pool
+//    every layer runs on, so this is the in-process equivalent of running
+//    with DSEM_THREADS ∈ {1, 2, 8}.
 #include "common/trace.hpp"
 
 #include <algorithm>
@@ -310,7 +311,7 @@ std::vector<double> strided_freqs(const synergy::Device& device,
   return out;
 }
 
-/// Runs a tiny faulty characterization sweep on a pool of `threads`
+/// Runs a tiny faulty characterization sweep on a global pool of `threads`
 /// workers and returns the logical trace it recorded. Faults make the
 /// retry markers fire; the per-point replica devices make the fault
 /// pattern a pure function of the grid.
@@ -326,11 +327,10 @@ std::vector<LogicalEvent> traced_sweep(std::size_t threads) {
     synergy::Device device(sim_dev);
     const core::CronosWorkload workload(cronos::GridDims{12, 6, 6}, 2);
 
-    ThreadPool pool(threads);
+    ScopedGlobalPool pool(threads);
     sim::ProfileCache cache;
     core::SweepOptions options;
     options.repetitions = 2;
-    options.pool = &pool;
     options.cache = &cache;
     options.retry = core::RetryPolicy{4, 0.01, 2.0};
     core::characterize(device, workload, options, strided_freqs(device, 16));

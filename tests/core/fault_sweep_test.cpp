@@ -10,6 +10,7 @@
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
+#include "common/thread_pool.hpp"
 #include "core/characterization.hpp"
 #include "core/dataset.hpp"
 #include "core/ds_model.hpp"
@@ -196,11 +197,10 @@ Dataset faulty_dataset(std::size_t threads, SweepReport* report,
   synergy::Device device(sim_dev);
   const auto workloads = test_workloads();
 
-  ThreadPool pool(threads);
+  ScopedGlobalPool pool(threads);
   sim::ProfileCache cache;
   SweepOptions options;
   options.repetitions = 2;
-  options.pool = &pool;
   options.cache = &cache;
   options.retry = {2, 0.01, 2.0};
   options.report = report;
@@ -354,11 +354,10 @@ TEST(FaultSweepTest, ZeroRateReproducesTheUnfaultedSweepExactly) {
   sim::Device sim_dev(sim::v100(), sim::NoiseConfig{0.01, 0.01}, 0x3);
   synergy::Device device(sim_dev);
   const auto workloads = test_workloads();
-  ThreadPool pool(4);
+  ScopedGlobalPool pool(4);
   sim::ProfileCache cache;
   SweepOptions options;
   options.repetitions = 2;
-  options.pool = &pool;
   options.cache = &cache;
   const Dataset plain =
       build_dataset(device, workloads, options, strided_freqs(device, 16));

@@ -62,10 +62,9 @@ EvalFixture& fixture() {
   return *state;
 }
 
-ml::RandomForestRegressor prototype(std::uint64_t seed, ThreadPool* pool) {
+ml::RandomForestRegressor prototype(std::uint64_t seed) {
   ml::ForestParams params;
   params.seed = seed;
-  params.pool = pool;
   return ml::RandomForestRegressor(params);
 }
 
@@ -143,14 +142,14 @@ TEST(HybridEvalTest, FamilyAccuracyGoldenForPools128) {
   };
   std::vector<Reports> reports;
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    const ml::RandomForestRegressor ds_proto = prototype(kDsSeed, &pool);
-    const ml::RandomForestRegressor hy_proto = prototype(kHybridSeed, &pool);
+    ScopedGlobalPool pool(threads);
+    const ml::RandomForestRegressor ds_proto = prototype(kDsSeed);
+    const ml::RandomForestRegressor hy_proto = prototype(kHybridSeed);
     reports.push_back(
         {evaluate_accuracy(f.dataset, f.workloads, f.gp, /*report=*/{},
-                           &ds_proto, &pool),
+                           &ds_proto),
          evaluate_accuracy(f.fused, f.workloads, f.gp, /*report=*/{},
-                           &hy_proto, &pool)});
+                           &hy_proto)});
   }
 
   // Both families cover every group in group order, and pool size must

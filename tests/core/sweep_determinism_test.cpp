@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.hpp"
 #include "core/characterization.hpp"
 #include "core/dataset.hpp"
 #include "core/ds_model.hpp"
@@ -40,11 +41,10 @@ Characterization characterize_with(std::size_t threads, bool use_cache) {
   synergy::Device device(sim_dev);
   const CronosWorkload workload(cronos::GridDims{20, 8, 8}, 2);
 
-  ThreadPool pool(threads);
+  ScopedGlobalPool pool(threads);
   sim::ProfileCache cache;
   SweepOptions options;
   options.repetitions = 3;
-  options.pool = &pool;
   options.cache = use_cache ? &cache : nullptr;
   return characterize(device, workload, options, strided_freqs(device, 8));
 }
@@ -80,11 +80,10 @@ Dataset dataset_with(std::size_t threads) {
   synergy::Device device(sim_dev);
   const auto workloads = test_workloads();
 
-  ThreadPool pool(threads);
+  ScopedGlobalPool pool(threads);
   sim::ProfileCache cache;
   SweepOptions options;
   options.repetitions = 2;
-  options.pool = &pool;
   options.cache = &cache;
   return build_dataset(device, workloads, options, strided_freqs(device, 16));
 }

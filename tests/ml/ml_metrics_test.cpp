@@ -50,15 +50,14 @@ std::string metered_fit(std::size_t threads) {
   metrics::set_enabled(true);
   {
     const auto [x, y] = training_data(400);
-    ThreadPool pool(threads);
+    ScopedGlobalPool pool(threads);
 
     ForestParams fp;
     fp.n_estimators = 12;
-    fp.pool = &pool;
     RandomForestRegressor forest(fp);
     forest.fit(x, y);
 
-    SvrRbf svr(100.0, 0.01, 1.0, 50, 1e-5, &pool);
+    SvrRbf svr(100.0, 0.01, 1.0, 50, 1e-5);
     svr.fit(x, y);
   }
   const std::string out = metrics::Registry::global()

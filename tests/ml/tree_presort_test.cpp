@@ -462,7 +462,7 @@ TEST(TreePresort, BootstrapExpansionMatchesGatheredFit) {
 
     TreeParams params;
     params.seed = seed;
-    const auto ps = detail::Presorted::build(x, y, nullptr);
+    const auto ps = detail::Presorted::build(x, y);
     DecisionTreeRegressor fast(params);
     fast.fit_presorted(ps, y, sample);
 
@@ -510,10 +510,9 @@ TEST(TreePresort, ForestIsIdenticalForPools1_2_8) {
   const auto [x, y] = big_data(6000);
   std::vector<std::vector<double>> outputs;
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
+    ScopedGlobalPool pool(threads);
     ForestParams params;
     params.n_estimators = 5;
-    params.pool = &pool;
     RandomForestRegressor forest(params);
     forest.fit(x, y);
     outputs.push_back(forest.predict_many(x));
@@ -527,8 +526,8 @@ TEST(TreePresort, SvrIsIdenticalForPools1_2_8) {
   const auto [x, y] = big_data(300);
   std::vector<std::vector<double>> outputs;
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    SvrRbf svr(100.0, 0.01, 1.0, 50, 1e-5, &pool);
+    ScopedGlobalPool pool(threads);
+    SvrRbf svr(100.0, 0.01, 1.0, 50, 1e-5);
     svr.fit(x, y);
     outputs.push_back(svr.predict(x));
   }

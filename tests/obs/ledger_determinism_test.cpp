@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.hpp"
 #include "obs/ledger.hpp"
 #include "sched/scheduler.hpp"
 #include "serve/loop.hpp"
@@ -95,12 +96,11 @@ const ServeLedgerRun& serve_run(std::size_t threads) {
   if (found != cache->end()) {
     return found->second;
   }
-  ThreadPool pool(threads);
+  ScopedGlobalPool pool(threads);
   serve::ServeConfig config;
   config.batch_size = 32;
   config.admission_bound = 256;
   config.cache_capacity = 512;
-  config.pool = &pool;
   obs::Ledger ledger;
   config.ledger = &ledger;
   serve::ServeLoop loop(shared_registry(), config);
@@ -129,14 +129,13 @@ const SchedLedgerRun& sched_run(std::size_t threads) {
   if (found != cache->end()) {
     return found->second;
   }
-  ThreadPool pool(threads);
+  ScopedGlobalPool pool(threads);
   celerity::ClusterConfig cluster_config;
   cluster_config.nodes = 4;
   celerity::Cluster cluster(sim::v100(), cluster_config);
   sched::SchedConfig config;
   config.frequency = sched::FrequencyPolicy::kModel;
   config.margin = 6.0;
-  config.pool = &pool;
   obs::Ledger ledger;
   config.ledger = &ledger;
   sched::ClusterScheduler scheduler(cluster, shared_registry(), config);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/metrics.hpp"
+#include "common/thread_pool.hpp"
 #include "sched/scheduler.hpp"
 #include "../serve/serve_test_util.hpp"
 
@@ -49,14 +50,13 @@ struct SchedRun {
   std::string metrics_json; ///< deterministic-only snapshot
 };
 
-SchedRun run_policy(sched::FrequencyPolicy policy, ThreadPool* pool) {
+SchedRun run_policy(sched::FrequencyPolicy policy) {
   celerity::ClusterConfig config;
   config.nodes = 4;
   celerity::Cluster cluster(sim::v100(), config);
   sched::SchedConfig sched_config;
   sched_config.frequency = policy;
   sched_config.margin = policy == sched::FrequencyPolicy::kModel ? 6.0 : 1.0;
-  sched_config.pool = pool;
 
   metrics::Registry::global().clear();
   const bool was_enabled = metrics::enabled();
@@ -74,8 +74,8 @@ SchedRun run_policy(sched::FrequencyPolicy policy, ThreadPool* pool) {
 }
 
 SchedRun run_model_with_pool(std::size_t threads) {
-  ThreadPool pool(threads);
-  return run_policy(sched::FrequencyPolicy::kModel, &pool);
+  ScopedGlobalPool pool(threads);
+  return run_policy(sched::FrequencyPolicy::kModel);
 }
 
 TEST(SchedDeterminism, OutcomesIdenticalForPools1_2_8) {
@@ -111,7 +111,7 @@ TEST(SchedDeterminism, StatsAndMetricsSnapshotsIdenticalForPools1_2_8) {
 TEST(SchedDeterminism, ModelPolicyDominatesMaxClockBaseline) {
   const SchedRun model = run_model_with_pool(8);
   const SchedRun max_clock =
-      run_policy(sched::FrequencyPolicy::kMaxClock, nullptr);
+      run_policy(sched::FrequencyPolicy::kMaxClock);
   ASSERT_EQ(model.stats.jobs, max_clock.stats.jobs);
   // Strictly less cluster energy at equal or fewer deadline misses: the
   // model's per-job clock picks convert prediction into energy savings

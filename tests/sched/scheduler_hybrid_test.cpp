@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "sched/scheduler.hpp"
 #include "../serve/serve_test_util.hpp"
 
@@ -53,12 +54,11 @@ std::vector<sched::JobOutcome> run_hybrid_schedule(std::size_t threads) {
   celerity::ClusterConfig cluster_config;
   cluster_config.nodes = 4;
   celerity::Cluster cluster(sim::v100(), cluster_config);
-  ThreadPool pool(threads);
+  ScopedGlobalPool pool(threads);
   sched::SchedConfig config;
   config.frequency = sched::FrequencyPolicy::kModel;
   config.freq_stride = 1;
   config.margin = 1.5;
-  config.pool = &pool;
   sched::ClusterScheduler scheduler(cluster, registry, config);
   return scheduler.run(jobs);
 }

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/ledger.hpp"
 #include "serve/advisor.hpp"
 #include "serve/loop.hpp"
@@ -289,11 +290,11 @@ TEST(AdvisorTest, BatchIsPoolSizeInvariant) {
     request.features = {10.0 + i, 4.0, 100.0 * (i + 1)};
     requests.push_back(std::move(request));
   }
-  ThreadPool pool1(1);
-  ThreadPool pool8(8);
-  const auto serial = Advisor(&pool1).advise_batch(artifact, requests);
-  const auto wide = Advisor(&pool8).advise_batch(artifact, requests);
-  EXPECT_EQ(serial, wide);
+  const auto batch_on = [&](std::size_t threads) {
+    ScopedGlobalPool pool(threads);
+    return Advisor{}.advise_batch(artifact, requests);
+  };
+  EXPECT_EQ(batch_on(1), batch_on(8));
 }
 
 /// One request per kind of non-finite input: a NaN feature, an infinite

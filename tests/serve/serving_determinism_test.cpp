@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/metrics.hpp"
+#include "common/thread_pool.hpp"
 #include "serve/loop.hpp"
 #include "serve_test_util.hpp"
 
@@ -46,12 +47,11 @@ const std::vector<TimedRequest>& shared_trace() {
   return trace;
 }
 
-ServeConfig config_for(ThreadPool* pool) {
+ServeConfig test_config() {
   ServeConfig config;
   config.batch_size = 32;
   config.admission_bound = 256;
   config.cache_capacity = 512;
-  config.pool = pool;
   return config;
 }
 
@@ -62,11 +62,11 @@ struct ServeRun {
 };
 
 ServeRun run_with_pool(std::size_t threads) {
-  ThreadPool pool(threads);
+  ScopedGlobalPool pool(threads);
   metrics::Registry::global().clear();
   const bool was_enabled = metrics::enabled();
   metrics::set_enabled(true);
-  ServeLoop loop(shared_registry(), config_for(&pool));
+  ServeLoop loop(shared_registry(), test_config());
   ServeRun run;
   run.responses = loop.run(shared_trace());
   run.stats = loop.stats();
@@ -137,10 +137,10 @@ TEST(ServeDeterminism, BatchSizeChangesScheduleButNeverAnswers) {
   // Advice is a pure function of the request and the model; batch size
   // (and therefore cache hit patterns and latencies) must not leak into
   // the advised frequencies.
-  ThreadPool pool(4);
-  ServeConfig one = config_for(&pool);
+  ScopedGlobalPool pool(4);
+  ServeConfig one = test_config();
   one.batch_size = 1;
-  ServeConfig wide = config_for(&pool);
+  ServeConfig wide = test_config();
   wide.batch_size = 64;
   ServeLoop loop_one(shared_registry(), one);
   ServeLoop loop_wide(shared_registry(), wide);
@@ -242,12 +242,11 @@ std::uint64_t mixed_burst_digest(std::size_t threads) {
   ModelRegistry registry;
   registry.put(serve_test::synthetic_artifact(21, "cronos"));
   registry.put(serve_test::synthetic_artifact(22, "ligen"));
-  ThreadPool pool(threads);
+  ScopedGlobalPool pool(threads);
   ServeConfig config;
   config.batch_size = 64;
   config.admission_bound = 128;
   config.cache_capacity = 16;
-  config.pool = &pool;
   ServeLoop loop(registry, config);
 
   Digest digest;
