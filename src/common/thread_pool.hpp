@@ -8,8 +8,8 @@
 //
 // Blocked waiters help: while a parallel_for / parallel_reduce waits for
 // its chunks it executes queued tasks on the calling thread, so nested
-// parallel sections (e.g. a forest fit inside a cross-validation fold)
-// cannot deadlock the pool and idle no worker.
+// parallel sections (a region started from inside a task) cannot
+// deadlock the pool and idle no worker.
 //
 // The library runs every parallel region on ThreadPool::global(): one
 // process pool, sized by DSEM_THREADS, that nested regions share.

@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/statistics.hpp"
-#include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 
 namespace dsem::core {
@@ -136,29 +135,25 @@ AccuracyReport evaluate_accuracy(
     report = all_names;
   }
 
-  // Leave-one-input-out folds are independent: each trains its own model
-  // on disjoint state and writes one pre-sized row. Folds run in parallel
-  // on the global pool; the forest fits inside each fold nest on the same
-  // pool without deadlock (blocked waiters execute queued tasks).
+  // Leave-one-input-out folds run one after another: each trains its own
+  // model and writes one pre-sized row, and the forest fits inside it
+  // already fill the global pool with their trees. A fold model is two
+  // forests of full-depth trees, so only one is ever alive.
   AccuracyReport out;
   out.rows.resize(report.size());
   trace::Span loocv_span("loocv.evaluate", trace::cat::kEval);
   loocv_span.value(static_cast<double>(report.size()));
-  parallel_for(
-      0, report.size(),
-      [&](std::size_t i) {
-        // Logical ROOT per fold: the fold's training span and prediction
-        // events key off the fold index, not the executing thread.
-        trace::Span fold_span("loocv.fold", trace::cat::kEval, i);
-        fold_span.arg(report[i]);
-        metrics::counter("loocv.folds");
-        metrics::ScopedTimer fold_timer("loocv.fold_s");
-        const int g = dataset.group_of(report[i]);
-        score_fold(dataset, workloads, gp, g,
-                   training_rows_excluding(dataset, g), prototype,
-                   out.rows[i]);
-      },
-      /*grain=*/1);
+  for (std::size_t i = 0; i < report.size(); ++i) {
+    // Logical ROOT per fold: the fold's training span and prediction
+    // events key off the fold index, not the executing thread.
+    trace::Span fold_span("loocv.fold", trace::cat::kEval, i);
+    fold_span.arg(report[i]);
+    metrics::counter("loocv.folds");
+    metrics::ScopedTimer fold_timer("loocv.fold_s");
+    const int g = dataset.group_of(report[i]);
+    score_fold(dataset, workloads, gp, g, training_rows_excluding(dataset, g),
+               prototype, out.rows[i]);
+  }
   return out;
 }
 
@@ -246,13 +241,10 @@ ExtrapolationReport evaluate_extrapolation(
   span.value(static_cast<double>(holdout_count));
   metrics::ScopedTimer timer("eval.extrapolation_s");
   out.accuracy.rows.resize(by_work.size());
-  parallel_for(
-      0, by_work.size(),
-      [&](std::size_t i) {
-        score_fold(dataset, workloads, gp, by_work[i].second, train_rows,
-                   prototype, out.accuracy.rows[i]);
-      },
-      /*grain=*/1);
+  for (std::size_t i = 0; i < by_work.size(); ++i) { // serial, as above
+    score_fold(dataset, workloads, gp, by_work[i].second, train_rows,
+               prototype, out.accuracy.rows[i]);
+  }
   return out;
 }
 

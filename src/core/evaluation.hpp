@@ -59,8 +59,9 @@ TruthCurves truth_curves(const Dataset& dataset, int group);
 /// `workloads` must be the same list (same order) build_dataset consumed;
 /// `report` selects which inputs appear in the output, in that order
 /// (empty = every usable group, in group order). `prototype` is cloned per
-/// fold (null = Random Forest default). Folds run on the global pool; the
-/// output is bit-identical for any pool size.
+/// fold (null = Random Forest default). Folds run one after another, each
+/// fit spreading its trees over the global pool; the output is
+/// bit-identical for any pool size.
 AccuracyReport evaluate_accuracy(
     const Dataset& dataset,
     std::span<const std::unique_ptr<Workload>> workloads,

@@ -13,21 +13,14 @@
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
-#include "common/thread_pool.hpp"
 
 namespace dsem::ml {
 
 namespace {
 
-// Nodes at least this large fan their candidate-feature scan and their
-// order-maintenance partition across the pool; smaller nodes stay serial.
-// The cut is on node size only — never pool size — so the set of parallel
-// units (and their per-slot outputs) is the same for every pool.
-constexpr std::size_t kParallelNodeMinSamples = 4096;
-
 // A candidate split for one feature: the best score found by scanning that
 // feature's sorted stream, chained from the node SSE with the same strict
-// `score < best - 1e-12` improvement rule the reduce step applies across
+// `score < best - 1e-12` improvement rule `split_node` applies across
 // features, and the stream position it splits after: entries
 // [0, position] go left. The partition and the threshold both follow it.
 struct Candidate {
@@ -240,7 +233,7 @@ Presorted Presorted::build(const Matrix& x, std::span<const double> y) {
   ps.row.resize(ps.n * ps.k);
 
   const FeatureMajor fm(x); // contiguous sort keys per feature
-  const auto sort_one = [&](std::size_t f) {
+  for (std::size_t f = 0; f < ps.k; ++f) {
     const auto col = fm.col(f);
     std::uint32_t* rows = ps.row.data() + f * ps.n;
     double* values = ps.value.data() + f * ps.n;
@@ -256,14 +249,6 @@ Presorted Presorted::build(const Matrix& x, std::span<const double> y) {
     });
     for (std::size_t i = 0; i < ps.n; ++i) {
       values[i] = col[rows[i]];
-    }
-  };
-
-  if (ps.n >= kParallelNodeMinSamples && ps.k >= 2) {
-    parallel_for(0, ps.k, sort_one);
-  } else {
-    for (std::size_t f = 0; f < ps.k; ++f) {
-      sort_one(f);
     }
   }
   return ps;
@@ -290,7 +275,6 @@ struct DecisionTreeRegressor::Workspace {
   std::vector<std::uint8_t> go_left; ///< split side per sample row
   std::vector<double> targets; ///< y gathered onto training rows
   std::vector<std::size_t> features; ///< candidate buffer (re-iota'd per node)
-  std::vector<Candidate> cand; ///< one slot per candidate feature
   std::vector<std::uint32_t> swap_l; ///< misfit positions, ascending
   std::vector<std::uint32_t> swap_r; ///< fit positions, descending
   std::vector<std::size_t> boot_offset; ///< bootstrap replay: bucket bounds
@@ -385,7 +369,6 @@ void DecisionTreeRegressor::fit_presorted(const detail::Presorted& ps,
   ws.go_left.resize(m);
   ws.targets.resize(m);
   ws.features.resize(ps.k);
-  ws.cand.resize(ps.k);
   ws.swap_l.resize(m);
   ws.swap_r.resize(m);
   std::iota(ws.indices.begin(), ws.indices.end(), std::uint32_t{0});
@@ -530,33 +513,19 @@ std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
     }
   }
 
-  // Scan candidates into per-feature slots, then reduce in candidate
-  // order — identical results whether the scans ran serially or fanned
-  // out across the pool.
-  const bool parallel = n >= kParallelNodeMinSamples && tries >= 2;
-  const auto scan_one = [&](std::size_t fi) {
-    const std::size_t f = ws.features[fi];
-    ws.cand[fi] =
-        scan_feature(ws.stream_value(buf, f) + begin,
-                     ws.stream_index(buf, f) + begin, ws.targets.data(), n,
-                     ws.min_leaf, sum, sum_sq, sse);
-  };
-  if (parallel) {
-    parallel_for(0, tries, scan_one);
-  } else {
-    for (std::size_t fi = 0; fi < tries; ++fi) {
-      scan_one(fi);
-    }
-  }
-
+  // Scan each candidate feature and keep the best, in candidate order.
   int best_feature = -1;
   std::size_t best_position = 0;
   double best_score = sse; // must strictly improve on no-split
   for (std::size_t fi = 0; fi < tries; ++fi) {
-    const Candidate& c = ws.cand[fi];
+    const std::size_t f = ws.features[fi];
+    const Candidate c =
+        scan_feature(ws.stream_value(buf, f) + begin,
+                     ws.stream_index(buf, f) + begin, ws.targets.data(), n,
+                     ws.min_leaf, sum, sum_sq, sse);
     if (c.valid && c.score < best_score - 1e-12) {
       best_score = c.score;
-      best_feature = static_cast<int>(ws.features[fi]);
+      best_feature = static_cast<int>(f);
       best_position = c.position;
     }
   }
@@ -583,7 +552,7 @@ std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
       split_threshold(chosen_value[mid - 1], chosen_value[mid]);
 
   const int other = buf ^ 1;
-  const auto partition_stream = [&](std::size_t f) {
+  for (std::size_t f = 0; f < k; ++f) {
     const double* sv = ws.stream_value(buf, f);
     const std::uint32_t* si = ws.stream_index(buf, f);
     double* lv = ws.stream_value(other, f);
@@ -602,13 +571,6 @@ std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
       wr += std::size_t{1} - left;
     }
     DSEM_ENSURE(wl == mid && wr == end, "stream partition mismatch");
-  };
-  if (n >= kParallelNodeMinSamples && k >= 2) {
-    parallel_for(0, k, partition_stream);
-  } else {
-    for (std::size_t f = 0; f < k; ++f) {
-      partition_stream(f);
-    }
   }
 
   // Partition `indices` exactly as std::partition would — its (unspecified

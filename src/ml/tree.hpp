@@ -4,9 +4,8 @@
 // Split finding runs on pre-sorted feature order (DESIGN.md §7.10): fit()
 // sorts every feature once by (value, target, row) and the recursion
 // maintains that order down both children with a stable partition, so no
-// node ever sorts. Candidate-feature scans are independent and reduce in
-// candidate order, which lets large nodes fan the scan out across the
-// global pool without changing a single chosen split.
+// node ever sorts. A tree builds serially: the parallelism is a forest's,
+// one task per tree.
 #pragma once
 
 #include <cstdint>

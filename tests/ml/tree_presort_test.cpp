@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "ml/forest.hpp"
@@ -489,8 +490,8 @@ TEST(TreePresort, BootstrapExpansionMatchesGatheredFit) {
 
 // --- Pool-size determinism --------------------------------------------------
 
-// Big enough that nodes cross kParallelNodeMinSamples and the candidate
-// scan actually fans out.
+// Big enough that each tree builds thousands of nodes, the largest of them
+// thousands of rows wide.
 std::pair<Matrix, std::vector<double>> big_data(std::size_t n) {
   Rng rng(7);
   Matrix x(n, 4);
@@ -520,6 +521,27 @@ TEST(TreePresort, ForestIsIdenticalForPools1_2_8) {
   ASSERT_EQ(outputs[0].size(), x.rows());
   EXPECT_EQ(outputs[0], outputs[1]);
   EXPECT_EQ(outputs[0], outputs[2]);
+}
+
+// A forest's one level of parallelism is its trees: a lone tree builds on
+// the calling thread, presort and large nodes included, on any pool.
+TEST(TreePresort, LoneTreeFitRunsNoPoolTasks) {
+  const auto [x, y] = big_data(6000);
+  ScopedGlobalPool pool(4);
+  metrics::Registry::global().clear();
+  metrics::set_enabled(true);
+  DecisionTreeRegressor tree;
+  tree.fit(x, y);
+  const metrics::Snapshot snapshot = metrics::Registry::global().snapshot();
+  metrics::set_enabled(false);
+  metrics::Registry::global().clear();
+
+  EXPECT_GT(tree.node_count(), 1000u);
+  EXPECT_FALSE(snapshot.histograms.empty()); // the metering was on
+  for (const metrics::CounterSnapshot& c : snapshot.counters) {
+    EXPECT_NE(c.name, "pool.tasks");
+    EXPECT_NE(c.name, "pool.steals");
+  }
 }
 
 TEST(TreePresort, SvrIsIdenticalForPools1_2_8) {
