@@ -23,6 +23,14 @@ double Value::as_number() const {
   return number_;
 }
 
+void detail::bad_integer(std::string_view what, double number) {
+  char text[32];
+  const auto end = std::to_chars(text, text + sizeof text, number).ptr;
+  throw contract_error(std::string(what) + ": " +
+                       std::string(text, end) +
+                       " is not an integer in range");
+}
+
 const std::string& Value::as_string() const {
   DSEM_ENSURE(type_ == Type::kString, "json: not a string");
   return string_;

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -124,6 +125,32 @@ private:
   Array array_;
   Object object_;
 };
+
+namespace detail {
+/// Raises contract_error: `number`, read as `what`, is not an integer
+/// that fits the requested type.
+[[noreturn]] void bad_integer(std::string_view what, double number);
+} // namespace detail
+
+/// The integer a JSON number holds, as T: how every integer field read
+/// from a file leaves its double. Raises contract_error naming `what` when
+/// the value is not a number, not finite, fractional, or outside T's
+/// range. A bare static_cast skips these checks, and for an out-of-range
+/// value (3e9 into int32, 1e999 into anything) it is undefined behaviour.
+template <typename T>
+T as_integer(const Value& value, std::string_view what) {
+  static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+  // Both bounds are exact doubles: min is 0 or -2^k, and max + 1 is 2^k.
+  constexpr double lo = static_cast<double>(std::numeric_limits<T>::min());
+  constexpr double hi =
+      2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+  const double d = value.as_number();
+  // In range the cast is defined; it truncates, so a fraction shows.
+  if (!(d >= lo && d < hi) || static_cast<double>(static_cast<T>(d)) != d) {
+    detail::bad_integer(what, d);
+  }
+  return static_cast<T>(d);
+}
 
 /// Destination of a Writer's bytes, handed over in chunks of about
 /// Writer::kChunkBytes.

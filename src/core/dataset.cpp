@@ -169,14 +169,19 @@ Dataset dataset_from_json(const json::Value& value) {
                   "\" (this build reads " + kDatasetSchema + ")");
 
   Dataset out;
-  const double cols_d = value.at("cols").as_number();
-  DSEM_ENSURE(cols_d >= 2.0, "dataset: needs at least one feature + freq");
-  const auto cols = static_cast<std::size_t>(cols_d);
+  const auto cols = json::as_integer<std::size_t>(value.at("cols"),
+                                                 "dataset: cols");
+  DSEM_ENSURE(cols >= 2, "dataset: needs at least one feature + freq");
   const auto& x = value.at("x").as_array();
+  // Every row's width is checked before the matrix allocates: `cols`
+  // alone is an untrusted size.
+  for (const json::Value& row : x) {
+    DSEM_ENSURE(row.as_array().size() == cols,
+                "dataset: ragged feature matrix");
+  }
   out.x = ml::Matrix(x.size(), cols);
   for (std::size_t r = 0; r < x.size(); ++r) {
     const auto& row = x[r].as_array();
-    DSEM_ENSURE(row.size() == cols, "dataset: ragged feature matrix");
     auto dst = out.x.row(r);
     for (std::size_t c = 0; c < cols; ++c) {
       dst[c] = row[c].as_number();
@@ -192,7 +197,7 @@ Dataset dataset_from_json(const json::Value& value) {
   out.time_s = doubles("time_s");
   out.energy_j = doubles("energy_j");
   for (const json::Value& g : value.at("groups").as_array()) {
-    out.groups.push_back(static_cast<int>(g.as_number()));
+    out.groups.push_back(json::as_integer<int>(g, "dataset: group id"));
   }
   for (const json::Value& name : value.at("group_names").as_array()) {
     out.group_names.push_back(name.as_string());

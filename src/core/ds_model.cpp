@@ -90,10 +90,11 @@ DomainSpecificModel DomainSpecificModel::from_json(const json::Value& value,
   model.energy_model_ = ml::regressor_from_json(value.at("energy"));
   model.log_targets_ = value.at("log_targets").as_bool();
   if (with_width) {
-    const double width = value.at("input_width").as_number();
-    DSEM_ENSURE(width >= 2.0 && width <= 1e9 && width == std::floor(width),
+    const auto width = json::as_integer<std::size_t>(
+        value.at("input_width"), "model payload: input_width");
+    DSEM_ENSURE(width >= 2 && width <= 1'000'000'000,
                 "model payload: bad input_width");
-    model.input_width_ = static_cast<std::size_t>(width);
+    model.input_width_ = width;
   }
   model.trained_ = true;
   return model;

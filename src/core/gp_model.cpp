@@ -132,8 +132,8 @@ GeneralPurposeModel GeneralPurposeModel::from_json(const json::Value& value) {
   GeneralPurposeModel model;
   model.speedup_model_ = ml::regressor_from_json(value.at("speedup"));
   model.energy_model_ = ml::regressor_from_json(value.at("energy"));
-  model.training_rows_ =
-      static_cast<std::size_t>(value.at("training_rows").as_number());
+  model.training_rows_ = json::as_integer<std::size_t>(
+      value.at("training_rows"), "gp model: training_rows");
   model.trained_ = true;
   return model;
 }

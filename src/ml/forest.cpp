@@ -32,8 +32,7 @@ struct SweepNode {
 // walk merges the sorted values into it: a leaf takes the run of values
 // from the cursor that pass its bound. A side no value reaches is never
 // entered, which prunes the walk to the query span.
-void accumulate_sweep(std::span<const TreeNode> nodes,
-                      std::span<const double> prefix,
+void accumulate_sweep(const PackedNode* nodes, std::span<const double> prefix,
                       std::span<const double> sorted, std::span<double> acc,
                       std::vector<SweepNode>& pending) {
   const std::size_t n = sorted.size();
@@ -42,12 +41,12 @@ void accumulate_sweep(std::span<const TreeNode> nodes,
   SweepNode s;
   pending.clear();
   for (;;) {
-    const TreeNode* t = &nodes[static_cast<std::size_t>(s.node)];
+    const PackedNode* t = nodes + s.node;
     // Leaves (feature -1) wrap to a huge unsigned; only prefix splits pass.
+    // A left child is the next node (preorder).
     while (static_cast<unsigned>(t->feature) < last) {
       const double x = prefix[static_cast<std::size_t>(t->feature)];
-      t = &nodes[static_cast<std::size_t>(x <= t->threshold ? t->left
-                                                            : t->right)];
+      t = x <= t->threshold ? t + 1 : nodes + t->right;
     }
     if (t->feature >= 0) {
       const double threshold = t->threshold;
@@ -55,13 +54,13 @@ void accumulate_sweep(std::span<const TreeNode> nodes,
           (s.open || !(threshold > s.bound)) ? threshold : s.bound;
       if (sorted[pos] <= left_bound) {
         pending.push_back({t->right, s.open, s.bound});
-        s = {t->left, false, left_bound};
+        s = {static_cast<std::int32_t>(t - nodes) + 1, false, left_bound};
       } else {
         s.node = t->right; // no value goes left: the whole run goes right
       }
       continue;
     }
-    const double value = t->value;
+    const double value = t->threshold; // a leaf keeps its value there
     do {
       acc[pos] += value;
       ++pos;
@@ -96,7 +95,12 @@ void RandomForestRegressor::fit(const Matrix& x, std::span<const double> y) {
   tp.min_samples_leaf = params_.min_samples_leaf;
   tp.max_features = params_.max_features;
 
-  trees_.assign(n_trees, DecisionTreeRegressor(tp));
+  // The old model goes first, and the new one is only installed whole: a
+  // fit that throws leaves the forest unfitted, so every tree a fitted
+  // forest walks has nodes.
+  trees_.clear();
+  split_width_ = 0;
+  std::vector<DecisionTreeRegressor> trees(n_trees, DecisionTreeRegressor(tp));
 
   // Sort every feature once and share the result: each tree re-sorts its
   // bootstrap in O(k·n) from this order instead of O(k·n log n) from
@@ -130,12 +134,12 @@ void RandomForestRegressor::fit(const Matrix& x, std::span<const double> y) {
     }
     DecisionTreeRegressor tree(tree_params);
     tree.fit_presorted(presorted, y, sample);
-    trees_[t] = std::move(tree);
+    trees[t] = std::move(tree);
   });
-  split_width_ = 0;
-  for (const DecisionTreeRegressor& tree : trees_) {
+  for (const DecisionTreeRegressor& tree : trees) {
     split_width_ = std::max(split_width_, tree.split_width());
   }
+  trees_ = std::move(trees);
 }
 
 RandomForestRegressor
@@ -152,24 +156,32 @@ RandomForestRegressor::from_trees(ForestParams params,
   return forest;
 }
 
+// The tree walks below are unchecked: every tree of a fitted forest has
+// nodes, and the row width is checked once against the forest's
+// split_width() instead of per tree and row.
 double RandomForestRegressor::predict_one(std::span<const double> x) const {
   DSEM_ENSURE(!trees_.empty(), "predict on unfitted RandomForestRegressor");
+  DSEM_ENSURE(x.size() >= split_width_,
+              "predict: row narrower than the forest's split features");
   double acc = 0.0;
   for (const auto& tree : trees_) {
-    acc += tree.predict_one(x);
+    acc += leaf_value(tree.nodes().data(), x.data());
   }
   return acc / static_cast<double>(trees_.size());
 }
 
 std::vector<double> RandomForestRegressor::predict_many(const Matrix& x) const {
   DSEM_ENSURE(!trees_.empty(), "predict on unfitted RandomForestRegressor");
+  DSEM_ENSURE(x.rows() == 0 || x.cols() >= split_width_,
+              "predict: row narrower than the forest's split features");
   std::vector<double> out(x.rows(), 0.0);
   const auto run = [&](std::size_t lo, std::size_t hi) {
     // Tree-outer: one tree's node array stays hot across the whole chunk.
     // Each row still sums trees in ascending order — the predict_one sum.
     for (const auto& tree : trees_) {
+      const PackedNode* nodes = tree.nodes().data();
       for (std::size_t r = lo; r < hi; ++r) {
-        out[r] += tree.predict_one(x.row(r));
+        out[r] += leaf_value(nodes, x.row(r).data());
       }
     }
     const auto scale = static_cast<double>(trees_.size());
@@ -211,7 +223,7 @@ RandomForestRegressor::predict_sweep(std::span<const double> prefix,
   std::vector<double> acc(n, 0.0);
   std::vector<SweepNode> pending;
   for (const auto& tree : trees_) {
-    accumulate_sweep(tree.nodes(), prefix, sorted, acc, pending);
+    accumulate_sweep(tree.nodes().data(), prefix, sorted, acc, pending);
   }
   const auto scale = static_cast<double>(trees_.size());
   std::vector<double> out(n);

@@ -1,7 +1,6 @@
 #include "ml/serialize.hpp"
 
 #include <charconv>
-#include <cmath>
 
 #include "common/error.hpp"
 
@@ -27,14 +26,12 @@ std::uint64_t seed_from_json(const json::Value& value) {
 }
 
 std::int32_t int32_field(const json::Value& value) {
-  const double d = value.as_number();
-  DSEM_ENSURE(std::nearbyint(d) == d, "model artifact: non-integral field");
-  return static_cast<std::int32_t>(d);
+  return json::as_integer<std::int32_t>(value, "model artifact: int32 field");
 }
 
 json::Value tree_to_json(const DecisionTreeRegressor& tree) {
   auto nodes = json::Value::array();
-  for (const TreeNode& node : tree.nodes()) {
+  for (const TreeNode& node : tree.to_nodes()) {
     auto row = json::Value::array();
     row.push_back(node.feature);
     row.push_back(node.threshold);
@@ -66,7 +63,7 @@ DecisionTreeRegressor tree_from_json(TreeParams params,
     DSEM_ENSURE(node.feature >= -1, "model artifact: bad feature index");
     nodes.push_back(node);
   }
-  return DecisionTreeRegressor::from_nodes(params, std::move(nodes));
+  return DecisionTreeRegressor::from_nodes(params, nodes);
 }
 
 json::Value tree_params_to_json(const TreeParams& params) {

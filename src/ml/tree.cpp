@@ -257,7 +257,8 @@ Presorted Presorted::build(const Matrix& x, std::span<const double> y) {
 } // namespace detail
 
 // Per-fit scratch arena: every buffer build() touches is sized once here,
-// so splitting a node allocates nothing.
+// so splitting a node allocates nothing. The tree itself grows here too,
+// and the fit copies it out once at its exact size.
 //
 // The k per-feature streams are structure-of-arrays (separate value and
 // row-index arrays; targets are gathered through the row index) and
@@ -280,6 +281,8 @@ struct DecisionTreeRegressor::Workspace {
   std::vector<std::size_t> boot_offset; ///< bootstrap replay: bucket bounds
   std::vector<std::uint32_t> boot_bucket; ///< sample slots grouped by row
   std::vector<std::size_t> boot_cursor; ///< per-row fill cursor
+  std::vector<PackedNode> nodes; ///< the tree being built, in preorder
+  std::vector<double> means; ///< its interior means, in preorder
 
   double* stream_value(int buf, std::size_t f) noexcept {
     return value[buf].data() + f * m;
@@ -352,7 +355,7 @@ void DecisionTreeRegressor::fit_presorted(const detail::Presorted& ps,
               "fit_presorted: too many samples");
 
   nodes_.clear();
-  nodes_.reserve(2 * m); // a binary tree over m samples never exceeds 2m-1
+  interior_means_.clear();
   depth_ = 0;
   split_width_ = 0;
 
@@ -432,7 +435,11 @@ void DecisionTreeRegressor::fit_presorted(const detail::Presorted& ps,
   }
 
   Rng rng(params_.seed);
+  ws.nodes.clear();
+  ws.means.clear();
   build(ws, rng);
+  nodes_ = std::vector<PackedNode>(ws.nodes.begin(), ws.nodes.end());
+  interior_means_ = std::vector<double>(ws.means.begin(), ws.means.end());
   Workspace::retire(std::move(ws_owner));
 
   metrics::histogram("ml.tree.nodes", static_cast<double>(nodes_.size()));
@@ -444,26 +451,27 @@ void DecisionTreeRegressor::build(Workspace& ws, Rng& rng) {
   // order, the buffer parity and the rng draws are those of a recursive
   // descent, without its stack frame per level. An unbounded-depth tree
   // over a large grid is thousands of levels deep, deeper than a pool
-  // thread's stack holds.
+  // thread's stack holds. The right child is pushed first, so the left
+  // one is built next, at its parent's index + 1: the nodes come out in
+  // preorder and only right children are linked by index.
   struct Pending {
     std::size_t begin = 0;
     std::size_t end = 0;
     int depth = 0;
-    std::int32_t parent = -1;
+    std::int32_t right_of = -1; ///< the parent, for a right child
   };
   std::vector<Pending> pending{{0, ws.m, 0, -1}};
   while (!pending.empty()) {
     const Pending p = pending.back();
     pending.pop_back();
-    const auto id = static_cast<std::int32_t>(nodes_.size());
-    if (p.parent >= 0) {
-      TreeNode& parent = nodes_[static_cast<std::size_t>(p.parent)];
-      (parent.left < 0 ? parent.left : parent.right) = id;
+    const auto id = static_cast<std::int32_t>(ws.nodes.size());
+    if (p.right_of >= 0) {
+      ws.nodes[static_cast<std::size_t>(p.right_of)].right = id;
     }
     const std::size_t mid = split_node(ws, p.begin, p.end, p.depth, rng);
     if (mid != p.begin) {
       pending.push_back({mid, p.end, p.depth + 1, id});
-      pending.push_back({p.begin, mid, p.depth + 1, id});
+      pending.push_back({p.begin, mid, p.depth + 1, -1});
     }
   }
 }
@@ -490,7 +498,7 @@ std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
 
   // A leaf returns `begin`: an interior node's split point is past it.
   const auto make_leaf = [&] {
-    nodes_.push_back(TreeNode{-1, 0.0, -1, -1, mean});
+    ws.nodes.push_back(PackedNode{mean, -1, -1});
     return begin;
   };
 
@@ -601,7 +609,8 @@ std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
     }
   }
 
-  nodes_.push_back(TreeNode{best_feature, threshold, -1, -1, mean});
+  ws.nodes.push_back(PackedNode{threshold, best_feature, -1});
+  ws.means.push_back(mean);
   split_width_ =
       std::max(split_width_, static_cast<std::size_t>(best_feature) + 1);
   return mid;
@@ -609,65 +618,88 @@ std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
 
 DecisionTreeRegressor
 DecisionTreeRegressor::from_nodes(TreeParams params,
-                                  std::vector<TreeNode> nodes) {
+                                  const std::vector<TreeNode>& nodes) {
   DSEM_ENSURE(!nodes.empty(), "from_nodes: empty node array");
+  DSEM_ENSURE(nodes.size() <=
+                  static_cast<std::size_t>(
+                      std::numeric_limits<std::int32_t>::max()),
+              "from_nodes: too many nodes");
   const auto n = static_cast<std::int32_t>(nodes.size());
-  // Walk from the root, checking shape as we go: every index must be
-  // visited exactly once (no orphans, no diamonds, no cycles).
+  // Walk from the root in preorder, checking shape as we go: every index
+  // must be visited exactly once (no orphans, no diamonds, no cycles).
+  // Each visited node is appended to the stored layout; the left child is
+  // visited next, so it lands at its parent's index + 1, and a right
+  // child links itself into its parent when it is reached.
+  struct Visit {
+    std::int32_t id = 0;
+    std::int32_t right_of = -1; ///< stored parent, for a right child
+    int depth = 0;
+  };
+  DecisionTreeRegressor tree(params);
+  tree.nodes_.reserve(nodes.size());
+  tree.interior_means_.reserve(static_cast<std::size_t>(std::count_if(
+      nodes.begin(), nodes.end(),
+      [](const TreeNode& node) { return node.feature >= 0; })));
   std::vector<bool> visited(nodes.size(), false);
-  std::vector<std::int32_t> stack{0};
-  std::size_t reached = 0;
-  int depth = 0;
-  std::size_t split_width = 0;
-  std::vector<int> depth_of(nodes.size(), 0);
+  std::vector<Visit> stack{{0, -1, 0}};
   while (!stack.empty()) {
-    const std::int32_t id = stack.back();
+    const Visit v = stack.back();
     stack.pop_back();
-    DSEM_ENSURE(id >= 0 && id < n, "from_nodes: child index out of range");
-    const auto uid = static_cast<std::size_t>(id);
+    const auto uid = static_cast<std::size_t>(v.id);
     DSEM_ENSURE(!visited[uid], "from_nodes: node reached twice");
     visited[uid] = true;
-    ++reached;
-    depth = std::max(depth, depth_of[uid]);
+    const auto at = static_cast<std::int32_t>(tree.nodes_.size());
+    if (v.right_of >= 0) {
+      tree.nodes_[static_cast<std::size_t>(v.right_of)].right = at;
+    }
+    tree.depth_ = std::max(tree.depth_, v.depth);
     const TreeNode& node = nodes[uid];
     if (node.feature < 0) {
       DSEM_ENSURE(node.left == -1 && node.right == -1,
                   "from_nodes: leaf with children");
+      tree.nodes_.push_back(PackedNode{node.value, -1, -1});
       continue;
     }
     DSEM_ENSURE(node.left != -1 && node.right != -1,
                 "from_nodes: interior node missing a child");
-    split_width =
-        std::max(split_width, static_cast<std::size_t>(node.feature) + 1);
     for (const std::int32_t child : {node.left, node.right}) {
       DSEM_ENSURE(child >= 0 && child < n,
                   "from_nodes: child index out of range");
-      depth_of[static_cast<std::size_t>(child)] = depth_of[uid] + 1;
-      stack.push_back(child);
+    }
+    tree.split_width_ =
+        std::max(tree.split_width_, static_cast<std::size_t>(node.feature) + 1);
+    tree.nodes_.push_back(PackedNode{node.threshold, node.feature, -1});
+    tree.interior_means_.push_back(node.value);
+    stack.push_back({node.right, at, v.depth + 1});
+    stack.push_back({node.left, -1, v.depth + 1});
+  }
+  DSEM_ENSURE(tree.nodes_.size() == nodes.size(),
+              "from_nodes: unreachable nodes");
+  return tree;
+}
+
+std::vector<TreeNode> DecisionTreeRegressor::to_nodes() const {
+  std::vector<TreeNode> out;
+  out.reserve(nodes_.size());
+  std::size_t interior = 0;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const PackedNode& node = nodes_[i];
+    if (node.feature < 0) {
+      out.push_back(TreeNode{-1, 0.0, -1, -1, node.threshold});
+    } else {
+      out.push_back(TreeNode{node.feature, node.threshold,
+                             static_cast<std::int32_t>(i + 1), node.right,
+                             interior_means_[interior++]});
     }
   }
-  DSEM_ENSURE(reached == nodes.size(), "from_nodes: unreachable nodes");
-  DecisionTreeRegressor tree(params);
-  tree.nodes_ = std::move(nodes);
-  tree.depth_ = depth;
-  tree.split_width_ = split_width;
-  return tree;
+  return out;
 }
 
 double DecisionTreeRegressor::predict_one(std::span<const double> x) const {
   DSEM_ENSURE(!nodes_.empty(), "predict on unfitted DecisionTreeRegressor");
   DSEM_ENSURE(x.size() >= split_width_,
               "predict: row narrower than the tree's split features");
-  std::size_t node = 0;
-  for (;;) {
-    const TreeNode& n = nodes_[node];
-    if (n.feature < 0) {
-      return n.value;
-    }
-    node = static_cast<std::size_t>(
-        x[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
-                                                              : n.right);
-  }
+  return leaf_value(nodes_.data(), x.data());
 }
 
 } // namespace dsem::ml

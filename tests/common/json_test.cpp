@@ -13,6 +13,7 @@
 #include <bit>
 #include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -306,6 +307,44 @@ TEST(JsonWriter, NonFiniteNumbersRaise) {
                            std::numeric_limits<double>::infinity(),
                            -std::numeric_limits<double>::infinity()}) {
     EXPECT_THROW(Value(bad).dump(), contract_error);
+  }
+}
+
+TEST(JsonInteger, AcceptsEveryIntegerInRange) {
+  EXPECT_EQ(as_integer<std::int32_t>(Value(-2147483648.0), "f"),
+            std::numeric_limits<std::int32_t>::min());
+  EXPECT_EQ(as_integer<std::int32_t>(Value(2147483647.0), "f"),
+            std::numeric_limits<std::int32_t>::max());
+  EXPECT_EQ(as_integer<std::int32_t>(Value(-0.0), "f"), 0);
+  EXPECT_EQ(as_integer<int>(Value(-1), "f"), -1);
+  EXPECT_EQ(as_integer<std::size_t>(Value(0), "f"), 0u);
+  // The largest double below 2^64 is an integer that fits.
+  const double below_2_64 = std::nextafter(18446744073709551616.0, 0.0);
+  EXPECT_EQ(as_integer<std::uint64_t>(Value(below_2_64), "f"),
+            static_cast<std::uint64_t>(below_2_64));
+}
+
+TEST(JsonInteger, RejectsNonFiniteFractionalAndOutOfRange) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kInf, -kInf,
+                           std::numeric_limits<double>::quiet_NaN(), 2.5,
+                           -0.5, 1e-300, 2147483648.0, -2147483649.0, 3e9,
+                           1e15 + 0.5}) {
+    EXPECT_THROW(as_integer<std::int32_t>(Value(bad), "f"), contract_error)
+        << bad;
+  }
+  for (const double bad : {-1.0, 18446744073709551616.0, 1e20, kInf}) {
+    EXPECT_THROW(as_integer<std::size_t>(Value(bad), "f"), contract_error)
+        << bad;
+  }
+  EXPECT_THROW(as_integer<int>(Value("7"), "f"), contract_error);
+  try {
+    as_integer<int>(Value(2.5), "dataset: cols");
+    FAIL() << "expected contract_error";
+  } catch (const contract_error& e) {
+    EXPECT_NE(std::string(e.what()).find("dataset: cols: 2.5"),
+              std::string::npos)
+        << e.what();
   }
 }
 

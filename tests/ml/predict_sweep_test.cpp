@@ -88,7 +88,7 @@ void expect_sweep_matches(const Regressor& model,
 std::optional<double> some_threshold(const RandomForestRegressor& forest,
                                      int feature) {
   for (std::size_t t = 0; t < forest.tree_count(); ++t) {
-    for (const TreeNode& node : forest.tree(t).nodes()) {
+    for (const PackedNode& node : forest.tree(t).nodes()) {
       if (node.feature == feature) {
         return node.threshold;
       }
@@ -189,30 +189,47 @@ TEST(PredictSweep, ForestMatchesOnEveryTrainingInput) {
   }
 }
 
+// The walk a node array means, over its own indexing.
+double reference_walk(const std::vector<TreeNode>& nodes,
+                      std::span<const double> x) {
+  std::size_t i = 0;
+  while (nodes[i].feature >= 0) {
+    const TreeNode& n = nodes[i];
+    i = static_cast<std::size_t>(
+        x[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
+                                                              : n.right);
+  }
+  return nodes[i].value;
+}
+
 TEST(PredictSweep, ForestMatchesOnHandBuiltTreesWithRedundantSplits) {
   // Loaded artifacts may hold trees no fit produces: last-column splits
   // that an ancestor's split already decides, infinite thresholds, and a
-  // prefix split between last-column forks. Row layout: [p, f].
+  // prefix split between last-column forks. Row layout: [p, f]. The
+  // second tree is not in preorder (node 2 is the root's right child), so
+  // from_nodes renumbers it.
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<TreeNode>> arrays = {
+      {{1, 1000.0, 1, 4, 0.0},  // f <= 1000
+       {1, 2000.0, 2, 3, 0.0},  // always left under f <= 1000
+       {-1, 0.0, -1, -1, 1.0},
+       {-1, 0.0, -1, -1, 2.0},  // unreachable
+       {1, 500.0, 5, 6, 0.0},   // always right under f > 1000
+       {-1, 0.0, -1, -1, 3.0},  // unreachable
+       {0, 0.5, 7, 8, 0.0},     // prefix split
+       {-1, 0.0, -1, -1, 4.0},
+       {1, 1200.0, 9, 10, 0.0},
+       {-1, 0.0, -1, -1, 5.0},
+       {-1, 0.0, -1, -1, 6.0}},
+      {{1, kInf, 1, 2, 0.0},
+       {1, -kInf, 3, 4, 0.0},
+       {-1, 0.0, -1, -1, 7.0},
+       {-1, 0.0, -1, -1, 8.0},
+       {-1, 0.0, -1, -1, 9.0}}};
   std::vector<DecisionTreeRegressor> trees;
-  trees.push_back(DecisionTreeRegressor::from_nodes(
-      {}, {{1, 1000.0, 1, 4, 0.0},  // f <= 1000
-           {1, 2000.0, 2, 3, 0.0},  // always left under f <= 1000
-           {-1, 0.0, -1, -1, 1.0},
-           {-1, 0.0, -1, -1, 2.0},  // unreachable
-           {1, 500.0, 5, 6, 0.0},   // always right under f > 1000
-           {-1, 0.0, -1, -1, 3.0},  // unreachable
-           {0, 0.5, 7, 8, 0.0},     // prefix split
-           {-1, 0.0, -1, -1, 4.0},
-           {1, 1200.0, 9, 10, 0.0},
-           {-1, 0.0, -1, -1, 5.0},
-           {-1, 0.0, -1, -1, 6.0}}));
-  trees.push_back(DecisionTreeRegressor::from_nodes(
-      {}, {{1, kInf, 1, 2, 0.0},
-           {1, -kInf, 3, 4, 0.0},
-           {-1, 0.0, -1, -1, 7.0},
-           {-1, 0.0, -1, -1, 8.0},
-           {-1, 0.0, -1, -1, 9.0}}));
+  for (const auto& nodes : arrays) {
+    trees.push_back(DecisionTreeRegressor::from_nodes({}, nodes));
+  }
   const auto forest = RandomForestRegressor::from_trees(
       ForestParams{.n_estimators = 2}, std::move(trees));
   const std::vector<double> values = {
@@ -221,7 +238,30 @@ TEST(PredictSweep, ForestMatchesOnHandBuiltTreesWithRedundantSplits) {
   for (const double p : {0.0, 0.5, 1.0}) {
     SCOPED_TRACE(testing::Message() << "prefix " << p);
     expect_sweep_matches(forest, std::vector<double>{p}, values);
+    // The loaded trees answer what their original arrays mean.
+    const Matrix rows = materialize(std::vector<double>{p}, values);
+    const std::vector<double> many = forest.predict_many(rows);
+    for (std::size_t r = 0; r < rows.rows(); ++r) {
+      const double a = reference_walk(arrays[0], rows.row(r));
+      const double b = reference_walk(arrays[1], rows.row(r));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(forest.tree(0).predict_one(
+                    rows.row(r))),
+                std::bit_cast<std::uint64_t>(a));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(forest.tree(1).predict_one(
+                    rows.row(r))),
+                std::bit_cast<std::uint64_t>(b));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(many[r]),
+                std::bit_cast<std::uint64_t>((a + b) / 2.0))
+          << "row " << r;
+    }
   }
+  // Saved again, the second tree comes out renumbered in preorder.
+  const std::vector<TreeNode> resaved = forest.tree(1).to_nodes();
+  ASSERT_EQ(resaved.size(), 5u);
+  EXPECT_EQ(resaved[1].left, 2);
+  EXPECT_EQ(resaved[1].right, 3);
+  EXPECT_EQ(resaved[0].right, 4);
+  EXPECT_EQ(resaved[4].value, 7.0);
 }
 
 TEST(PredictSweep, BaseImplementationMatchesPredictMany) {

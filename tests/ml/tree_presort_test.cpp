@@ -260,9 +260,10 @@ void expect_identical_trees(const ReferenceTree& ref,
                             std::uint64_t seed) {
   ASSERT_EQ(ref.nodes().size(), tree.node_count()) << "seed " << seed;
   EXPECT_EQ(ref.depth(), tree.depth()) << "seed " << seed;
+  const std::vector<TreeNode> nodes = tree.to_nodes();
   for (std::size_t i = 0; i < tree.node_count(); ++i) {
     const TreeNode& a = ref.nodes()[i];
-    const TreeNode& b = tree.nodes()[i];
+    const TreeNode& b = nodes[i];
     ASSERT_EQ(a.feature, b.feature) << "node " << i << " seed " << seed;
     ASSERT_EQ(a.left, b.left) << "node " << i << " seed " << seed;
     ASSERT_EQ(a.right, b.right) << "node " << i << " seed " << seed;
@@ -476,9 +477,11 @@ TEST(TreePresort, BootstrapExpansionMatchesGatheredFit) {
     direct.fit(xb, yb);
 
     ASSERT_EQ(direct.node_count(), fast.node_count()) << "seed " << seed;
+    const std::vector<TreeNode> direct_nodes = direct.to_nodes();
+    const std::vector<TreeNode> fast_nodes = fast.to_nodes();
     for (std::size_t i = 0; i < fast.node_count(); ++i) {
-      const TreeNode& a = direct.nodes()[i];
-      const TreeNode& b = fast.nodes()[i];
+      const TreeNode& a = direct_nodes[i];
+      const TreeNode& b = fast_nodes[i];
       ASSERT_EQ(a.feature, b.feature) << "node " << i;
       ASSERT_EQ(a.threshold, b.threshold) << "node " << i;
       ASSERT_EQ(a.value, b.value) << "node " << i;

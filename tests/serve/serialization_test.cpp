@@ -1,8 +1,10 @@
 // Property tests for the dsem-model-v1 artifact serialization: byte-
 // stable round trips across many seeds, bit-identical predictions after
 // a round trip, and clean contract_error rejection of malformed input.
+#include <bit>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -18,6 +20,36 @@ using serve_test::kDefaultFreq;
 using serve_test::kFreqs;
 using serve_test::synthetic_artifact;
 
+// Interior-node means are never read by prediction, so a layout that kept
+// only what the walk needs would lose them silently. They must come back
+// from a load bit for bit, and the fixtures must have some that are not 0.
+void expect_interior_means_survive(const ModelArtifact& saved,
+                                   const ModelArtifact& loaded) {
+  std::size_t nonzero = 0;
+  for (const bool time : {true, false}) {
+    const auto& a = dynamic_cast<const ml::RandomForestRegressor&>(
+        time ? saved.ds->time_model() : saved.ds->energy_model());
+    const auto& b = dynamic_cast<const ml::RandomForestRegressor&>(
+        time ? loaded.ds->time_model() : loaded.ds->energy_model());
+    ASSERT_EQ(a.tree_count(), b.tree_count());
+    for (std::size_t t = 0; t < a.tree_count(); ++t) {
+      const std::vector<ml::TreeNode> na = a.tree(t).to_nodes();
+      const std::vector<ml::TreeNode> nb = b.tree(t).to_nodes();
+      ASSERT_EQ(na.size(), nb.size());
+      for (std::size_t i = 0; i < na.size(); ++i) {
+        if (na[i].feature < 0) {
+          continue;
+        }
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(na[i].value),
+                  std::bit_cast<std::uint64_t>(nb[i].value))
+            << "tree " << t << " node " << i;
+        nonzero += na[i].value != 0.0 ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(nonzero, 0u);
+}
+
 TEST(SerializationTest, RoundTripIsByteIdenticalAcrossFiftySeeds) {
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     const ModelArtifact artifact = synthetic_artifact(seed);
@@ -26,6 +58,7 @@ TEST(SerializationTest, RoundTripIsByteIdenticalAcrossFiftySeeds) {
         ModelArtifact::from_json(json::Value::parse(first));
     const std::string second = reloaded.to_json().dump(2);
     EXPECT_EQ(first, second) << "seed " << seed;
+    expect_interior_means_survive(artifact, reloaded);
   }
 }
 
@@ -133,6 +166,28 @@ TEST(SerializationTest, TamperedForestIsRejected) {
   EXPECT_THROW(ModelArtifact::from_json(doc), contract_error);
 }
 
+TEST(SerializationTest, NonInt32TreeFieldsAreRejected) {
+  // A static_cast of 3e9 or 1e999 (inf) to int32 is undefined behaviour;
+  // the load must raise before any cast.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const json::Value clean = synthetic_artifact(12).to_json();
+  for (const double bad : {3e9, -3e9, 2147483648.0, kInf, -kInf,
+                           std::numeric_limits<double>::quiet_NaN(), 2.5}) {
+    for (const std::size_t cell : {0u, 2u, 3u}) {
+      json::Value doc = clean;
+      json::Value& tree0 =
+          doc.at("model").at("time").at("trees").as_array()[0];
+      tree0.at("nodes").as_array()[0].as_array()[cell] = json::Value(bad);
+      EXPECT_THROW(ModelArtifact::from_json(doc), contract_error)
+          << "cell " << cell << " value " << bad;
+    }
+    json::Value doc = clean;
+    doc.at("model").at("time").at("params").set("n_estimators", bad);
+    EXPECT_THROW(ModelArtifact::from_json(doc), contract_error)
+        << "n_estimators " << bad;
+  }
+}
+
 TEST(SerializationTest, TreesSplittingPastTheQueryRowAreRejected) {
   // One feature name dropped: requests carry two features and the query
   // row is three columns wide, but the forests still split on column 3
@@ -166,6 +221,7 @@ TEST(HybridSerializationTest, RoundTripIsByteIdenticalAcrossFiftySeeds) {
     ASSERT_EQ(reloaded.kind, serve::ModelKind::kHybrid) << "seed " << seed;
     const std::string second = reloaded.to_json().dump(2);
     EXPECT_EQ(first, second) << "seed " << seed;
+    expect_interior_means_survive(artifact, reloaded);
   }
 }
 
