@@ -16,7 +16,8 @@
 // "dsem-model-v1" artifacts. --fault-rate arms fault injection on the
 // cluster ranks, which the max-clock baseline surfaces as clock
 // rejections (rejected ranks run, and are accounted, at their real
-// clock).
+// clock). --ledger-out records the first --margins model run only, so the
+// file holds one run's jobs, each id once.
 #include <algorithm>
 #include <iostream>
 #include <sstream>
@@ -189,6 +190,9 @@ int main(int argc, char** argv) {
   const auto run_policy = [&](const std::string& name,
                               const sched::SchedConfig& config) {
     std::cout << "scheduling under " << name << "...\n";
+    if (config.ledger != nullptr) {
+      std::cout << "  (this run's jobs go to the --ledger-out ledger)\n";
+    }
     sched::ClusterScheduler scheduler(cluster, registry, config);
     scheduler.run(jobs);
     results.push_back({name, scheduler.stats()});
@@ -197,6 +201,9 @@ int main(int argc, char** argv) {
     sched::SchedConfig config = base;
     config.frequency = sched::FrequencyPolicy::kModel;
     config.margin = margin;
+    if (results.empty()) {
+      config.ledger = session.ledger();
+    }
     run_policy("model m=" + fmt_g(margin, 3), config);
   }
   sched::SchedConfig max_clock = base;

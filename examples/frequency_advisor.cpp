@@ -125,7 +125,8 @@ void export_dataset(const std::string& path, const std::string& app,
             << "\n";
 }
 
-void run_serve_mode(const CliParser& cli, serve::ModelRegistry& registry) {
+void run_serve_mode(const CliParser& cli, serve::ModelRegistry& registry,
+                    obs::Ledger* ledger) {
   serve::TrafficConfig traffic;
   traffic.requests = static_cast<std::size_t>(cli.option_int("requests"));
   traffic.arrival_rate_hz = cli.option_double("arrival-rate");
@@ -141,6 +142,7 @@ void run_serve_mode(const CliParser& cli, serve::ModelRegistry& registry) {
   config.cache_capacity =
       static_cast<std::size_t>(cli.option_int("cache-capacity"));
   config.cache_quant_step = cli.option_double("cache-quant");
+  config.ledger = ledger;
 
   std::cout << "generating " << traffic.requests << " requests ("
             << fmt_percent(traffic.ligen_fraction) << " ligen, "
@@ -276,7 +278,7 @@ int main(int argc, char** argv) {
       std::cout << "saved " << app << "/" << device_name << " model to "
                 << out << "\n";
     }
-    run_serve_mode(cli, registry);
+    run_serve_mode(cli, registry, session.ledger());
     core::print_sweep_report(std::cout, report);
     session.finish(std::cout, "frequency_advisor",
                    core::sweep_report_to_json(report));

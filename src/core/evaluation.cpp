@@ -65,9 +65,20 @@ std::vector<std::size_t> training_rows_excluding(const Dataset& dataset,
   return rows;
 }
 
+/// A fresh frequency model cloned from `prototype` (null = Random Forest
+/// default), trained on `train_rows`.
+DomainSpecificModel train_model(const Dataset& dataset,
+                                std::span<const std::size_t> train_rows,
+                                const ml::Regressor* prototype) {
+  DomainSpecificModel model =
+      prototype ? DomainSpecificModel(*prototype) : DomainSpecificModel();
+  model.train(dataset, train_rows);
+  return model;
+}
+
 /// The frequency model's and the GP baseline's curves for one held-out
-/// group over its truth frequencies: a fresh model trained on
-/// `train_rows`, queried with the group's own row prefix.
+/// group over its truth frequencies: `model` queried with the group's own
+/// row prefix.
 struct FoldPredictions {
   Prediction ds;
   Prediction gp;
@@ -77,31 +88,26 @@ FoldPredictions predict_fold(
     const Dataset& dataset,
     std::span<const std::unique_ptr<Workload>> workloads,
     const GeneralPurposeModel& gp, int group,
-    std::span<const std::size_t> train_rows, const ml::Regressor* prototype,
-    std::span<const double> freqs_mhz) {
+    const DomainSpecificModel& model, std::span<const double> freqs_mhz) {
   const auto ug = static_cast<std::size_t>(group);
   const auto prefix = dataset.x.row(dataset.rows_of_group(group).front());
   const double default_freq = dataset.default_freq_mhz[ug];
-  DomainSpecificModel model =
-      prototype ? DomainSpecificModel(*prototype) : DomainSpecificModel();
-  model.train(dataset, train_rows);
   return {model.predict(prefix.first(prefix.size() - 1), freqs_mhz,
                         default_freq),
           gp.predict(workloads[ug]->aggregate_profile(), freqs_mhz,
                      default_freq)};
 }
 
-/// Scores one held-out group given its training rows: the shared kernel of
-/// the LOOCV and the extrapolation split. Each call trains on disjoint
-/// state and fills one pre-sized row.
+/// Scores one held-out group with a model trained without it: the shared
+/// kernel of the LOOCV and the extrapolation split. Fills one pre-sized
+/// row.
 void score_fold(const Dataset& dataset,
                 std::span<const std::unique_ptr<Workload>> workloads,
                 const GeneralPurposeModel& gp, int group,
-                std::span<const std::size_t> train_rows,
-                const ml::Regressor* prototype, AccuracyRow& row) {
+                const DomainSpecificModel& model, AccuracyRow& row) {
   const TruthCurves truth = truth_curves(dataset, group);
-  const FoldPredictions pred = predict_fold(
-      dataset, workloads, gp, group, train_rows, prototype, truth.freqs_mhz);
+  const FoldPredictions pred = predict_fold(dataset, workloads, gp, group,
+                                            model, truth.freqs_mhz);
   row.input = dataset.group_names[static_cast<std::size_t>(group)];
   row.ds_speedup_mape = stats::mape(truth.speedup, pred.ds.speedup);
   row.ds_energy_mape = stats::mape(truth.norm_energy, pred.ds.norm_energy);
@@ -151,8 +157,10 @@ AccuracyReport evaluate_accuracy(
     metrics::counter("loocv.folds");
     metrics::ScopedTimer fold_timer("loocv.fold_s");
     const int g = dataset.group_of(report[i]);
-    score_fold(dataset, workloads, gp, g, training_rows_excluding(dataset, g),
-               prototype, out.rows[i]);
+    score_fold(dataset, workloads, gp, g,
+               train_model(dataset, training_rows_excluding(dataset, g),
+                           prototype),
+               out.rows[i]);
   }
   return out;
 }
@@ -175,10 +183,10 @@ ParetoEvaluation evaluate_pareto(
   ParetoEvaluation out;
   out.truth = truth_curves(dataset, g);
   out.true_front = pareto_front(out.truth.speedup, out.truth.norm_energy);
-  const FoldPredictions pred =
-      predict_fold(dataset, workloads, gp, g,
-                   training_rows_excluding(dataset, g), prototype,
-                   out.truth.freqs_mhz);
+  const FoldPredictions pred = predict_fold(
+      dataset, workloads, gp, g,
+      train_model(dataset, training_rows_excluding(dataset, g), prototype),
+      out.truth.freqs_mhz);
 
   // Predicted Pareto frequency sets come from the *predicted* objectives;
   // they are then judged at the *measured* objectives those frequencies
@@ -240,10 +248,12 @@ ExtrapolationReport evaluate_extrapolation(
   trace::Span span("extrapolation.evaluate", trace::cat::kEval);
   span.value(static_cast<double>(holdout_count));
   metrics::ScopedTimer timer("eval.extrapolation_s");
+  // Every held-out group is scored by the one model trained on the rest.
+  const DomainSpecificModel model = train_model(dataset, train_rows, prototype);
   out.accuracy.rows.resize(by_work.size());
-  for (std::size_t i = 0; i < by_work.size(); ++i) { // serial, as above
-    score_fold(dataset, workloads, gp, by_work[i].second, train_rows,
-               prototype, out.accuracy.rows[i]);
+  for (std::size_t i = 0; i < by_work.size(); ++i) {
+    score_fold(dataset, workloads, gp, by_work[i].second, model,
+               out.accuracy.rows[i]);
   }
   return out;
 }

@@ -5,7 +5,6 @@
 #include "common/trace.hpp"
 #include "core/features.hpp"
 #include "core/sweep.hpp"
-#include "ml/serialize.hpp"
 
 namespace dsem::core {
 
@@ -117,25 +116,6 @@ void GeneralPurposeModel::train(
   energy_model_->fit(x, y_energy);
   training_rows_ = row;
   trained_ = true;
-}
-
-json::Value GeneralPurposeModel::to_json() const {
-  DSEM_ENSURE(trained_, "serialize of an untrained GeneralPurposeModel");
-  auto out = json::Value::object();
-  out.set("training_rows", training_rows_);
-  out.set("speedup", ml::regressor_to_json(*speedup_model_));
-  out.set("energy", ml::regressor_to_json(*energy_model_));
-  return out;
-}
-
-GeneralPurposeModel GeneralPurposeModel::from_json(const json::Value& value) {
-  GeneralPurposeModel model;
-  model.speedup_model_ = ml::regressor_from_json(value.at("speedup"));
-  model.energy_model_ = ml::regressor_from_json(value.at("energy"));
-  model.training_rows_ = json::as_integer<std::size_t>(
-      value.at("training_rows"), "gp model: training_rows");
-  model.trained_ = true;
-  return model;
 }
 
 Prediction GeneralPurposeModel::predict(const sim::KernelProfile& profile,

@@ -11,7 +11,6 @@
 
 #include <memory>
 
-#include "common/json.hpp"
 #include "core/ds_model.hpp" // for Prediction
 #include "core/sweep.hpp"
 #include "microbench/suite.hpp"
@@ -51,12 +50,6 @@ public:
   Prediction predict(const sim::KernelProfile& profile,
                      std::span<const double> freqs_mhz,
                      double default_freq_mhz) const;
-
-  /// Serializes the trained model (both regressors, via ml/serialize) so
-  /// it can be stored in a "dsem-model-v1" artifact (serve/artifact.hpp).
-  /// Round-trips bit-identically. Throws for untrained models.
-  json::Value to_json() const;
-  static GeneralPurposeModel from_json(const json::Value& value);
 
 private:
   std::unique_ptr<ml::Regressor> speedup_model_;

@@ -266,19 +266,4 @@ void Ledger::write_file(const std::string& path) const {
   json::write_file(path, [&](json::Writer& w) { write(w, false); });
 }
 
-Ledger& Ledger::global() {
-  static Ledger* ledger = new Ledger;
-  return *ledger;
-}
-
-namespace detail {
-
-std::atomic<bool> g_enabled{false};
-
-} // namespace detail
-
-void set_enabled(bool on) noexcept {
-  detail::g_enabled.store(on, std::memory_order_relaxed);
-}
-
 } // namespace dsem::obs

@@ -21,17 +21,16 @@
 //    alone: id = "<req|job>-" + 16 hex digits of
 //    derive_seed(fnv1a64(kind), index). The same trace position gets the
 //    same id under every policy, pool size, and run.
-//  - The disabled path is one relaxed-atomic load and branch per call
-//    site, like trace and metrics (overhead regression test < 1 µs/op).
+//  - A run with no ledger pays one null check per record site.
 //
-// Enabling: pass --ledger-out to a driver binary (obs::Session turns the
-// global ledger on and writes it at the end of the run), or hand the loops
-// an explicit sink (ServeConfig::ledger / SchedConfig::ledger) — an
-// explicit sink records regardless of the global switch, which is what
-// the tests use. active_ledger() below is that rule.
+// Sink: a ledger is an ordinary object. The serve loop and the scheduler
+// record into the one their config names (ServeConfig::ledger /
+// SchedConfig::ledger) and record nothing when it is null. A driver's
+// --ledger-out ledger is owned by its obs::Session, which hands it out as
+// Session::ledger() and writes it at the end of the run; tests and
+// dsem_bench pass their own.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -175,10 +174,6 @@ public:
   /// once the whole document is written (json::write_file).
   void write_file(const std::string& path) const;
 
-  /// The process-wide ledger --ledger-out (obs::Session) records into.
-  /// Never destroyed.
-  static Ledger& global();
-
 private:
   /// The one ledger layout: streams the document straight from the
   /// records.
@@ -189,31 +184,5 @@ private:
   std::vector<RequestRecord> requests_;
   std::vector<JobRecord> jobs_;
 };
-
-namespace detail {
-
-extern std::atomic<bool> g_enabled;
-
-} // namespace detail
-
-/// True when the global ledger is recording. The only cost the loops pay
-/// when the ledger is off: one relaxed atomic load and a branch.
-inline bool enabled() noexcept {
-  return detail::g_enabled.load(std::memory_order_relaxed);
-}
-
-/// Turns global recording on or off (obs::Session calls this for
-/// --ledger-out).
-void set_enabled(bool on) noexcept;
-
-/// The sink a serve or sched run records into, resolved once per run:
-/// `explicit_sink` when set, else the global ledger while enabled(), else
-/// null (record nothing).
-inline Ledger* active_ledger(Ledger* explicit_sink) {
-  if (explicit_sink != nullptr) {
-    return explicit_sink;
-  }
-  return enabled() ? &Ledger::global() : nullptr;
-}
 
 } // namespace dsem::obs

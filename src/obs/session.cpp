@@ -5,7 +5,6 @@
 #include "common/cli.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
-#include "obs/ledger.hpp"
 
 namespace dsem::obs {
 
@@ -47,7 +46,7 @@ Session::Session(const CliParser& cli)
     metrics::set_enabled(true);
   }
   if (!ledger_out_.empty()) {
-    obs::set_enabled(true);
+    ledger_ = std::make_unique<Ledger>();
   }
 }
 
@@ -66,13 +65,12 @@ void Session::finish(std::ostream& os, const std::string& program,
     os << "\nrun manifest written to " << metrics_out_ << "\n";
     metrics::Registry::global().snapshot().write_table(os);
   }
-  if (!ledger_out_.empty()) {
-    Ledger& ledger = Ledger::global();
-    ledger.config().program = program;
-    ledger.write_file(ledger_out_);
+  if (ledger_ != nullptr) {
+    ledger_->config().program = program;
+    ledger_->write_file(ledger_out_);
     os << "\nledger written to " << ledger_out_ << " ("
-       << ledger.requests().size() << " requests, " << ledger.jobs().size()
-       << " jobs)\n";
+       << ledger_->requests().size() << " requests, "
+       << ledger_->jobs().size() << " jobs)\n";
   }
 }
 

@@ -9,17 +9,25 @@
 // footer. A sink whose flag is empty stays off, so the instrumented hot
 // paths keep their one-relaxed-load disabled branch.
 //
+// Trace and metrics are process-global, because every layer reports into
+// them. The ledger is not: the session owns the run's Ledger, and the
+// driver hands it to the one run it should record through
+// ServeConfig::ledger or SchedConfig::ledger.
+//
 //   obs::Session::add_cli_options(cli);
 //   if (!cli.parse(argc, argv)) return 0;
 //   const obs::Session session(cli);
+//   config.ledger = session.ledger();
 //   ... run ...
 //   session.finish(std::cout, "program", core::sweep_report_to_json(report));
 #pragma once
 
 #include <iosfwd>
+#include <memory>
 #include <string>
 
 #include "common/json.hpp"
+#include "obs/ledger.hpp"
 
 namespace dsem {
 class CliParser;
@@ -45,6 +53,10 @@ public:
   /// Reads the parsed flags and turns on the sinks they name.
   explicit Session(const CliParser& cli);
 
+  /// The run's ledger when --ledger-out is set, else null. finish()
+  /// writes what was recorded into it.
+  Ledger* ledger() const noexcept { return ledger_.get(); }
+
   /// Writes what the flags requested, in this order: the Chrome trace and
   /// its summary table, the run manifest (embedding `sweep_report`) and
   /// the metrics table, the ledger and its record counts. Writes and
@@ -56,6 +68,7 @@ private:
   std::string trace_out_;
   std::string metrics_out_;
   std::string ledger_out_;
+  std::unique_ptr<Ledger> ledger_;
 };
 
 } // namespace dsem::obs

@@ -98,8 +98,7 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
   stats_ = SchedStats{};
   stats_.jobs = jobs.size();
 
-  // Attribution-ledger sink, resolved once per run (see ServeLoop::run).
-  obs::Ledger* const ledger = obs::active_ledger(config_.ledger);
+  obs::Ledger* const ledger = config_.ledger;
 
   const sim::DeviceSpec& spec = cluster_.device(0).spec();
   const double default_mhz = cluster_.device(0).default_frequency();
@@ -117,9 +116,6 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
       if (slot == nullptr) {
         slot = registry_.require(
             serve::ModelKey{job.spec.application, config_.device});
-        DSEM_ENSURE(slot->is_advisable(),
-                    "sched: scheduler requires a domain-specific or "
-                    "hybrid model for " + slot->key.to_string());
       }
     }
   }

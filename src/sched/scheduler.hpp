@@ -79,10 +79,8 @@ struct SchedConfig {
   std::size_t freq_stride = 4;
   /// Base seed of the per-job execution noise streams (derived by index).
   std::uint64_t seed = 0x5C4EDULL;
-  /// Explicit attribution-ledger sink: when set, every job is recorded
-  /// here regardless of obs::enabled(). When null, records go to
-  /// obs::Ledger::global() iff the global switch is on (--ledger-out).
-  /// See obs::active_ledger.
+  /// Attribution-ledger sink: every job of a run() is recorded here;
+  /// null records nothing. Drivers pass obs::Session::ledger().
   obs::Ledger* ledger = nullptr;
 };
 

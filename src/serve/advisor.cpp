@@ -104,8 +104,6 @@ std::string cache_key(const ModelKey& key, const AdviseRequest& request,
 
 AdviseAnswer Advisor::advise(const ModelArtifact& artifact,
                              const AdviseRequest& request) const {
-  DSEM_ENSURE(artifact.is_advisable(),
-              "advisor: serving needs a domain-specific or hybrid artifact");
   DSEM_ENSURE(request.application == artifact.key.application,
               "advisor: request for \"" + request.application +
                   "\" routed to model " + artifact.key.to_string());

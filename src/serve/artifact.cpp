@@ -15,8 +15,6 @@ const char* kind_name(ModelKind kind) {
     return "domain-specific";
   case ModelKind::kHybrid:
     return "hybrid";
-  case ModelKind::kGeneralPurpose:
-    return "general-purpose";
   }
   throw contract_error("model artifact: invalid kind");
 }
@@ -24,8 +22,7 @@ const char* kind_name(ModelKind kind) {
 } // namespace
 
 void ModelArtifact::validate() const {
-  DSEM_ENSURE(is_advisable() ? ds != nullptr && ds->trained()
-                             : gp != nullptr && gp->trained(),
+  DSEM_ENSURE(ds != nullptr && ds->trained(),
               std::string("artifact: no trained ") + kind_name(kind) +
                   " model");
 }
@@ -33,7 +30,7 @@ void ModelArtifact::validate() const {
 core::Prediction
 ModelArtifact::predict(std::span<const double> features,
                        std::span<const double> freqs) const {
-  DSEM_ENSURE(is_advisable() && ds != nullptr,
+  DSEM_ENSURE(ds != nullptr,
               "artifact: " + key.to_string() + " has no frequency model");
   if (kind == ModelKind::kDomainSpecific) {
     return ds->predict(features, freqs, default_freq_mhz);
@@ -70,8 +67,7 @@ json::Value ModelArtifact::to_json() const {
   }
   out.set("freqs_mhz", std::move(freqs));
   out.set("default_freq_mhz", default_freq_mhz);
-  out.set("model", is_advisable() ? ds->to_json(kind == ModelKind::kHybrid)
-                                  : gp->to_json());
+  out.set("model", ds->to_json(kind == ModelKind::kHybrid));
   return out;
 }
 
@@ -101,29 +97,23 @@ ModelArtifact ModelArtifact::from_json(const json::Value& value) {
               "model artifact: non-positive default clock");
 
   const std::string& kind = value.at("kind").as_string();
-  if (kind == "domain-specific" || kind == "hybrid") {
-    artifact.kind = kind == "hybrid" ? ModelKind::kHybrid
-                                     : ModelKind::kDomainSpecific;
-    artifact.ds = std::make_shared<core::DomainSpecificModel>(
-        core::DomainSpecificModel::from_json(
-            value.at("model"), artifact.kind == ModelKind::kHybrid));
-    // Every split must read inside the query row the artifact builds:
-    // the domain features plus frequency, or the hybrid payload's width.
-    const std::size_t row_width = artifact.kind == ModelKind::kHybrid
-                                      ? artifact.ds->input_width()
-                                      : artifact.feature_names.size() + 1;
-    for (const ml::Regressor* model :
-         {&artifact.ds->time_model(), &artifact.ds->energy_model()}) {
-      DSEM_ENSURE(ml::split_width(*model) <= row_width,
-                  "model artifact: trees split past the " +
-                      std::to_string(row_width) + "-column query row");
-    }
-  } else if (kind == "general-purpose") {
-    artifact.kind = ModelKind::kGeneralPurpose;
-    artifact.gp = std::make_shared<core::GeneralPurposeModel>(
-        core::GeneralPurposeModel::from_json(value.at("model")));
-  } else {
-    throw contract_error("model artifact: unknown kind \"" + kind + "\"");
+  DSEM_ENSURE(kind == "domain-specific" || kind == "hybrid",
+              "model artifact: unknown kind \"" + kind + "\"");
+  artifact.kind =
+      kind == "hybrid" ? ModelKind::kHybrid : ModelKind::kDomainSpecific;
+  artifact.ds = std::make_shared<core::DomainSpecificModel>(
+      core::DomainSpecificModel::from_json(
+          value.at("model"), artifact.kind == ModelKind::kHybrid));
+  // Every split must read inside the query row the artifact builds: the
+  // domain features plus frequency, or the hybrid payload's width.
+  const std::size_t row_width = artifact.kind == ModelKind::kHybrid
+                                    ? artifact.ds->input_width()
+                                    : artifact.feature_names.size() + 1;
+  for (const ml::Regressor* model :
+       {&artifact.ds->time_model(), &artifact.ds->energy_model()}) {
+    DSEM_ENSURE(ml::split_width(*model) <= row_width,
+                "model artifact: trees split past the " +
+                    std::to_string(row_width) + "-column query row");
   }
   return artifact;
 }

@@ -1,8 +1,8 @@
 // Serialized model artifacts: the "dsem-model-v1" schema (DESIGN.md §7.11).
 //
-// The serving layer's unit of deployment: one trained model — the paper's
-// domain-specific family, its hybrid variant over fused rows, or the
-// general-purpose baseline — bundled with everything a server needs to
+// The serving layer's unit of deployment: one trained frequency model —
+// the paper's domain-specific family or its hybrid variant over fused
+// rows — bundled with everything a server needs to
 // answer queries without re-profiling the device: the (application,
 // device) key, the frequency schedule it was trained over, the default
 // clock used as the speedup/energy baseline, and the domain feature names
@@ -23,7 +23,6 @@
 
 #include "common/json.hpp"
 #include "core/ds_model.hpp"
-#include "core/gp_model.hpp"
 
 namespace dsem::serve {
 
@@ -43,12 +42,10 @@ struct ModelKey {
 enum class ModelKind {
   kDomainSpecific, ///< `ds` over [domain features..., frequency] rows
   kHybrid,         ///< `ds` over core::fuse_dataset rows
-  kGeneralPurpose, ///< `gp`, the static-feature baseline
 };
 
-/// One deployable model. The domain-specific and hybrid kinds keep their
-/// frequency model in `ds` and answer per-input queries through predict();
-/// the general-purpose kind keeps `gp` and is not advisable.
+/// One deployable model: a trained frequency model in `ds` that answers
+/// per-input queries through predict().
 struct ModelArtifact {
   ModelKey key;
   std::string origin; ///< provenance, e.g. "trained-in-process" or a path
@@ -57,16 +54,8 @@ struct ModelArtifact {
   double default_freq_mhz = 0.0;          ///< baseline clock
   ModelKind kind = ModelKind::kDomainSpecific;
   std::shared_ptr<const core::DomainSpecificModel> ds;
-  std::shared_ptr<const core::GeneralPurposeModel> gp;
 
-  /// True for the kinds that answer advisor queries (per-input time/energy
-  /// curves): domain-specific and hybrid.
-  bool is_advisable() const noexcept {
-    return kind != ModelKind::kGeneralPurpose;
-  }
-
-  /// Throws contract_error unless the slot `kind` names holds a trained
-  /// model.
+  /// Throws contract_error unless `ds` holds a trained model.
   void validate() const;
 
   /// The frequency model's curves for one request's domain `features`

@@ -60,10 +60,8 @@ struct ServeConfig {
   /// Simulated service cost of a cache hit / miss, seconds.
   double hit_cost_s = 2e-6;
   double miss_cost_s = 2e-4;
-  /// Explicit attribution-ledger sink: when set, every request is
-  /// recorded here regardless of obs::enabled(). When null, records go
-  /// to obs::Ledger::global() iff the global switch is on (--ledger-out).
-  /// See obs::active_ledger.
+  /// Attribution-ledger sink: every request of a run() is recorded here;
+  /// null records nothing. Drivers pass obs::Session::ledger().
   obs::Ledger* ledger = nullptr;
 };
 

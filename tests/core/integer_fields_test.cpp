@@ -1,7 +1,7 @@
-// Integer fields read from dsem-dataset-v1 and the general-purpose model
-// payload go through json::as_integer: a fractional, non-finite or
-// out-of-range number raises contract_error instead of truncating,
-// allocating without bound, or casting out of range.
+// Integer fields read from dsem-dataset-v1 go through json::as_integer:
+// a fractional, non-finite or out-of-range number raises contract_error
+// instead of truncating, allocating without bound, or casting out of
+// range.
 #include <limits>
 #include <vector>
 
@@ -9,9 +9,6 @@
 
 #include "common/error.hpp"
 #include "core/dataset.hpp"
-#include "core/gp_model.hpp"
-#include "ml/serialize.hpp"
-#include "ml/tree.hpp"
 
 namespace dsem::core {
 namespace {
@@ -57,34 +54,6 @@ TEST(IntegerFields, DatasetGroupIdsMustBeIntegers) {
     json::Value doc = small_dataset();
     doc.at("groups").as_array()[1] = json::Value(group);
     EXPECT_THROW(dataset_from_json(doc), contract_error) << "group " << group;
-  }
-}
-
-json::Value gp_payload(double training_rows) {
-  ml::Matrix x(4, 1);
-  const std::vector<double> y = {1.0, 2.0, 3.0, 4.0};
-  for (std::size_t r = 0; r < 4; ++r) {
-    x(r, 0) = static_cast<double>(r);
-  }
-  ml::DecisionTreeRegressor tree;
-  tree.fit(x, y);
-  auto out = json::Value::object();
-  out.set("training_rows", training_rows);
-  out.set("speedup", ml::regressor_to_json(tree));
-  out.set("energy", ml::regressor_to_json(tree));
-  return out;
-}
-
-TEST(IntegerFields, GpTrainingRowsMustBeANonNegativeInteger) {
-  const GeneralPurposeModel model =
-      GeneralPurposeModel::from_json(gp_payload(4.0));
-  EXPECT_TRUE(model.trained());
-  EXPECT_EQ(model.to_json().at("training_rows").as_number(), 4.0);
-  for (const double rows : {4.5, -1.0, 1e20, kInf, -kInf,
-                            std::numeric_limits<double>::quiet_NaN()}) {
-    EXPECT_THROW(GeneralPurposeModel::from_json(gp_payload(rows)),
-                 contract_error)
-        << "training_rows " << rows;
   }
 }
 

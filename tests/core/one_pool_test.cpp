@@ -58,8 +58,10 @@ GeneralPurposeModel trained_gp() {
   return gp;
 }
 
-// The high-water mark of live clones of one prototype.
+// The clones of one prototype: how many were made, and the high-water
+// mark of how many were alive at once.
 struct CloneCount {
+  std::atomic<int> total{0};
   std::atomic<int> live{0};
   std::atomic<int> peak{0};
 };
@@ -73,6 +75,7 @@ public:
       : count_(std::move(count)), counted_(counted),
         forest_(ml::ForestParams{.n_estimators = 16}) {
     if (counted_) {
+      ++count_->total;
       const int now = ++count_->live;
       int peak = count_->peak.load();
       while (now > peak && !count_->peak.compare_exchange_weak(peak, now)) {
@@ -125,7 +128,8 @@ TEST(OnePool, SerialPoolRunsTheForestFitsInsideEachFoldInline) {
 
 // A fold model is two forests of full-depth trees, the largest thing a
 // LOOCV run holds. With the folds run one after another, a wide pool
-// still holds one fold's time and energy clones at a time.
+// still holds one fold's time and energy clones at a time. The
+// extrapolation split trains one model for all its held-out groups.
 TEST(OnePool, LoocvKeepsOneFoldModelAlive) {
   ScopedGlobalPool pool(4);
   const auto workloads = cronos_workloads({10, 16, 20, 28, 40});
@@ -137,13 +141,16 @@ TEST(OnePool, LoocvKeepsOneFoldModelAlive) {
   const AccuracyReport loocv =
       evaluate_accuracy(dataset, workloads, gp, {}, &prototype);
   EXPECT_EQ(loocv.rows.size(), workloads.size());
+  EXPECT_EQ(count->total.load(), 2 * static_cast<int>(workloads.size()));
   EXPECT_EQ(count->peak.load(), 2);
   EXPECT_EQ(count->live.load(), 0);
 
+  count->total = 0;
   count->peak = 0;
   const ExtrapolationReport extrapolation =
       evaluate_extrapolation(dataset, workloads, gp, 3, &prototype);
   EXPECT_EQ(extrapolation.accuracy.rows.size(), 3u);
+  EXPECT_EQ(count->total.load(), 2);
   EXPECT_EQ(count->peak.load(), 2);
   EXPECT_EQ(count->live.load(), 0);
 }

@@ -1,6 +1,7 @@
 // obs::Session: the --trace-out / --metrics-out / --ledger-out flags are
 // the only switches of the three observability sinks, and finish() writes
-// exactly the files they name, each followed by its stdout footer.
+// exactly the files they name, each followed by its stdout footer. The
+// ledger is the session's own, handed to a run as its config's sink.
 #include "obs/session.hpp"
 
 #include <cstdlib>
@@ -20,8 +21,8 @@
 namespace dsem::obs {
 namespace {
 
-/// The sinks are process-global: every test starts and ends with all
-/// three off and empty.
+/// Trace and metrics are process-global: every test starts and ends with
+/// both off and empty.
 class SessionTest : public ::testing::Test {
 protected:
   void SetUp() override { reset_sinks(); }
@@ -30,10 +31,8 @@ protected:
   static void reset_sinks() {
     trace::set_enabled(false);
     metrics::set_enabled(false);
-    set_enabled(false);
     trace::Tracer::global().clear();
     metrics::Registry::global().clear();
-    Ledger::global().clear();
   }
 };
 
@@ -49,6 +48,22 @@ CliParser parsed(const std::vector<std::string>& args) {
   return cli;
 }
 
+/// Serves three cronos requests through a loop recording into `ledger`.
+void serve_three_requests(Ledger* ledger) {
+  serve::ModelRegistry registry;
+  registry.put(serve_test::synthetic_artifact(0x5E55));
+  serve::ServeConfig config;
+  config.ledger = ledger;
+  serve::ServeLoop loop(registry, config);
+  std::vector<serve::TimedRequest> requests(3);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    requests[i].arrival_s = 1e-3 * static_cast<double>(i);
+    requests[i].request.application = "cronos";
+    requests[i].request.features = {40.0, 10.0, 500.0};
+  }
+  loop.run(requests);
+}
+
 TEST_F(SessionTest, FlagsTurnSinksOnAndFinishWritesEachFile) {
   const std::string trace_path =
       testing::TempDir() + "dsem_session_trace.json";
@@ -59,19 +74,10 @@ TEST_F(SessionTest, FlagsTurnSinksOnAndFinishWritesEachFile) {
                                 run_path, "--ledger-out", ledger_path}));
   EXPECT_TRUE(trace::enabled());
   EXPECT_TRUE(metrics::enabled());
-  EXPECT_TRUE(enabled());
+  ASSERT_NE(session.ledger(), nullptr);
 
-  // No explicit sink: the serve loop records into the global ledger.
-  serve::ModelRegistry registry;
-  registry.put(serve_test::synthetic_artifact(0x5E55));
-  serve::ServeLoop loop(registry, serve::ServeConfig{});
-  std::vector<serve::TimedRequest> requests(3);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    requests[i].arrival_s = 1e-3 * static_cast<double>(i);
-    requests[i].request.application = "cronos";
-    requests[i].request.features = {40.0, 10.0, 500.0};
-  }
-  loop.run(requests);
+  // The driver idiom: the run's config names the session's ledger.
+  serve_three_requests(session.ledger());
 
   auto sweep_report = json::Value::object();
   sweep_report.set("grid_points", 7);
@@ -105,11 +111,29 @@ TEST_F(SessionTest, FlagsTurnSinksOnAndFinishWritesEachFile) {
   EXPECT_LT(run_at, ledger_at);
 }
 
+TEST_F(SessionTest, LoopWithoutASinkRecordsNothing) {
+  const std::string ledger_path =
+      testing::TempDir() + "dsem_session_no_sink.json";
+  const Session session(parsed({"--ledger-out", ledger_path}));
+  ASSERT_NE(session.ledger(), nullptr);
+
+  // A run whose config names no ledger records nowhere, not even into the
+  // session's.
+  serve_three_requests(nullptr);
+
+  std::ostringstream out;
+  session.finish(out, "session_test");
+  EXPECT_TRUE(session.ledger()->requests().empty());
+  EXPECT_TRUE(json::read_file(ledger_path).at("requests").as_array().empty());
+  EXPECT_EQ(out.str(), "\nledger written to " + ledger_path +
+                           " (0 requests, 0 jobs)\n");
+}
+
 TEST_F(SessionTest, NoFlagsLeavesSinksOffAndWritesNothing) {
   const Session session(parsed({}));
   EXPECT_FALSE(trace::enabled());
   EXPECT_FALSE(metrics::enabled());
-  EXPECT_FALSE(enabled());
+  EXPECT_EQ(session.ledger(), nullptr);
   std::ostringstream out;
   session.finish(out, "session_test");
   EXPECT_EQ(out.str(), "");
@@ -126,7 +150,7 @@ TEST_F(SessionTest, EnvironmentVariablesNoLongerTurnSinksOn) {
   const Session session(parsed({}));
   EXPECT_FALSE(trace::enabled());
   EXPECT_FALSE(metrics::enabled());
-  EXPECT_FALSE(enabled());
+  EXPECT_EQ(session.ledger(), nullptr);
   for (const char* var : vars) {
     unsetenv(var);
   }

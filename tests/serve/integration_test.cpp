@@ -1,12 +1,11 @@
 // Cross-component serving tests (grouped suite, heavy tier): the
-// train-once / load-anywhere contract against really-trained models, a
-// general-purpose artifact round trip, and an end-to-end serve run.
+// train-once / load-anywhere contract against really-trained models and
+// an end-to-end serve run.
 #include <array>
 #include <cstdio>
 
 #include <gtest/gtest.h>
 
-#include "microbench/suite.hpp"
 #include "serve/loop.hpp"
 #include "serve_test_util.hpp"
 
@@ -55,44 +54,6 @@ TEST(ServeIntegration, LoadedModelAnswersExactlyLikeTheTrainedOne) {
           << workload.name() << " @ " << budget;
     }
   }
-}
-
-TEST(ServeIntegration, GeneralPurposeArtifactRoundTripsBitIdentically) {
-  sim::Device sim_dev(sim::v100(), sim::NoiseConfig{}, 0xAD51);
-  synergy::Device device(sim_dev);
-  // A thin slice of the micro-benchmark corpus keeps this fast; the
-  // serialization path is identical regardless of suite size.
-  auto suite = microbench::make_suite();
-  suite.resize(8);
-  auto gp = std::make_shared<core::GeneralPurposeModel>(
-      ml::RandomForestRegressor(serve_test::small_forest_params(5)));
-  gp->train(device, suite, /*repetitions=*/2, /*freq_stride=*/16);
-
-  ModelArtifact artifact;
-  artifact.key = {"cronos", "v100"};
-  artifact.origin = "test-gp";
-  artifact.feature_names = {};
-  artifact.freqs_mhz = device.supported_frequencies();
-  artifact.default_freq_mhz = device.default_frequency();
-  artifact.kind = serve::ModelKind::kGeneralPurpose;
-  artifact.gp = gp;
-
-  const std::string first = artifact.to_json().dump(2);
-  const ModelArtifact reloaded =
-      ModelArtifact::from_json(json::Value::parse(first));
-  EXPECT_EQ(first, reloaded.to_json().dump(2));
-  ASSERT_NE(reloaded.gp, nullptr);
-  EXPECT_TRUE(reloaded.gp->trained());
-  EXPECT_EQ(reloaded.gp->training_rows(), gp->training_rows());
-
-  const core::CronosWorkload probe(cronos::GridDims{40, 16, 16}, 10);
-  const auto profile = probe.aggregate_profile();
-  const core::Prediction a = gp->predict(profile, artifact.freqs_mhz,
-                                         artifact.default_freq_mhz);
-  const core::Prediction b = reloaded.gp->predict(
-      profile, artifact.freqs_mhz, artifact.default_freq_mhz);
-  EXPECT_EQ(a.speedup, b.speedup);
-  EXPECT_EQ(a.norm_energy, b.norm_energy);
 }
 
 TEST(ServeIntegration, EndToEndServeRunHoldsItsInvariants) {

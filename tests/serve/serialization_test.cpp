@@ -151,9 +151,12 @@ TEST(SerializationTest, TruncatedDocumentIsRejected) {
 }
 
 TEST(SerializationTest, UnknownKindIsRejected) {
-  json::Value doc = synthetic_artifact(6).to_json();
-  doc.set("kind", "bayesian");
-  EXPECT_THROW(ModelArtifact::from_json(doc), contract_error);
+  // "general-purpose" is not a kind either: the GP baseline is never served.
+  for (const char* kind : {"bayesian", "general-purpose"}) {
+    json::Value doc = synthetic_artifact(6).to_json();
+    doc.set("kind", kind);
+    EXPECT_THROW(ModelArtifact::from_json(doc), contract_error) << kind;
+  }
 }
 
 TEST(SerializationTest, TamperedForestIsRejected) {
