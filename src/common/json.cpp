@@ -1,10 +1,10 @@
 #include "common/json.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <ostream>
@@ -301,276 +301,461 @@ void Writer::flush() {
   }
 }
 
+void missing_key(std::string_view key) {
+  throw contract_error("json: missing key: " + std::string(key));
+}
+
 namespace {
 
-/// Recursive-descent parser over a string_view with position tracking.
-class Parser {
-public:
-  explicit Parser(std::string_view text) : text_(text) {}
+bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
 
-  Value parse_document() {
-    Value v = parse_value();
-    skip_whitespace();
-    DSEM_ENSURE(pos_ == text_.size(),
-                "json: trailing characters at offset " + std::to_string(pos_));
-    return v;
+/// Bytes that may continue a number token: one that follows a complete
+/// number ("01", "1.", "1e5e5") makes the whole token invalid.
+bool is_number_byte(char c) noexcept {
+  return is_digit(c) || c == '.' || c == 'e' || c == 'E' || c == '+' ||
+         c == '-';
+}
+
+const char* skip_digits(const char* p, const char* end) noexcept {
+  while (p != end && is_digit(*p)) {
+    ++p;
   }
+  return p;
+}
 
-private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw contract_error("json parse error at offset " + std::to_string(pos_) +
-                         ": " + what);
+void append_utf8(std::string& out, unsigned cp) {
+  if (cp < 0x80) {
+    out += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    out += static_cast<char>(0xC0 | (cp >> 6));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else if (cp < 0x10000) {
+    out += static_cast<char>(0xE0 | (cp >> 12));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else {
+    out += static_cast<char>(0xF0 | (cp >> 18));
+    out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
   }
-
-  char peek() const {
-    if (pos_ >= text_.size()) {
-      fail("unexpected end of input");
-    }
-    return text_[pos_];
-  }
-
-  char next() {
-    const char c = peek();
-    ++pos_;
-    return c;
-  }
-
-  void expect(char c) {
-    if (next() != c) {
-      --pos_;
-      fail(std::string("expected '") + c + "'");
-    }
-  }
-
-  void skip_whitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  Value parse_value() {
-    skip_whitespace();
-    switch (peek()) {
-    case '{':
-    case '[':
-      return parse_nested();
-    case '"':
-      return Value(parse_string());
-    case 't':
-      if (consume_literal("true")) {
-        return Value(true);
-      }
-      fail("invalid literal");
-    case 'f':
-      if (consume_literal("false")) {
-        return Value(false);
-      }
-      fail("invalid literal");
-    case 'n':
-      if (consume_literal("null")) {
-        return Value();
-      }
-      fail("invalid literal");
-    default:
-      return parse_number();
-    }
-  }
-
-  /// Enters one container level; fails past kMaxDepth before recursing,
-  /// so hostile nesting cannot exhaust the stack.
-  Value parse_nested() {
-    if (++depth_ > kMaxDepth) {
-      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
-    }
-    Value out = peek() == '{' ? parse_object() : parse_array();
-    --depth_;
-    return out;
-  }
-
-  Value parse_object() {
-    expect('{');
-    Value out = Value::object();
-    skip_whitespace();
-    if (peek() == '}') {
-      ++pos_;
-      return out;
-    }
-    for (;;) {
-      skip_whitespace();
-      std::string key = parse_string();
-      skip_whitespace();
-      expect(':');
-      out.as_object().emplace_back(std::move(key), parse_value());
-      skip_whitespace();
-      const char c = next();
-      if (c == '}') {
-        return out;
-      }
-      if (c != ',') {
-        --pos_;
-        fail("expected ',' or '}' in object");
-      }
-    }
-  }
-
-  Value parse_array() {
-    expect('[');
-    Value out = Value::array();
-    skip_whitespace();
-    if (peek() == ']') {
-      ++pos_;
-      return out;
-    }
-    for (;;) {
-      out.push_back(parse_value());
-      skip_whitespace();
-      const char c = next();
-      if (c == ']') {
-        return out;
-      }
-      if (c != ',') {
-        --pos_;
-        fail("expected ',' or ']' in array");
-      }
-    }
-  }
-
-  void append_utf8(std::string& out, unsigned cp) {
-    if (cp < 0x80) {
-      out += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      out += static_cast<char>(0xC0 | (cp >> 6));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else if (cp < 0x10000) {
-      out += static_cast<char>(0xE0 | (cp >> 12));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (cp >> 18));
-      out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    }
-  }
-
-  unsigned parse_hex4() {
-    unsigned cp = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = next();
-      cp <<= 4;
-      if (c >= '0' && c <= '9') {
-        cp |= static_cast<unsigned>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        cp |= static_cast<unsigned>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        cp |= static_cast<unsigned>(c - 'A' + 10);
-      } else {
-        --pos_;
-        fail("invalid \\u escape");
-      }
-    }
-    return cp;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      const char c = next();
-      if (c == '"') {
-        return out;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        --pos_;
-        fail("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      const char esc = next();
-      switch (esc) {
-      case '"':
-      case '\\':
-      case '/':
-        out += esc;
-        break;
-      case 'b':
-        out += '\b';
-        break;
-      case 'f':
-        out += '\f';
-        break;
-      case 'n':
-        out += '\n';
-        break;
-      case 'r':
-        out += '\r';
-        break;
-      case 't':
-        out += '\t';
-        break;
-      case 'u': {
-        unsigned cp = parse_hex4();
-        if (cp >= 0xD800 && cp <= 0xDBFF) {
-          // High surrogate: must be followed by \uDC00-\uDFFF.
-          expect('\\');
-          expect('u');
-          const unsigned lo = parse_hex4();
-          if (lo < 0xDC00 || lo > 0xDFFF) {
-            fail("unpaired surrogate in \\u escape");
-          }
-          cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-        } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-          fail("unpaired surrogate in \\u escape");
-        }
-        append_utf8(out, cp);
-        break;
-      }
-      default:
-        --pos_;
-        fail("invalid escape sequence");
-      }
-    }
-  }
-
-  Value parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           ((text_[pos_] >= '0' && text_[pos_] <= '9') || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
-      ++pos_;
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0' || !std::isfinite(v)) {
-      pos_ = start;
-      fail("invalid number");
-    }
-    return Value(v);
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0; ///< containers currently open
-};
+}
 
 } // namespace
+
+void Reader::fail(const std::string& what) const { fail_at(cur_, what); }
+
+void Reader::fail_at(const char* at, const std::string& what) const {
+  throw contract_error("json parse error at offset " +
+                       std::to_string(at - begin_) + ": " + what);
+}
+
+void Reader::skip_whitespace() noexcept {
+  // A pretty-printed document is mostly indentation, so runs of spaces
+  // are skipped eight bytes at a time: the lowest byte that is not a
+  // space ends the run.
+  constexpr std::uint64_t kSpaces = 0x2020202020202020ULL;
+  while (cur_ != end_) {
+    if (std::endian::native == std::endian::little && end_ - cur_ >= 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, cur_, sizeof word);
+      const std::uint64_t other = word ^ kSpaces;
+      if (other == 0) {
+        cur_ += 8;
+        continue;
+      }
+      cur_ += std::countr_zero(other) / 8;
+    }
+    const char c = *cur_;
+    if (c != ' ' && c != '\n' && c != '\t' && c != '\r') {
+      return;
+    }
+    ++cur_;
+  }
+}
+
+char Reader::next_byte() {
+  skip_whitespace();
+  if (cur_ == end_) {
+    fail("unexpected end of input");
+  }
+  return *cur_;
+}
+
+Reader::Kind Reader::peek() {
+  switch (next_byte()) {
+  case '{':
+    return Kind::kObject;
+  case '[':
+    return Kind::kArray;
+  case '"':
+    return Kind::kString;
+  case 't':
+  case 'f':
+    return Kind::kBool;
+  case 'n':
+    return Kind::kNull;
+  default:
+    return Kind::kNumber;
+  }
+}
+
+void Reader::expect_literal(std::string_view literal) {
+  if (static_cast<std::size_t>(end_ - cur_) < literal.size() ||
+      std::memcmp(cur_, literal.data(), literal.size()) != 0) {
+    fail("invalid literal");
+  }
+  cur_ += literal.size();
+}
+
+void Reader::read_null() {
+  if (next_byte() != 'n') {
+    fail("expected null");
+  }
+  expect_literal("null");
+}
+
+bool Reader::read_bool() {
+  const char c = next_byte();
+  if (c != 't' && c != 'f') {
+    fail("expected true or false");
+  }
+  expect_literal(c == 't' ? "true" : "false");
+  return c == 't';
+}
+
+double Reader::read_number() {
+  const char c = next_byte();
+  if (c == '"' || c == '{' || c == '[' || c == 't' || c == 'f' || c == 'n') {
+    fail("expected a number");
+  }
+  // RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+  const char* const start = cur_;
+  const char* p = start;
+  const bool negative = *p == '-';
+  p += negative ? 1 : 0;
+  const char* const int_begin = p;
+  if (p == end_ || !is_digit(*p)) {
+    fail_at(start, "invalid number");
+  }
+  p = *p == '0' ? p + 1 : skip_digits(p, end_);
+  const char* const int_end = p;
+  const char* frac_end = p;
+  if (p != end_ && *p == '.') {
+    ++p;
+    if (p == end_ || !is_digit(*p)) {
+      fail_at(start, "invalid number");
+    }
+    p = frac_end = skip_digits(p, end_);
+  }
+  long exponent = 0; // saturates: only its sign matters past the range
+  if (p != end_ && (*p == 'e' || *p == 'E')) {
+    ++p;
+    const bool negative_exponent = p != end_ && *p == '-';
+    if (p != end_ && (*p == '+' || *p == '-')) {
+      ++p;
+    }
+    if (p == end_ || !is_digit(*p)) {
+      fail_at(start, "invalid number");
+    }
+    for (; p != end_ && is_digit(*p); ++p) {
+      exponent = std::min(exponent * 10 + (*p - '0'), 1'000'000'000L);
+    }
+    exponent = negative_exponent ? -exponent : exponent;
+  }
+  if (p != end_ && is_number_byte(*p)) {
+    fail_at(start, "invalid number");
+  }
+  double value = 0.0;
+  const auto [parsed_end, error] = std::from_chars(start, p, value);
+  if (error == std::errc::result_out_of_range) {
+    // from_chars reports overflow and underflow alike and leaves `value`
+    // alone, so tell them apart from the text: the magnitude is at least
+    // 1 exactly when the first significant digit sits left of the point
+    // once the exponent is applied.
+    long lead = 0; // decimal exponent of that digit, plus one
+    const char* digit = int_begin;
+    for (; digit != int_end && *digit == '0'; ++digit) {
+    }
+    if (digit != int_end) {
+      lead = static_cast<long>(int_end - digit);
+    } else {
+      for (digit = int_end + 1; digit < frac_end && *digit == '0'; ++digit) {
+      }
+      lead = -static_cast<long>(digit - (int_end + 1));
+    }
+    if (lead + exponent > 0) {
+      fail_at(start, "number out of range");
+    }
+    value = negative ? -0.0 : 0.0; // below the smallest subnormal
+  } else if (error != std::errc() || parsed_end != p) {
+    fail_at(start, "invalid number");
+  }
+  cur_ = p;
+  return value;
+}
+
+unsigned Reader::hex4() {
+  unsigned cp = 0;
+  for (int i = 0; i < 4; ++i, ++cur_) {
+    if (cur_ == end_) {
+      fail("unexpected end of input");
+    }
+    const char c = *cur_;
+    cp <<= 4;
+    if (is_digit(c)) {
+      cp |= static_cast<unsigned>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      cp |= static_cast<unsigned>(c - 'a' + 10);
+    } else if (c >= 'A' && c <= 'F') {
+      cp |= static_cast<unsigned>(c - 'A' + 10);
+    } else {
+      fail("invalid \\u escape");
+    }
+  }
+  return cp;
+}
+
+std::string_view Reader::string_token() {
+  ++cur_; // the opening quote
+  const char* const start = cur_;
+  // Fast path: no escape before the closing quote.
+  for (; cur_ != end_; ++cur_) {
+    const auto c = static_cast<unsigned char>(*cur_);
+    if (c == '"') {
+      return std::string_view(start, static_cast<std::size_t>(cur_++ - start));
+    }
+    if (c == '\\') {
+      break;
+    }
+    if (c < 0x20) {
+      fail("unescaped control character in string");
+    }
+  }
+  scratch_.assign(start, cur_);
+  for (;;) {
+    if (cur_ == end_) {
+      fail("unexpected end of input");
+    }
+    const char c = *cur_++;
+    if (c == '"') {
+      return scratch_;
+    }
+    if (static_cast<unsigned char>(c) < 0x20) {
+      --cur_;
+      fail("unescaped control character in string");
+    }
+    if (c != '\\') {
+      scratch_ += c;
+      continue;
+    }
+    if (cur_ == end_) {
+      fail("unexpected end of input");
+    }
+    const char esc = *cur_++;
+    switch (esc) {
+    case '"':
+    case '\\':
+    case '/':
+      scratch_ += esc;
+      break;
+    case 'b':
+      scratch_ += '\b';
+      break;
+    case 'f':
+      scratch_ += '\f';
+      break;
+    case 'n':
+      scratch_ += '\n';
+      break;
+    case 'r':
+      scratch_ += '\r';
+      break;
+    case 't':
+      scratch_ += '\t';
+      break;
+    case 'u': {
+      unsigned cp = hex4();
+      if (cp >= 0xD800 && cp <= 0xDBFF) {
+        // High surrogate: must be followed by \uDC00-\uDFFF.
+        if (end_ - cur_ < 2 || cur_[0] != '\\' || cur_[1] != 'u') {
+          fail("unpaired surrogate in \\u escape");
+        }
+        cur_ += 2;
+        const unsigned lo = hex4();
+        if (lo < 0xDC00 || lo > 0xDFFF) {
+          fail("unpaired surrogate in \\u escape");
+        }
+        cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+      } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+        fail("unpaired surrogate in \\u escape");
+      }
+      append_utf8(scratch_, cp);
+      break;
+    }
+    default:
+      --cur_;
+      fail("invalid escape sequence");
+    }
+  }
+}
+
+std::string Reader::read_string() {
+  if (next_byte() != '"') {
+    fail("expected a string");
+  }
+  return std::string(string_token());
+}
+
+void Reader::open(char bracket) {
+  if (next_byte() != bracket) {
+    fail(std::string("expected '") + bracket + "'");
+  }
+  if (open_.size() >= static_cast<std::size_t>(kMaxDepth)) {
+    fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+  }
+  ++cur_;
+  open_.push_back(bracket == '{' ? '}' : ']');
+  first_ = true;
+}
+
+void Reader::begin_object() { open('{'); }
+
+void Reader::begin_array() { open('['); }
+
+bool Reader::next_in(char close) {
+  DSEM_ENSURE(!open_.empty() && open_.back() == close,
+              "json: reader stepped outside its container");
+  const char c = next_byte();
+  if (c == close) {
+    ++cur_;
+    open_.pop_back();
+    first_ = false; // the enclosing container now has this element
+    return false;
+  }
+  if (first_) {
+    first_ = false;
+    return true;
+  }
+  if (c != ',') {
+    fail(close == '}' ? "expected ',' or '}' in object"
+                      : "expected ',' or ']' in array");
+  }
+  ++cur_;
+  return true;
+}
+
+bool Reader::next_key(std::string_view& key) {
+  if (!next_in('}')) {
+    return false;
+  }
+  if (next_byte() != '"') {
+    fail("expected a string");
+  }
+  key = string_token();
+  if (next_byte() != ':') {
+    fail("expected ':'");
+  }
+  ++cur_;
+  return true;
+}
+
+bool Reader::next_element() { return next_in(']'); }
+
+void Reader::skip() {
+  const std::size_t depth = open_.size();
+  std::string_view key;
+  do {
+    if (open_.size() > depth &&
+        !(open_.back() == '}' ? next_key(key) : next_element())) {
+      continue; // a container this skip opened just closed
+    }
+    switch (peek()) {
+    case Kind::kObject:
+      begin_object();
+      break;
+    case Kind::kArray:
+      begin_array();
+      break;
+    case Kind::kString:
+      string_token();
+      break;
+    case Kind::kBool:
+      read_bool();
+      break;
+    case Kind::kNull:
+      read_null();
+      break;
+    case Kind::kNumber:
+      read_number();
+      break;
+    }
+  } while (open_.size() > depth);
+}
+
+std::string_view Reader::raw_value() {
+  skip_whitespace();
+  const char* const start = cur_;
+  skip();
+  return std::string_view(start, static_cast<std::size_t>(cur_ - start));
+}
+
+void Reader::finish() {
+  skip_whitespace();
+  if (cur_ != end_) {
+    fail("trailing characters");
+  }
+}
+
+Value Value::read(Reader& in) {
+  Value root;
+  // The containers being filled, innermost last. A pointer stays valid:
+  // only the innermost container grows, and no open one lives in it.
+  std::vector<Value*> open;
+  Value* slot = &root;
+  std::string_view key;
+  while (slot != nullptr) {
+    switch (in.peek()) {
+    case Reader::Kind::kObject:
+      in.begin_object();
+      *slot = object();
+      open.push_back(slot);
+      break;
+    case Reader::Kind::kArray:
+      in.begin_array();
+      *slot = array();
+      open.push_back(slot);
+      break;
+    case Reader::Kind::kString:
+      *slot = Value(in.read_string());
+      break;
+    case Reader::Kind::kBool:
+      *slot = Value(in.read_bool());
+      break;
+    case Reader::Kind::kNull:
+      in.read_null();
+      break;
+    case Reader::Kind::kNumber:
+      *slot = Value(in.read_number());
+      break;
+    }
+    // The next slot to fill: a new field or element of the innermost
+    // container that has one, closing the finished ones.
+    slot = nullptr;
+    while (slot == nullptr && !open.empty()) {
+      Value& container = *open.back();
+      if (container.is_object() ? in.next_key(key) : in.next_element()) {
+        slot = container.is_object()
+                   ? &container.object_.emplace_back(std::string(key), Value())
+                          .second
+                   : &container.array_.emplace_back();
+      } else {
+        open.pop_back();
+      }
+    }
+  }
+  return root;
+}
 
 std::string Value::dump(int indent) const {
   std::string out;
@@ -582,7 +767,10 @@ std::string Value::dump(int indent) const {
 }
 
 Value Value::parse(std::string_view text) {
-  return Parser(text).parse_document();
+  Reader in(text);
+  Value value = read(in);
+  in.finish();
+  return value;
 }
 
 namespace {
@@ -652,7 +840,8 @@ void write_file(const std::string& path, const Value& value) {
   write_file(path, [&](Writer& writer) { writer.value(value); });
 }
 
-Value read_file(const std::string& path) {
+void read_file(const std::string& path,
+               const std::function<void(Reader&)>& consume) {
   namespace fs = std::filesystem;
   std::error_code error;
   DSEM_ENSURE(fs::is_regular_file(fs::status(path, error)),
@@ -665,7 +854,15 @@ Value read_file(const std::string& path) {
   const std::size_t read = std::fread(text.data(), 1, text.size(), file);
   std::fclose(file);
   DSEM_ENSURE(read == text.size(), "failed reading input file: " + path);
-  return Value::parse(text);
+  Reader in(text);
+  consume(in);
+  in.finish();
+}
+
+Value read_file(const std::string& path) {
+  Value value;
+  read_file(path, [&](Reader& in) { value = Value::read(in); });
+  return value;
 }
 
 } // namespace dsem::json

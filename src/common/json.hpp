@@ -1,23 +1,27 @@
-// Minimal JSON document model and streaming writer: parse, build,
-// serialize.
+// Minimal JSON document model and its two streaming halves: a Writer
+// that formats and a Reader that tokenizes.
 //
 // Exists so the observability layer (metrics snapshots, run manifests,
-// BENCH_*.json perf reports) can speak one machine-readable format without
-// an external dependency. Deliberately small: the six JSON types, a
-// recursive-descent parser, and one Writer with deterministic formatting —
-// object keys keep insertion order, integral numbers below 2^53 print as
-// int64, and every other double prints as printf("%.17g") would (round-
-// trip exact), so semantically identical documents serialize
-// byte-identically. That determinism is load-bearing: golden-snapshot
-// tests compare metrics JSON across DSEM_THREADS settings as strings.
-// The "%.17g" text comes from std::to_chars(general, 17), which the
-// standard defines to match it; tests/common/json_test.cpp pins it
-// against snprintf.
+// BENCH_*.json perf reports) and the model artifacts can speak one
+// machine-readable format without an external dependency. Deliberately
+// small: the six JSON types, one pull Reader and one Writer with
+// deterministic formatting — object keys keep insertion order, integral
+// numbers below 2^53 print as int64, and every other double prints as
+// printf("%.17g") would (round-trip exact), so semantically identical
+// documents serialize byte-identically. That determinism is load-bearing:
+// golden-snapshot tests compare metrics JSON across DSEM_THREADS settings
+// as strings. The "%.17g" text comes from std::to_chars(general, 17),
+// which the standard defines to match it; tests/common/json_test.cpp pins
+// it against snprintf.
 //
-// Writer is the only formatter. Value::dump and write_file are its
-// clients, and large documents (the ledger export, the Chrome trace)
-// stream through it straight from their own structs without building a
-// Value. write_file and read_file are the only ways a document crosses a
+// Writer is the only formatter and Reader the only tokenizer. Value::dump
+// and write_file are the Writer's clients, Value::parse and read_file the
+// Reader's: Value::parse is a loop over Reader tokens, which replaced the
+// recursive-descent parser. Large documents stream through both halves
+// straight from and into their own structs without building a Value: the
+// ledger export, the Chrome trace and the model artifacts
+// (serve/artifact.hpp) are written that way, and artifacts are read that
+// way. write_file and read_file are the only ways a document crosses a
 // file boundary.
 #pragma once
 
@@ -33,10 +37,13 @@
 
 namespace dsem::json {
 
-/// Deepest container nesting Value::parse accepts. The parser recurses
-/// once per level, so the bound keeps a hostile file from exhausting the
-/// stack; every document this repo writes nests fewer than 10 levels.
+/// Deepest container nesting a Reader accepts; deeper raises
+/// contract_error. The reader keeps one entry per open container, so the
+/// bound keeps a hostile file from growing that stack without limit;
+/// every document this repo writes nests fewer than 10 levels.
 inline constexpr int kMaxDepth = 256;
+
+class Reader;
 
 class Value {
 public:
@@ -115,6 +122,10 @@ public:
   /// Containers nested deeper than kMaxDepth are rejected the same way.
   static Value parse(std::string_view text);
 
+  /// Reads the next value from `in` into a document, containers whole.
+  /// A loop over the reader's tokens with one open container per level.
+  static Value read(Reader& in);
+
   bool operator==(const Value&) const = default;
 
 private:
@@ -133,23 +144,27 @@ namespace detail {
 } // namespace detail
 
 /// The integer a JSON number holds, as T: how every integer field read
-/// from a file leaves its double. Raises contract_error naming `what` when
-/// the value is not a number, not finite, fractional, or outside T's
-/// range. A bare static_cast skips these checks, and for an out-of-range
-/// value (3e9 into int32, 1e999 into anything) it is undefined behaviour.
-template <typename T>
-T as_integer(const Value& value, std::string_view what) {
+/// from a file leaves its double, whether from a Value or straight from
+/// Reader::read_number. Raises contract_error naming `what` when the value
+/// is not a number, not finite, fractional, or outside T's range. A bare
+/// static_cast skips these checks, and for an out-of-range value (3e9
+/// into int32, 1e999 into anything) it is undefined behaviour.
+template <typename T> T as_integer(double d, std::string_view what) {
   static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
   // Both bounds are exact doubles: min is 0 or -2^k, and max + 1 is 2^k.
   constexpr double lo = static_cast<double>(std::numeric_limits<T>::min());
   constexpr double hi =
       2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
-  const double d = value.as_number();
   // In range the cast is defined; it truncates, so a fraction shows.
   if (!(d >= lo && d < hi) || static_cast<double>(static_cast<T>(d)) != d) {
     detail::bad_integer(what, d);
   }
   return static_cast<T>(d);
+}
+
+template <typename T>
+T as_integer(const Value& value, std::string_view what) {
+  return as_integer<T>(value.as_number(), what);
 }
 
 /// Destination of a Writer's bytes, handed over in chunks of about
@@ -243,6 +258,123 @@ private:
   bool after_key_ = false;
 };
 
+/// Pull parser over one in-memory document: the one JSON tokenizer. The
+/// caller asks for what it expects next (a number, a string, an object's
+/// next key, an array's next element) and the reader checks the syntax
+/// as it goes, so a document can be read straight into its own structs
+/// without building a Value. Every syntax error raises contract_error as
+/// "json parse error at offset N: ...", N the byte offset in the text.
+///
+/// Numbers follow the RFC 8259 grammar: "+5", ".5", "01", "1." and "1.e5"
+/// are rejected. A number too large for a double (1e999) is rejected; one
+/// too small (1e-400) reads as a zero of its sign, and subnormals are
+/// kept, as strtod gives them. Containers may nest kMaxDepth levels.
+///
+/// The text must outlive the reader; a key it returns stays valid until
+/// the next call.
+class Reader {
+public:
+  /// What the next value is, judged by its first byte. A byte that starts
+  /// no value reads as kNumber, whose read then reports it.
+  enum class Kind : std::uint8_t {
+    kNull,
+    kBool,
+    kNumber,
+    kString,
+    kArray,
+    kObject,
+  };
+
+  explicit Reader(std::string_view text) noexcept
+      : begin_(text.data()), cur_(text.data()),
+        end_(text.data() + text.size()) {}
+  Reader(const Reader&) = delete;
+  Reader& operator=(const Reader&) = delete;
+
+  /// The next value's kind, without consuming it; raises at end of input.
+  Kind peek();
+
+  /// Typed reads of the next value; each raises unless the value has
+  /// that kind.
+  void read_null();
+  bool read_bool();
+  double read_number();
+  std::string read_string();
+
+  /// Opens an object; next_key() then steps through its fields.
+  void begin_object();
+  /// Steps to the innermost open object's next key: true with `key` set
+  /// (the reader then stands at its value, which the caller must read or
+  /// skip), false once its closing brace is consumed.
+  bool next_key(std::string_view& key);
+  /// Opens an array; next_element() then steps through its elements.
+  void begin_array();
+  /// Steps to the innermost open array's next element: true with the
+  /// reader at it, false once its closing bracket is consumed.
+  bool next_element();
+
+  /// Reads past the next value, whole containers included, checking its
+  /// syntax on the way.
+  void skip();
+  /// skip() that returns the skipped value's text, for a field that can
+  /// only be read once a later field is known.
+  std::string_view raw_value();
+
+  /// Reads one object, calling field(key) for each of its keys in
+  /// document order with the reader at the key's value, which `field`
+  /// must read or skip. A key repeated within the object raises
+  /// contract_error.
+  template <typename F> void read_object(F&& field) {
+    begin_object();
+    std::vector<std::string> seen;
+    std::string_view key;
+    while (next_key(key)) {
+      for (const std::string& earlier : seen) {
+        if (earlier == key) {
+          fail("repeated key \"" + earlier + "\"");
+        }
+      }
+      seen.emplace_back(key);
+      field(std::string_view(seen.back()));
+    }
+  }
+
+  /// Checks that nothing but whitespace follows the document.
+  void finish();
+
+private:
+  /// Raises contract_error "json parse error at offset N: what" at the
+  /// current position.
+  [[noreturn]] void fail(const std::string& what) const;
+  void skip_whitespace() noexcept;
+  /// The next byte after whitespace; raises at end of input.
+  char next_byte();
+  [[noreturn]] void fail_at(const char* at, const std::string& what) const;
+  void open(char bracket);
+  /// One step through the innermost open container (`close` its closing
+  /// bracket): false once that bracket is consumed.
+  bool next_in(char close);
+  void expect_literal(std::string_view literal);
+  /// Decodes the string at cur_ (its opening quote) into a view of the
+  /// text when it holds no escape, else of scratch_.
+  std::string_view string_token();
+  unsigned hex4();
+
+  const char* begin_;
+  const char* cur_;
+  const char* end_;
+  /// Per open container, innermost last: its closing bracket.
+  std::vector<char> open_;
+  /// Whether the innermost open container has had no element yet.
+  bool first_ = false;
+  std::string scratch_;
+};
+
+/// Raises contract_error "json: missing key: <key>", what Value::at says
+/// of an absent field: for readers that check required fields once an
+/// object is read.
+[[noreturn]] void missing_key(std::string_view key);
+
 /// Appends the JSON string-escape of `s` (no surrounding quotes) to `os`;
 /// the same escape the Writer applies to keys and strings. Nothing in the
 /// library formats JSON through an ostream; this stays only for the
@@ -263,13 +395,17 @@ void write_file(const std::string& path,
                 const std::function<void(Writer&)>& emit);
 void write_file(const std::string& path, const Value& value);
 
-/// Reads and parses the document at `path`, the mirror of write_file.
-/// `path` must name a regular file (a symlink is followed): a directory,
-/// FIFO, device or missing path raises contract_error naming the path
-/// before any byte is read, so `/dev/zero` or a pipe cannot make the read
-/// grow without bound. The file is read once into a string sized from
-/// the file and parsed by Value::parse (its kMaxDepth bound included); an
-/// I/O or parse failure raises contract_error.
+/// Reads the document at `path` through `consume`, the mirror of
+/// write_file. `path` must name a regular file (a symlink is followed): a
+/// directory, FIFO, device or missing path raises contract_error naming
+/// the path before any byte is read, so `/dev/zero` or a pipe cannot make
+/// the read grow without bound. The file is read once into a string sized
+/// from the file; `consume` reads one value from a Reader over it, and
+/// anything but whitespace after that value is an error. An I/O or parse
+/// failure raises contract_error.
+void read_file(const std::string& path,
+               const std::function<void(Reader&)>& consume);
+/// The document at `path` as a Value (Value::read through read_file).
 Value read_file(const std::string& path);
 
 } // namespace dsem::json

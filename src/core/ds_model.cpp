@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
@@ -69,33 +70,57 @@ void DomainSpecificModel::train(const Dataset& dataset,
   trained_ = true;
 }
 
-json::Value DomainSpecificModel::to_json(bool with_width) const {
+void DomainSpecificModel::write(json::Writer& out, bool with_width) const {
   DSEM_ENSURE(trained_, "serialize of an untrained DomainSpecificModel");
   DSEM_ENSURE(!with_width || input_width_ > 0,
               "serialize: model input width unknown");
-  auto out = json::Value::object();
-  out.set("log_targets", log_targets_);
+  out.begin_object().key("log_targets").value(log_targets_);
   if (with_width) {
-    out.set("input_width", static_cast<double>(input_width_));
+    out.key("input_width").value(input_width_);
   }
-  out.set("time", ml::regressor_to_json(*time_model_));
-  out.set("energy", ml::regressor_to_json(*energy_model_));
-  return out;
+  ml::write_regressor(out.key("time"), *time_model_);
+  ml::write_regressor(out.key("energy"), *energy_model_);
+  out.end_object();
 }
 
-DomainSpecificModel DomainSpecificModel::from_json(const json::Value& value,
-                                                   bool with_width) {
+DomainSpecificModel DomainSpecificModel::read(json::Reader& in,
+                                              bool with_width) {
   DomainSpecificModel model;
-  model.time_model_ = ml::regressor_from_json(value.at("time"));
-  model.energy_model_ = ml::regressor_from_json(value.at("energy"));
-  model.log_targets_ = value.at("log_targets").as_bool();
-  if (with_width) {
-    const auto width = json::as_integer<std::size_t>(
-        value.at("input_width"), "model payload: input_width");
-    DSEM_ENSURE(width >= 2 && width <= 1'000'000'000,
-                "model payload: bad input_width");
-    model.input_width_ = width;
+  std::unique_ptr<ml::Regressor> time;
+  std::unique_ptr<ml::Regressor> energy;
+  std::optional<bool> log_targets;
+  in.read_object([&](std::string_view key) {
+    if (key == "log_targets") {
+      log_targets = in.read_bool();
+    } else if (key == "input_width" && with_width) {
+      const auto width = json::as_integer<std::size_t>(
+          in.read_number(), "model payload: input_width");
+      DSEM_ENSURE(width >= 2 && width <= 1'000'000'000,
+                  "model payload: bad input_width");
+      model.input_width_ = width;
+    } else if (key == "time") {
+      time = ml::read_regressor(in);
+    } else if (key == "energy") {
+      energy = ml::read_regressor(in);
+    } else {
+      in.skip();
+    }
+  });
+  if (!time) {
+    json::missing_key("time");
   }
+  if (!energy) {
+    json::missing_key("energy");
+  }
+  if (!log_targets) {
+    json::missing_key("log_targets");
+  }
+  if (with_width && model.input_width_ == 0) {
+    json::missing_key("input_width");
+  }
+  model.time_model_ = std::move(time);
+  model.energy_model_ = std::move(energy);
+  model.log_targets_ = *log_targets;
   model.trained_ = true;
   return model;
 }

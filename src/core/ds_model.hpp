@@ -69,16 +69,17 @@ public:
   /// unknown, i.e. loaded from a payload that does not record it.
   std::size_t input_width() const noexcept { return input_width_; }
 
-  /// Serializes the trained model (both regressors, via ml/serialize) so
-  /// it can be stored in a "dsem-model-v1" artifact (serve/artifact.hpp):
+  /// Writes the trained model (both regressors, via ml/serialize) as the
+  /// "model" payload of a "dsem-model-v1" artifact (serve/artifact.hpp):
   /// {log_targets, time, energy}, plus input_width after log_targets when
-  /// `with_width` (the hybrid payload). from_json with the same flag
-  /// requires and validates that field. Round-trips bit-identically:
-  /// from_json(to_json()) predicts the same values bit for bit. Throws for
-  /// untrained models.
-  json::Value to_json(bool with_width = false) const;
-  static DomainSpecificModel from_json(const json::Value& value,
-                                       bool with_width = false);
+  /// `with_width` (the hybrid payload). Throws for untrained models,
+  /// before writing anything.
+  void write(json::Writer& out, bool with_width = false) const;
+  /// Reads what write() wrote, its fields in any order. With
+  /// `with_width` it requires and validates input_width; without it the
+  /// field is skipped. Round-trips bit-identically: the model read back
+  /// predicts the same values bit for bit.
+  static DomainSpecificModel read(json::Reader& in, bool with_width = false);
 
 private:
   std::unique_ptr<ml::Regressor> time_model_;

@@ -1,5 +1,7 @@
 #include "serve/artifact.hpp"
 
+#include <optional>
+
 #include "common/error.hpp"
 #include "core/kernel_features.hpp"
 #include "ml/serialize.hpp"
@@ -43,67 +45,122 @@ ModelArtifact::predict(std::span<const double> features,
       freqs, default_freq_mhz);
 }
 
-json::Value ModelArtifact::to_json() const {
+void ModelArtifact::write(json::Writer& out) const {
   validate();
   DSEM_ENSURE(!key.application.empty() && !key.device.empty(),
               "artifact key must name an application and a device");
   DSEM_ENSURE(!freqs_mhz.empty(), "artifact without a frequency schedule");
   DSEM_ENSURE(default_freq_mhz > 0.0, "artifact without a default clock");
 
-  auto out = json::Value::object();
-  out.set("schema", kModelSchema);
-  out.set("kind", kind_name(kind));
-  out.set("application", key.application);
-  out.set("device", key.device);
-  out.set("origin", origin);
-  auto names = json::Value::array();
+  out.begin_object();
+  out.key("schema").value(kModelSchema);
+  out.key("kind").value(kind_name(kind));
+  out.key("application").value(key.application);
+  out.key("device").value(key.device);
+  out.key("origin").value(origin);
+  out.key("feature_names").begin_array();
   for (const std::string& name : feature_names) {
-    names.push_back(name);
+    out.value(name);
   }
-  out.set("feature_names", std::move(names));
-  auto freqs = json::Value::array();
+  out.end_array();
+  out.key("freqs_mhz").begin_array();
   for (const double f : freqs_mhz) {
-    freqs.push_back(f);
+    out.value(f);
   }
-  out.set("freqs_mhz", std::move(freqs));
-  out.set("default_freq_mhz", default_freq_mhz);
-  out.set("model", ds->to_json(kind == ModelKind::kHybrid));
-  return out;
+  out.end_array();
+  out.key("default_freq_mhz").value(default_freq_mhz);
+  ds->write(out.key("model"), kind == ModelKind::kHybrid);
+  out.end_object();
 }
 
-ModelArtifact ModelArtifact::from_json(const json::Value& value) {
-  DSEM_ENSURE(value.is_object(), "model artifact: not a JSON object");
-  const json::Value* schema = value.find("schema");
-  DSEM_ENSURE(schema != nullptr && schema->is_string(),
-              "model artifact: missing schema tag");
-  DSEM_ENSURE(schema->as_string() == kModelSchema,
-              "model artifact: unsupported schema \"" + schema->as_string() +
-                  "\" (this build reads " + kModelSchema + ")");
-
+ModelArtifact ModelArtifact::read(json::Reader& in) {
+  DSEM_ENSURE(in.peek() == json::Reader::Kind::kObject,
+              "model artifact: not a JSON object");
   ModelArtifact artifact;
-  artifact.key.application = value.at("application").as_string();
-  artifact.key.device = value.at("device").as_string();
-  artifact.origin = value.at("origin").as_string();
-  for (const json::Value& name : value.at("feature_names").as_array()) {
-    artifact.feature_names.push_back(name.as_string());
-  }
-  for (const json::Value& f : value.at("freqs_mhz").as_array()) {
-    artifact.freqs_mhz.push_back(f.as_number());
-  }
-  artifact.default_freq_mhz = value.at("default_freq_mhz").as_number();
+  bool schema = false;
+  std::optional<ModelKind> kind;
+  std::optional<std::string> application;
+  std::optional<std::string> device;
+  std::optional<std::string> origin;
+  std::optional<std::vector<std::string>> names;
+  std::optional<std::vector<double>> freqs;
+  std::optional<double> default_freq;
+  // The payload's layout depends on the kind, so a document that stores
+  // "model" before "kind" has its payload read once the kind is known.
+  std::optional<std::string_view> early_model;
+  const auto read_model = [&](json::Reader& payload, ModelKind of) {
+    artifact.ds = std::make_shared<core::DomainSpecificModel>(
+        core::DomainSpecificModel::read(payload, of == ModelKind::kHybrid));
+  };
+  in.read_object([&](std::string_view field) {
+    if (field == "schema") {
+      DSEM_ENSURE(in.peek() == json::Reader::Kind::kString,
+                  "model artifact: missing schema tag");
+      const std::string tag = in.read_string();
+      DSEM_ENSURE(tag == kModelSchema,
+                  "model artifact: unsupported schema \"" + tag +
+                      "\" (this build reads " + kModelSchema + ")");
+      schema = true;
+    } else if (field == "kind") {
+      const std::string name = in.read_string();
+      DSEM_ENSURE(name == "domain-specific" || name == "hybrid",
+                  "model artifact: unknown kind \"" + name + "\"");
+      kind = name == "hybrid" ? ModelKind::kHybrid
+                              : ModelKind::kDomainSpecific;
+    } else if (field == "application") {
+      application = in.read_string();
+    } else if (field == "device") {
+      device = in.read_string();
+    } else if (field == "origin") {
+      origin = in.read_string();
+    } else if (field == "feature_names") {
+      names.emplace();
+      in.begin_array();
+      while (in.next_element()) {
+        names->push_back(in.read_string());
+      }
+    } else if (field == "freqs_mhz") {
+      freqs.emplace();
+      in.begin_array();
+      while (in.next_element()) {
+        freqs->push_back(in.read_number());
+      }
+    } else if (field == "default_freq_mhz") {
+      default_freq = in.read_number();
+    } else if (field == "model" && kind) {
+      read_model(in, *kind);
+    } else if (field == "model") {
+      early_model = in.raw_value();
+    } else {
+      in.skip();
+    }
+  });
+  DSEM_ENSURE(schema, "model artifact: missing schema tag");
+
+  const auto take = [](auto& field, std::string_view name) {
+    if (!field) {
+      json::missing_key(name);
+    }
+    return std::move(*field);
+  };
+  artifact.key.application = take(application, "application");
+  artifact.key.device = take(device, "device");
+  artifact.origin = take(origin, "origin");
+  artifact.feature_names = take(names, "feature_names");
+  artifact.freqs_mhz = take(freqs, "freqs_mhz");
+  artifact.default_freq_mhz = take(default_freq, "default_freq_mhz");
   DSEM_ENSURE(!artifact.freqs_mhz.empty(),
               "model artifact: empty frequency schedule");
   DSEM_ENSURE(artifact.default_freq_mhz > 0.0,
               "model artifact: non-positive default clock");
-
-  const std::string& kind = value.at("kind").as_string();
-  DSEM_ENSURE(kind == "domain-specific" || kind == "hybrid",
-              "model artifact: unknown kind \"" + kind + "\"");
-  artifact.kind =
-      kind == "hybrid" ? ModelKind::kHybrid : ModelKind::kDomainSpecific;
-  artifact.ds = std::make_shared<core::DomainSpecificModel>(
-      core::DomainSpecificModel::from_json(
-          value.at("model"), artifact.kind == ModelKind::kHybrid));
+  artifact.kind = take(kind, "kind");
+  if (early_model) {
+    json::Reader payload(*early_model);
+    read_model(payload, artifact.kind);
+  }
+  if (artifact.ds == nullptr) {
+    json::missing_key("model");
+  }
   // Every split must read inside the query row the artifact builds: the
   // domain features plus frequency, or the hybrid payload's width.
   const std::size_t row_width = artifact.kind == ModelKind::kHybrid
@@ -118,13 +175,32 @@ ModelArtifact ModelArtifact::from_json(const json::Value& value) {
   return artifact;
 }
 
+json::Value ModelArtifact::to_json() const {
+  std::string text;
+  json::StringSink sink(text);
+  json::Writer out(sink);
+  write(out);
+  out.flush();
+  return json::Value::parse(text);
+}
+
+ModelArtifact ModelArtifact::from_json(const json::Value& value) {
+  const std::string text = value.dump();
+  json::Reader in(text);
+  ModelArtifact artifact = read(in);
+  in.finish();
+  return artifact;
+}
+
 void ModelArtifact::save_file(const std::string& path) const {
-  json::write_file(path, to_json());
+  json::write_file(path, [this](json::Writer& out) { write(out); });
 }
 
 ModelArtifact ModelArtifact::load_file(const std::string& path) {
   // Origin is kept exactly as stored so save → load → save is byte-equal.
-  return from_json(json::read_file(path));
+  ModelArtifact artifact;
+  json::read_file(path, [&](json::Reader& in) { artifact = read(in); });
+  return artifact;
 }
 
 } // namespace dsem::serve

@@ -8,12 +8,16 @@
 // clock used as the speedup/energy baseline, and the domain feature names
 // (doubling as the input-width contract of requests).
 //
-// Artifacts round-trip bit-identically: to_json uses the deterministic
-// common/json writer ("%.17g" doubles, insertion-ordered keys), so
-// serialize → parse → re-serialize is byte-equal and a loaded model
+// An artifact streams out through json::Writer straight from its trained
+// trees and streams back in from json::Reader tokens: no json::Value tree
+// is built on the save or the load path. Artifacts round-trip
+// bit-identically: the writer is deterministic ("%.17g" doubles, fixed
+// key order), so write → read → write is byte-equal and a loaded model
 // answers every query bit-identically to the in-process original
-// (property-tested in tests/serve/serialization_test.cpp). Train once
-// with `frequency_advisor --train-out`, load anywhere with `--model-in`.
+// (property-tested in tests/serve/serialization_test.cpp). to_json and
+// from_json are adapters over the same two streams for code that wants a
+// document. Train once with `frequency_advisor --train-out`, load
+// anywhere with `--model-in`.
 #pragma once
 
 #include <memory>
@@ -67,18 +71,28 @@ struct ModelArtifact {
   core::Prediction predict(std::span<const double> features,
                            std::span<const double> freqs) const;
 
-  /// "dsem-model-v1" document. Deterministic: calling it twice on the
-  /// same artifact yields byte-identical dumps.
-  json::Value to_json() const;
+  /// Writes the "dsem-model-v1" document. Deterministic: writing the same
+  /// artifact twice yields byte-identical text. Throws contract_error for
+  /// an untrained model, a missing key, schedule or clock, before
+  /// writing anything.
+  void write(json::Writer& out) const;
 
-  /// Parses a "dsem-model-v1" document. Schema-tag mismatches, unknown
-  /// kinds, and malformed payloads raise contract_error (version drift is
-  /// a clean error, never a crash or a silently wrong model).
+  /// Reads a "dsem-model-v1" document in one pass over its tokens, its
+  /// fields in any order; unknown keys are skipped and a key repeated
+  /// within one object raises. Schema-tag mismatches, unknown kinds, and
+  /// malformed payloads raise contract_error (version drift is a clean
+  /// error, never a crash or a silently wrong model).
+  static ModelArtifact read(json::Reader& in);
+
+  /// The document write() writes, parsed into a json::Value.
+  json::Value to_json() const;
+  /// read() over the text of `value`.
   static ModelArtifact from_json(const json::Value& value);
 
-  /// File variants through json::write_file / json::read_file:
-  /// pretty-printed JSON with a trailing newline (the repo convention),
-  /// parsed back with full validation. Either path must be a regular file.
+  /// File variants of write() and read() through json::write_file /
+  /// json::read_file: pretty-printed JSON with a trailing newline (the
+  /// repo convention), read back with full validation. Either path must
+  /// be a regular file.
   void save_file(const std::string& path) const;
   static ModelArtifact load_file(const std::string& path);
 };

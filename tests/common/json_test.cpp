@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <limits>
 #include <random>
@@ -153,13 +154,293 @@ TEST(JsonParser, RejectsMalformedDocuments) {
     EXPECT_THROW(Value::parse(bad), contract_error) << bad;
   }
   // Errors carry the offset so malformed BENCH files are diagnosable.
+  for (const char* bad : {"[1, x]", "1 2"}) {
+    try {
+      Value::parse(bad);
+      ADD_FAILURE() << "expected contract_error for " << bad;
+    } catch (const contract_error& e) {
+      EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// The message Value::parse raises for `text`, or "" when it parses.
+std::string parse_error(const std::string& text) {
   try {
-    Value::parse("[1, x]");
+    Value::parse(text);
+  } catch (const contract_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(JsonParser, TrailingCharactersAreAParseErrorWithTheirOffset) {
+  // The same form as every other parse error, at the first byte after
+  // the document.
+  for (const auto& [text, offset] :
+       std::vector<std::pair<std::string, int>>{
+           {"0x10", 1}, {"1 2", 2}, {"{} []", 3}, {"null,", 4}, {"[1]]", 3}}) {
+    EXPECT_EQ(parse_error(text).rfind("json parse error at offset " +
+                                          std::to_string(offset) +
+                                          ": trailing characters",
+                                      0),
+              0u)
+        << text << ": " << parse_error(text);
+  }
+}
+
+TEST(JsonParser, RejectsNumbersOutsideTheJsonGrammar) {
+  // RFC 8259: no '+' sign, no bare '.', no leading zero before a digit,
+  // and a point or an exponent needs a digit after it. strtod takes
+  // every one of these, and so did the parser built on it.
+  for (const char* bad : {"+5", ".5", "01", "1.", "1.e5", "[+1]", "-01",
+                          "00", "-.5", "1e", "1e+", "1E-", "2.5e", "--1",
+                          "-", "1.5.2", "1e5e5", "[1.]", "{\"a\":01}"}) {
+    const std::string error = parse_error(bad);
+    EXPECT_EQ(error.rfind("json parse error at offset", 0), 0u)
+        << bad << ": " << error;
+  }
+  // Every form the grammar allows still parses.
+  for (const char* good : {"0", "-0", "0.5", "-0.5", "10", "1e5", "1E5",
+                           "1e+5", "1e-5", "0e0", "-0.0e-0", "123.456e7"}) {
+    EXPECT_EQ(parse_error(good), "") << good;
+  }
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(JsonParser, PinsNumberRangeEdges) {
+  const auto number = [](const std::string& text) {
+    return Value::parse(text).as_number();
+  };
+  EXPECT_EQ(bits_of(number("-0")), bits_of(-0.0));
+  EXPECT_EQ(bits_of(number("-0.0e5")), bits_of(-0.0));
+  EXPECT_EQ(bits_of(number("0e999999")), bits_of(0.0));
+  // Too large for a double: rejected, not read as infinity.
+  for (const char* huge : {"1e999", "-1e999", "1.7976931348623159e308",
+                           "1e400000000000"}) {
+    EXPECT_NE(parse_error(huge), "") << huge;
+  }
+  EXPECT_EQ(number("1.7976931348623157e308"), DBL_MAX);
+  // Too small even for a subnormal: a zero of the number's sign, as
+  // strtod gives it.
+  EXPECT_EQ(bits_of(number("1e-400")), bits_of(0.0));
+  EXPECT_EQ(bits_of(number("-1e-400")), bits_of(-0.0));
+  EXPECT_EQ(bits_of(number("2e-324")), bits_of(0.0));
+  EXPECT_EQ(bits_of(number("-2e-324")), bits_of(-0.0));
+  EXPECT_EQ(bits_of(number("1e-400000000000")), bits_of(0.0));
+  // Subnormals stay subnormal.
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  EXPECT_EQ(number("4.9e-324"), denorm);
+  EXPECT_EQ(number("-4.9e-324"), -denorm);
+  EXPECT_EQ(number("1e-310"), std::strtod("1e-310", nullptr));
+  // Overflow and underflow are told apart by where the first significant
+  // digit lands, not by the exponent's sign alone.
+  const std::string zeros(400, '0');
+  EXPECT_EQ(number("1" + zeros + "e-400"), 1.0);
+  EXPECT_EQ(number("1" + zeros + "e-100"), 1e300);
+  EXPECT_NE(parse_error("1" + zeros + "e-50"), "");
+  EXPECT_NE(parse_error("1" + zeros), "");
+  EXPECT_EQ(bits_of(number("0." + zeros + "1")), bits_of(0.0));
+  EXPECT_EQ(bits_of(number("-0." + zeros + "1e+30")), bits_of(-0.0));
+  EXPECT_EQ(number("0." + zeros + "1e+400"), 0.1);
+  EXPECT_NE(parse_error("0." + zeros + "1e+800"), "");
+}
+
+/// A random decimal in JSON's grammar, from well inside to well outside
+/// the double range, with up to 40 significant digits.
+std::string random_decimal(std::mt19937_64& rng) {
+  const auto below = [&](unsigned n) {
+    return static_cast<unsigned>(rng() % n);
+  };
+  const auto digits = [&](std::string& out, unsigned count) {
+    for (unsigned i = 0; i < count; ++i) {
+      out += static_cast<char>('0' + below(10));
+    }
+  };
+  std::string out = below(2) == 0 ? "-" : "";
+  if (below(5) == 0) {
+    out += '0';
+  } else {
+    out += static_cast<char>('1' + below(9));
+    digits(out, below(21));
+  }
+  if (below(2) == 0) {
+    out += '.';
+    digits(out, 1 + below(20));
+  }
+  if (below(5) != 0) {
+    out += below(2) == 0 ? 'e' : 'E';
+    const unsigned sign = below(3);
+    out += sign == 0 ? "" : sign == 1 ? "+" : "-";
+    out += std::to_string(below(360));
+  }
+  return out;
+}
+
+TEST(JsonReader, NumbersMatchStrtodOnSeededInputs) {
+  std::mt19937_64 rng(0x57D0'D00DULL);
+  // Random finite bit patterns, formatted by the Writer, read back bit
+  // for bit (-0.0 is integral, so it is written "0" and reads +0.0).
+  int checked = 0;
+  int mismatches = 0;
+  std::string text;
+  while (checked < 100'000) {
+    const double v = std::bit_cast<double>(rng());
+    if (!std::isfinite(v)) {
+      continue;
+    }
+    text.clear();
+    StringSink sink(text);
+    Writer writer(sink);
+    writer.value(v);
+    writer.flush();
+    Reader in(text);
+    const double back = in.read_number();
+    in.finish();
+    if (bits_of(back) != bits_of(v == 0.0 ? 0.0 : v)) {
+      ADD_FAILURE() << text;
+      ++mismatches;
+    }
+    ++checked;
+    ASSERT_LT(mismatches, 10);
+  }
+  // Random decimal strings: strtod's value bit for bit, or a rejection
+  // exactly where strtod overflows to infinity.
+  for (int i = 0; i < 100'000; ++i) {
+    const std::string decimal = random_decimal(rng);
+    const double expected = std::strtod(decimal.c_str(), nullptr);
+    Reader in(decimal);
+    if (!std::isfinite(expected)) {
+      EXPECT_THROW(in.read_number(), contract_error) << decimal;
+      continue;
+    }
+    if (bits_of(in.read_number()) != bits_of(expected)) {
+      ADD_FAILURE() << decimal;
+      ++mismatches;
+    }
+    ASSERT_LT(mismatches, 10);
+  }
+}
+
+TEST(JsonReader, PullsTokensInDocumentOrder) {
+  Reader in(R"( {"a": [1, "x\ty", true, null],
+                 "skip": [[{}], {"d": [1, {"e": "]}"}]}, -0.5],
+                 "b": {"c": -2.5}, "u": "\u00e9", "empty": []} )");
+  std::string_view key;
+  in.begin_object();
+  ASSERT_TRUE(in.next_key(key));
+  EXPECT_EQ(key, "a");
+  in.begin_array();
+  ASSERT_TRUE(in.next_element());
+  EXPECT_EQ(in.peek(), Reader::Kind::kNumber);
+  EXPECT_EQ(in.read_number(), 1.0);
+  ASSERT_TRUE(in.next_element());
+  EXPECT_EQ(in.peek(), Reader::Kind::kString);
+  EXPECT_EQ(in.read_string(), "x\ty");
+  ASSERT_TRUE(in.next_element());
+  EXPECT_EQ(in.peek(), Reader::Kind::kBool);
+  EXPECT_TRUE(in.read_bool());
+  ASSERT_TRUE(in.next_element());
+  EXPECT_EQ(in.peek(), Reader::Kind::kNull);
+  in.read_null();
+  EXPECT_FALSE(in.next_element());
+  ASSERT_TRUE(in.next_key(key));
+  EXPECT_EQ(key, "skip");
+  EXPECT_EQ(in.peek(), Reader::Kind::kArray);
+  in.skip();
+  ASSERT_TRUE(in.next_key(key));
+  EXPECT_EQ(key, "b");
+  EXPECT_EQ(in.peek(), Reader::Kind::kObject);
+  in.begin_object();
+  ASSERT_TRUE(in.next_key(key));
+  EXPECT_EQ(key, "c");
+  EXPECT_EQ(in.read_number(), -2.5);
+  EXPECT_FALSE(in.next_key(key));
+  ASSERT_TRUE(in.next_key(key));
+  EXPECT_EQ(key, "u");
+  EXPECT_EQ(in.read_string(), "\xC3\xA9");
+  ASSERT_TRUE(in.next_key(key));
+  EXPECT_EQ(key, "empty");
+  in.begin_array();
+  EXPECT_FALSE(in.next_element());
+  EXPECT_FALSE(in.next_key(key));
+  in.finish();
+}
+
+TEST(JsonReader, TypedReadsRejectOtherKinds) {
+  const auto error = [](const char* text, auto read) -> std::string {
+    Reader in(text);
+    try {
+      read(in);
+    } catch (const contract_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(error(R"("1")", [](Reader& in) { in.read_number(); })
+                .find("offset 0: expected a number"),
+            std::string::npos);
+  EXPECT_NE(error("1", [](Reader& in) { in.read_string(); })
+                .find("offset 0: expected a string"),
+            std::string::npos);
+  EXPECT_NE(error("null", [](Reader& in) { in.read_bool(); }), "");
+  EXPECT_NE(error("[]", [](Reader& in) { in.begin_object(); }), "");
+  EXPECT_NE(error("{}", [](Reader& in) { in.begin_array(); }), "");
+  EXPECT_NE(error("  ", [](Reader& in) { in.peek(); })
+                .find("offset 2: unexpected end of input"),
+            std::string::npos);
+  // skip() checks what it skips.
+  for (const char* bad : {"[1, {\"a\": tru}]", "[1,]", "{\"a\" 1}",
+                          "[\"\\x\"]", "[01]", "{\"a\":[}"}) {
+    EXPECT_NE(error(bad, [](Reader& in) { in.skip(); }), "") << bad;
+  }
+}
+
+TEST(JsonReader, ReadObjectRejectsARepeatedKey) {
+  const auto skip_all = [](Reader& in) {
+    in.read_object([&](std::string_view) { in.skip(); });
+    in.finish();
+  };
+  Reader repeated(R"({"a": 1, "b": [2], "a": 3})");
+  try {
+    skip_all(repeated);
     FAIL() << "expected contract_error";
   } catch (const contract_error& e) {
-    EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("repeated key \"a\""),
+              std::string::npos)
         << e.what();
   }
+  // Escapes are decoded before keys are compared.
+  Reader escaped(R"({"a": 1, "\u0061": 2})");
+  EXPECT_THROW(skip_all(escaped), contract_error);
+  // One name in different objects is not a repeat.
+  Reader nested(R"({"a": {"a": 1}, "b": {"a": 2}})");
+  EXPECT_NO_THROW(skip_all(nested));
+}
+
+TEST(JsonReader, RawValueIsTheSkippedText) {
+  Reader in(R"({"m":  {"x": [1, 2]} , "k": "v"})");
+  std::string_view key;
+  in.begin_object();
+  ASSERT_TRUE(in.next_key(key));
+  EXPECT_EQ(in.raw_value(), R"({"x": [1, 2]})");
+  ASSERT_TRUE(in.next_key(key));
+  EXPECT_EQ(in.raw_value(), R"("v")");
+  EXPECT_FALSE(in.next_key(key));
+  in.finish();
+}
+
+TEST(JsonReader, DepthBoundHoldsForSkipToo) {
+  const auto limit = static_cast<std::size_t>(kMaxDepth);
+  const std::string deepest = std::string(limit, '[') + std::string(limit, ']');
+  Reader at_limit(deepest);
+  EXPECT_NO_THROW(at_limit.skip());
+  const std::string deeper = "[" + deepest + "]";
+  Reader past_limit(deeper);
+  EXPECT_THROW(past_limit.skip(), contract_error);
 }
 
 TEST(JsonParser, RejectsNestingDeeperThanMaxDepth) {
@@ -530,6 +811,27 @@ TEST(JsonFile, ReadParsesWhatWriteFileWroteThroughASymlink) {
   EXPECT_EQ(read_file(target.string()), mixed_document());
   EXPECT_EQ(read_file(link.string()), mixed_document());
   fs::remove_all(dir);
+}
+
+TEST(JsonFile, ReadHandsTheConsumerOneValueAndChecksTheRest) {
+  namespace fs = std::filesystem;
+  const fs::path path = fs::path(testing::TempDir()) / "dsem_json_consume.json";
+  const auto read_with = [&](const std::string& text,
+                             const std::function<void(Reader&)>& consume) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+    read_file(path.string(), consume);
+  };
+  double seen = 0.0;
+  read_with("{\"a\": 1.5}\n", [&](Reader& in) {
+    in.read_object([&](std::string_view) { seen = in.read_number(); });
+  });
+  EXPECT_EQ(seen, 1.5);
+  // Bytes after the value, or a consumer that stops inside it, raise.
+  EXPECT_THROW(read_with("{} x", [](Reader& in) { in.skip(); }),
+               contract_error);
+  EXPECT_THROW(read_with("[1, 2]", [](Reader& in) { in.begin_array(); }),
+               contract_error);
+  fs::remove(path);
 }
 
 TEST(JsonFile, ReadRejectsNonRegularFiles) {

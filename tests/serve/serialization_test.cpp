@@ -1,9 +1,11 @@
 // Property tests for the dsem-model-v1 artifact serialization: byte-
 // stable round trips across many seeds, bit-identical predictions after
 // a round trip, and clean contract_error rejection of malformed input.
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 
@@ -206,9 +208,102 @@ TEST(SerializationTest, EmptyFrequencyScheduleIsRejected) {
   EXPECT_THROW(ModelArtifact::from_json(doc), contract_error);
 }
 
+// Reorders every object in `doc`, recursively: reversed, or sorted by key
+// as a writer with sorted keys emits it. Reversed puts "model" before
+// "kind" and the trees before their params and type.
+void reorder_fields(json::Value& doc, bool sorted) {
+  if (doc.is_array()) {
+    for (json::Value& element : doc.as_array()) {
+      reorder_fields(element, sorted);
+    }
+  }
+  if (!doc.is_object()) {
+    return;
+  }
+  json::Value::Object& fields = doc.as_object();
+  for (auto& field : fields) {
+    reorder_fields(field.second, sorted);
+  }
+  if (sorted) {
+    std::sort(fields.begin(), fields.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+  } else {
+    std::reverse(fields.begin(), fields.end());
+  }
+}
+
+TEST(SerializationTest, FieldsLoadInAnyOrder) {
+  for (const ModelArtifact& artifact :
+       {synthetic_artifact(14), serve_test::synthetic_hybrid_artifact(14)}) {
+    const std::string canonical = artifact.to_json().dump(2);
+    for (const bool sorted : {false, true}) {
+      json::Value doc = artifact.to_json();
+      reorder_fields(doc, sorted);
+      ASSERT_NE(doc.dump(2), canonical);
+      EXPECT_EQ(ModelArtifact::from_json(doc).to_json().dump(2), canonical)
+          << (sorted ? "sorted" : "reversed");
+    }
+  }
+}
+
+TEST(SerializationTest, UnknownKeysAreSkipped) {
+  json::Value doc = synthetic_artifact(15).to_json();
+  const std::string canonical = doc.dump(2);
+  auto extra = json::Value::object();
+  auto list = json::Value::array();
+  list.push_back(1);
+  list.push_back(json::Value::object());
+  list.push_back("]}");
+  extra.set("nested", std::move(list));
+  doc.set("comment", extra);
+  doc.at("model").set("note", "trained twice");
+  doc.at("model").at("time").set("extra", extra);
+  doc.at("model").at("time").at("params").set("criterion", "squared_error");
+  doc.at("model").at("time").at("trees").as_array()[0].set("depth", 6);
+  EXPECT_EQ(ModelArtifact::from_json(doc).to_json().dump(2), canonical);
+}
+
+TEST(SerializationTest, RepeatedKeyIsRejected) {
+  // A document that names one field twice is ambiguous; the first copy
+  // used to win silently. Each object repeats its first field here.
+  const json::Value clean = synthetic_artifact(16).to_json();
+  const std::vector<std::function<json::Value&(json::Value&)>> objects = {
+      [](json::Value& doc) -> json::Value& { return doc; },
+      [](json::Value& doc) -> json::Value& { return doc.at("model"); },
+      [](json::Value& doc) -> json::Value& {
+        return doc.at("model").at("energy");
+      },
+      [](json::Value& doc) -> json::Value& {
+        return doc.at("model").at("time").at("params");
+      },
+      [](json::Value& doc) -> json::Value& {
+        return doc.at("model").at("time").at("trees").as_array()[3];
+      },
+  };
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    json::Value doc = clean;
+    json::Value::Object& fields = objects[i](doc).as_object();
+    fields.push_back(fields.front());
+    try {
+      ModelArtifact::from_json(doc);
+      ADD_FAILURE() << "object " << i << ": expected contract_error";
+    } catch (const contract_error& e) {
+      EXPECT_NE(std::string(e.what()).find("repeated key \"" +
+                                           fields.front().first + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(SerializationTest, UntrainedModelRefusesToSerialize) {
   const core::DomainSpecificModel untrained;
-  EXPECT_THROW(untrained.to_json(), contract_error);
+  std::string text;
+  json::StringSink sink(text);
+  json::Writer writer(sink);
+  EXPECT_THROW(untrained.write(writer), contract_error);
+  writer.flush();
+  EXPECT_TRUE(text.empty()) << text;
 }
 
 // The hybrid payload mirrors the domain-specific suites above: the same
@@ -335,7 +430,13 @@ TEST(HybridSerializationTest, UntrainedHybridRefusesToSerialize) {
   ModelArtifact artifact = serve_test::synthetic_hybrid_artifact(8);
   artifact.ds = std::make_shared<core::DomainSpecificModel>();
   EXPECT_THROW(artifact.to_json(), contract_error);
-  EXPECT_THROW(artifact.ds->to_json(/*with_width=*/true), contract_error);
+  std::string text;
+  json::StringSink sink(text);
+  json::Writer writer(sink);
+  EXPECT_THROW(artifact.ds->write(writer, /*with_width=*/true),
+               contract_error);
+  writer.flush();
+  EXPECT_TRUE(text.empty()) << text;
 }
 
 } // namespace
