@@ -134,10 +134,8 @@ int main(int argc, char** argv) {
   bench::Rig rig;
   rig.v100_sim.set_fault_config(core::fault_config_from_cli(cli));
 
-  sim::ProfileCache cache;
   core::SweepReport report;
   core::SweepOptions options;
-  options.cache = &cache;
   options.retry = core::retry_policy_from_cli(cli);
   options.report = &report;
 

@@ -67,9 +67,7 @@ void run_micro_benchmark(json::Value& report, const std::string& bench_dir,
 double run_pipeline(bool smoke, core::SweepReport& sweep_report) {
   const auto start = std::chrono::steady_clock::now();
   bench::Rig rig;
-  sim::ProfileCache cache;
   core::SweepOptions options;
-  options.cache = &cache;
   options.report = &sweep_report;
   if (smoke) {
     const core::LigenWorkload ligen(256, 31, 4);

@@ -118,7 +118,6 @@ int main(int argc, char** argv) {
     registry.put(std::move(artifact));
   }
   core::SweepReport report;
-  sim::ProfileCache train_cache;
   const double ligen_fraction = cli.option_double("ligen-fraction");
   std::vector<std::string> apps;
   if (ligen_fraction < 1.0) {
@@ -140,7 +139,6 @@ int main(int argc, char** argv) {
       train.freq_stride = 8;
       train.sweep.repetitions = 2;
     }
-    train.sweep.cache = &train_cache;
     train.sweep.report = &report;
     train.origin = "cluster_scheduler";
     std::cout << "training " << key.to_string() << " ("

@@ -242,10 +242,8 @@ int main(int argc, char** argv) {
   synergy::Device device(sim_dev);
 
   core::SweepReport report;
-  sim::ProfileCache cache;
   core::SweepOptions sweep_options;
   sweep_options.repetitions = 5;
-  sweep_options.cache = &cache;
   sweep_options.retry = retry;
   sweep_options.report = &report;
 
@@ -319,9 +317,9 @@ int main(int argc, char** argv) {
 
   const auto verify_start = std::chrono::steady_clock::now();
   const core::Measurement def =
-      core::measure_default(device, *target, 5, &cache, retry, &report.retry);
-  const core::Measurement at = core::measure(
-      device, *target, answer.freq_mhz, 5, &cache, retry, &report.retry);
+      core::measure_default(device, *target, 5, retry, &report.retry);
+  const core::Measurement at = core::measure(device, *target, answer.freq_mhz,
+                                             5, retry, &report.retry);
   report.add_phase("verification", seconds_since(verify_start));
   std::cout << "verification against measurement:\n  measured energy  "
             << fmt_percent(at.energy_j / def.energy_j - 1.0)

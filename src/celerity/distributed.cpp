@@ -70,14 +70,10 @@ DistributedRunStats run_distributed_cronos(Cluster& cluster,
         const std::size_t before = queues[static_cast<std::size_t>(r)]
                                        .records()
                                        .size();
-        // One substep = the first 4 kernels of a step submission.
-        const std::size_t cells = local.cell_count();
-        const std::size_t ghosts = cronos::ghost_cell_count(local);
         auto& queue = queues[static_cast<std::size_t>(r)];
-        queue.submit({cronos::compute_changes_profile(num_vars), cells, {}});
-        queue.submit({cronos::cfl_reduce_profile(), cells, {}});
-        queue.submit({cronos::integrate_time_profile(num_vars), cells, {}});
-        queue.submit({cronos::apply_boundary_profile(num_vars), ghosts, {}});
+        for (const auto& launch : cronos::substep_launches(local, num_vars)) {
+          queue.submit(launch);
+        }
         double rank_time = 0.0;
         for (std::size_t i = before; i < queue.records().size(); ++i) {
           rank_time += queue.records()[i].time_s;

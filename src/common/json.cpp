@@ -744,13 +744,15 @@ Value Value::read(Reader& in) {
     slot = nullptr;
     while (slot == nullptr && !open.empty()) {
       Value& container = *open.back();
-      if (container.is_object() ? in.next_key(key) : in.next_element()) {
-        slot = container.is_object()
-                   ? &container.object_.emplace_back(std::string(key), Value())
-                          .second
-                   : &container.array_.emplace_back();
-      } else {
+      if (!(container.is_object() ? in.next_key(key) : in.next_element())) {
         open.pop_back();
+      } else if (!container.is_object()) {
+        slot = &container.array_.emplace_back();
+      } else if (container.find(key) == nullptr) {
+        slot = &container.object_.emplace_back(std::string(key), Value())
+                    .second;
+      } else {
+        in.fail("repeated key \"" + std::string(key) + "\"");
       }
     }
   }

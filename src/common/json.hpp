@@ -119,7 +119,8 @@ public:
 
   /// Parses one JSON document (throws dsem::contract_error with position
   /// info on malformed input; trailing non-whitespace is an error).
-  /// Containers nested deeper than kMaxDepth are rejected the same way.
+  /// Containers nested deeper than kMaxDepth, and a key repeated within
+  /// one object, are rejected the same way.
   static Value parse(std::string_view text);
 
   /// Reads the next value from `in` into a document, containers whole.
@@ -342,10 +343,11 @@ public:
   /// Checks that nothing but whitespace follows the document.
   void finish();
 
-private:
   /// Raises contract_error "json parse error at offset N: what" at the
   /// current position.
   [[noreturn]] void fail(const std::string& what) const;
+
+private:
   void skip_whitespace() noexcept;
   /// The next byte after whitespace; raises at end of input.
   char next_byte();

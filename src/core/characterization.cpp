@@ -96,10 +96,8 @@ Characterization characterize(synergy::Device& device,
 Characterization characterize(synergy::Device& device,
                               const Workload& workload, int repetitions,
                               std::span<const double> freqs) {
-  sim::ProfileCache cache;
   SweepOptions options;
   options.repetitions = repetitions;
-  options.cache = &cache;
   return characterize(device, workload, options, freqs);
 }
 

@@ -50,8 +50,7 @@ Characterization characterize(synergy::Device& device,
                               const SweepOptions& options,
                               std::span<const double> freqs = {});
 
-/// Convenience overload: default sweep options with `repetitions` and a
-/// sweep-local profile cache.
+/// Convenience overload: default sweep options with `repetitions`.
 Characterization characterize(synergy::Device& device,
                               const Workload& workload,
                               int repetitions = kDefaultRepetitions,

@@ -100,10 +100,8 @@ Dataset build_dataset(synergy::Device& device,
 Dataset build_dataset(synergy::Device& device,
                       std::span<const std::unique_ptr<Workload>> workloads,
                       int repetitions, std::span<const double> freqs) {
-  sim::ProfileCache cache;
   SweepOptions options;
   options.repetitions = repetitions;
-  options.cache = &cache;
   return build_dataset(device, workloads, options, freqs);
 }
 

@@ -52,8 +52,7 @@ Dataset build_dataset(synergy::Device& device,
                       const SweepOptions& options,
                       std::span<const double> freqs = {});
 
-/// Convenience overload: default sweep options with `repetitions` and a
-/// sweep-local profile cache.
+/// Convenience overload: default sweep options with `repetitions`.
 Dataset build_dataset(synergy::Device& device,
                       std::span<const std::unique_ptr<Workload>> workloads,
                       int repetitions = kDefaultRepetitions,

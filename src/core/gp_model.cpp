@@ -30,10 +30,8 @@ void GeneralPurposeModel::train(
     synergy::Device& device,
     std::span<const microbench::MicroBenchmark> suite, int repetitions,
     std::size_t freq_stride) {
-  sim::ProfileCache cache;
   SweepOptions options;
   options.repetitions = repetitions;
-  options.cache = &cache;
   train(device, suite, options, freq_stride);
 }
 

@@ -67,8 +67,8 @@ void set_frequency_with_retry(synergy::Device& device, double freq_mhz,
 }
 
 Measurement measure_run(synergy::Device& device, const RunFn& run,
-                        int repetitions, sim::ProfileCache* cache,
-                        const RetryPolicy& retry, RetryStats* stats) {
+                        int repetitions, const RetryPolicy& retry,
+                        RetryStats* stats) {
   DSEM_ENSURE(repetitions >= 1, "repetitions must be >= 1");
   DSEM_ENSURE(retry.max_attempts >= 1, "max_attempts must be >= 1");
   DSEM_ENSURE(static_cast<bool>(run), "measure_run requires a run function");
@@ -83,7 +83,6 @@ Measurement measure_run(synergy::Device& device, const RunFn& run,
       metrics::counter("retry.attempts");
       try {
         synergy::Queue queue(device, synergy::ExecMode::kSimOnly);
-        queue.set_profile_cache(cache);
         run(queue);
         const double t = queue.total_time_s();
         const double e = queue.total_energy_j();
@@ -115,33 +114,30 @@ Measurement measure_run(synergy::Device& device, const RunFn& run,
 
 Measurement measure(synergy::Device& device, const Workload& workload,
                     double freq_mhz, int repetitions,
-                    sim::ProfileCache* cache, const RetryPolicy& retry,
-                    RetryStats* stats) {
+                    const RetryPolicy& retry, RetryStats* stats) {
   set_frequency_with_retry(device, freq_mhz, retry, stats);
   const Measurement m = measure_run(
       device, [&](synergy::Queue& q) { workload.submit(q); }, repetitions,
-      cache, retry, stats);
+      retry, stats);
   device.reset_frequency();
   return m;
 }
 
 Measurement measure_default(synergy::Device& device, const Workload& workload,
-                            int repetitions, sim::ProfileCache* cache,
-                            const RetryPolicy& retry, RetryStats* stats) {
+                            int repetitions, const RetryPolicy& retry,
+                            RetryStats* stats) {
   device.reset_frequency();
   return measure_run(
       device, [&](synergy::Queue& q) { workload.submit(q); }, repetitions,
-      cache, retry, stats);
+      retry, stats);
 }
 
 std::vector<SweepPoint> sweep_frequencies(synergy::Device& device,
                                           const Workload& workload,
                                           int repetitions,
                                           std::span<const double> freqs) {
-  sim::ProfileCache cache;
   SweepOptions options;
   options.repetitions = repetitions;
-  options.cache = &cache;
   FrequencySweep sweep = sweep_workload(device, workload, freqs, options);
   return std::move(sweep.points);
 }

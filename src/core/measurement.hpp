@@ -2,9 +2,7 @@
 //
 // Mirrors the paper's experimental setup (§5.1): each configuration is
 // executed and profiled through the SYnergy layer, repeated `repetitions`
-// times (5 in the paper) and averaged to damp measurement noise. All
-// entry points optionally share a sim::ProfileCache so the noise-free
-// cost of repeated (kernel, input, frequency) launches is derived once.
+// times (5 in the paper) and averaged to damp measurement noise.
 //
 // Fault tolerance: every entry point absorbs transient device faults
 // (sim::TransientFault — rejected frequency sets, aborted launches,
@@ -23,7 +21,6 @@
 #include <vector>
 
 #include "core/workload.hpp"
-#include "sim/profile_cache.hpp"
 #include "synergy/device.hpp"
 
 namespace dsem::core {
@@ -92,7 +89,6 @@ using RunFn = std::function<void(synergy::Queue&)>;
 /// throws MeasurementError when a repetition exhausts its attempts.
 Measurement measure_run(synergy::Device& device, const RunFn& run,
                         int repetitions = kDefaultRepetitions,
-                        sim::ProfileCache* cache = nullptr,
                         const RetryPolicy& retry = {},
                         RetryStats* stats = nullptr);
 
@@ -100,14 +96,12 @@ Measurement measure_run(synergy::Device& device, const RunFn& run,
 /// `repetitions` runs. Restores the device default clock afterwards.
 Measurement measure(synergy::Device& device, const Workload& workload,
                     double freq_mhz, int repetitions = kDefaultRepetitions,
-                    sim::ProfileCache* cache = nullptr,
                     const RetryPolicy& retry = {},
                     RetryStats* stats = nullptr);
 
 /// Same, at the device's default/auto clocking.
 Measurement measure_default(synergy::Device& device, const Workload& workload,
                             int repetitions = kDefaultRepetitions,
-                            sim::ProfileCache* cache = nullptr,
                             const RetryPolicy& retry = {},
                             RetryStats* stats = nullptr);
 

@@ -49,11 +49,6 @@ std::vector<FrequencySweep> sweep_grid(synergy::Device& device,
   const std::size_t n = tasks.size() * stride;
   const double default_freq = device.default_frequency();
 
-  const std::uint64_t cache_hits_before =
-      options.cache != nullptr ? options.cache->hits() : 0;
-  const std::uint64_t cache_misses_before =
-      options.cache != nullptr ? options.cache->misses() : 0;
-
   std::vector<PointResult> grid(n);
   trace::Span sweep_span("sweep.grid", trace::cat::kSweep);
   sweep_span.value(static_cast<double>(n));
@@ -78,7 +73,7 @@ std::vector<FrequencySweep> sweep_grid(synergy::Device& device,
                                      &pr.stats);
           }
           pr.m = measure_run(dev, tasks[t].run, options.repetitions,
-                             options.cache, options.retry, &pr.stats);
+                             options.retry, &pr.stats);
         } catch (const MeasurementError& error) {
           pr.ok = false;
           pr.m = {};
@@ -127,10 +122,6 @@ std::vector<FrequencySweep> sweep_grid(synergy::Device& device,
                                    k == 0 ? default_freq : freqs[k - 1],
                                    k == 0, pr.stats.attempts, pr.error});
       }
-    }
-    if (options.cache != nullptr) {
-      report.cache_hits += options.cache->hits() - cache_hits_before;
-      report.cache_misses += options.cache->misses() - cache_misses_before;
     }
   }
   return out;

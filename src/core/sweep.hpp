@@ -31,9 +31,6 @@ struct SweepReport;
 
 struct SweepOptions {
   int repetitions = kDefaultRepetitions;
-  /// Shared memoization of noise-free launch costs (nullptr disables).
-  /// Purely an arithmetic cache: results are bit-identical either way.
-  sim::ProfileCache* cache = nullptr;
   /// Bounded-retry recovery for transient device faults. A grid point
   /// that exhausts its attempts is recorded as failed (SweepPoint::ok ==
   /// false), never aborts the sweep.

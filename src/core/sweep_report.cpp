@@ -8,13 +8,6 @@
 
 namespace dsem::core {
 
-double SweepReport::cache_hit_rate() const noexcept {
-  const std::uint64_t lookups = cache_hits + cache_misses;
-  return lookups == 0 ? 0.0
-                      : static_cast<double>(cache_hits) /
-                            static_cast<double>(lookups);
-}
-
 void SweepReport::add_phase(std::string name, double seconds) {
   // Phase wall-times feed the metrics registry as wall-clock gauges, so
   // the report and the registry cannot disagree.
@@ -32,10 +25,7 @@ void print_sweep_report(std::ostream& os, const SweepReport& report) {
      << "  attempts:          " << report.retry.attempts << " ("
      << report.retry.retries << " retries, " << report.retry.faults
      << " faults)\n"
-     << "  simulated backoff: " << report.retry.simulated_backoff_s << " s\n"
-     << "  cache hit rate:    " << 100.0 * report.cache_hit_rate() << "% ("
-     << report.cache_hits << " hits / " << report.cache_misses
-     << " misses)\n";
+     << "  simulated backoff: " << report.retry.simulated_backoff_s << " s\n";
   for (const FailedPoint& f : report.failures) {
     os << "  failed: task " << f.task << " @ "
        << (f.baseline ? "default clock" : std::to_string(f.freq_mhz) + " MHz")
@@ -57,12 +47,6 @@ json::Value sweep_report_to_json(const SweepReport& report) {
   retry.set("faults", report.retry.faults);
   retry.set("simulated_backoff_s", report.retry.simulated_backoff_s);
   root.set("retry", std::move(retry));
-
-  auto cache = json::Value::object();
-  cache.set("hits", report.cache_hits);
-  cache.set("misses", report.cache_misses);
-  cache.set("hit_rate", report.cache_hit_rate());
-  root.set("cache", std::move(cache));
 
   auto failures = json::Value::array();
   for (const FailedPoint& f : report.failures) {

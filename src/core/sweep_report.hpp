@@ -3,15 +3,13 @@
 // A sweep over a faulty device (sim::FaultInjector) degrades gracefully:
 // grid points that exhaust their RetryPolicy are recorded as failed, not
 // fatal. The SweepReport collects what that resilience cost — attempts,
-// retries, simulated backoff, the failed points themselves — plus the
-// ProfileCache hit rate and per-phase wall time, so drivers can print one
+// retries, simulated backoff, the failed points themselves — plus
+// per-phase wall time, so an example or bench program can print one
 // summary at the end of a pipeline.
 //
-// Determinism: every counter except the cache hit/miss split and phase
-// wall times is a pure function of the device seed and the grid — safe to
-// compare across DSEM_THREADS settings. The cache split depends on thread
-// scheduling (concurrent first lookups of the same key may both miss) and
-// is report-only.
+// Determinism: every counter except the phase wall times is a pure
+// function of the device seed and the grid — safe to compare across
+// DSEM_THREADS settings.
 #pragma once
 
 #include <cstddef>
@@ -46,8 +44,6 @@ struct SweepReport {
   std::uint64_t grid_points = 0;   ///< points attempted
   std::uint64_t failed_points = 0; ///< points that exhausted retries
   RetryStats retry;                ///< attempts / retries / faults / backoff
-  std::uint64_t cache_hits = 0;    ///< scheduling-dependent; report-only
-  std::uint64_t cache_misses = 0;  ///< scheduling-dependent; report-only
   std::vector<FailedPoint> failures; ///< grid order within each sweep
 
   struct Phase {
@@ -56,16 +52,15 @@ struct SweepReport {
   };
   std::vector<Phase> phases;
 
-  double cache_hit_rate() const noexcept;
   void add_phase(std::string name, double seconds);
 };
 
 /// Human-readable multi-line summary.
 void print_sweep_report(std::ostream& os, const SweepReport& report);
 
-/// Serializes every field of the report (including the report-only cache
-/// split and phase wall times — consumers filter by the determinism notes
-/// above when comparing runs).
+/// Serializes every field of the report (including the report-only phase
+/// wall times — consumers filter by the determinism notes above when
+/// comparing runs).
 json::Value sweep_report_to_json(const SweepReport& report);
 
 /// Registers the shared fault/retry knobs on an example or bench CLI:

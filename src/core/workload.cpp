@@ -31,34 +31,27 @@ void CronosWorkload::submit(synergy::Queue& queue) const {
 }
 
 sim::KernelProfile CronosWorkload::aggregate_profile() const {
-  const std::size_t cells = dims_.cell_count();
-  const std::size_t ghosts = cronos::ghost_cell_count(dims_);
-  // Work-item-weighted per-item average over one step's kernel launches
-  // (the step structure is identical across steps, so one step suffices).
+  // Work-item-weighted per-item average over one substep's kernel launches
+  // (every substep of every step submits the same four).
   sim::KernelProfile agg;
   agg.name = "cronos::aggregate";
   double items = 0.0;
-  const auto add = [&](const sim::KernelProfile& p, std::size_t w) {
-    agg.accumulate(p.scaled(static_cast<double>(w)));
-    items += static_cast<double>(w);
-  };
-  add(cronos::compute_changes_profile(num_vars_), cells);
-  add(cronos::cfl_reduce_profile(), cells);
-  add(cronos::integrate_time_profile(num_vars_), cells);
-  add(cronos::apply_boundary_profile(num_vars_), ghosts);
+  for (const auto& launch : cronos::substep_launches(dims_, num_vars_)) {
+    const auto w = static_cast<double>(launch.work_items);
+    agg.accumulate(launch.profile.scaled(w));
+    items += w;
+  }
   return agg.scaled(1.0 / items);
 }
 
 std::vector<KernelLaunch> CronosWorkload::kernel_launches() const {
-  const std::size_t cells = dims_.cell_count();
-  const std::size_t ghosts = cronos::ghost_cell_count(dims_);
-  // Every step runs three RK substeps of the same four kernels
-  // (cronos::submit_step_kernels).
+  // Every step runs three RK substeps of the same four kernels.
   const double per_run = 3.0 * static_cast<double>(steps_);
-  return {{cronos::compute_changes_profile(num_vars_), cells, per_run},
-          {cronos::cfl_reduce_profile(), cells, per_run},
-          {cronos::integrate_time_profile(num_vars_), cells, per_run},
-          {cronos::apply_boundary_profile(num_vars_), ghosts, per_run}};
+  std::vector<KernelLaunch> out;
+  for (auto& launch : cronos::substep_launches(dims_, num_vars_)) {
+    out.push_back({std::move(launch.profile), launch.work_items, per_run});
+  }
+  return out;
 }
 
 LigenWorkload::LigenWorkload(int ligands, int atoms, int fragments,

@@ -63,17 +63,22 @@ std::size_t ghost_cell_count(const GridDims& dims) {
   return ext(dims.nx) * ext(dims.ny) * ext(dims.nz) - dims.cell_count();
 }
 
+std::array<synergy::KernelLaunch, 4> substep_launches(const GridDims& dims,
+                                                      int num_vars) {
+  const std::size_t cells = dims.cell_count();
+  return {{{compute_changes_profile(num_vars), cells, {}},
+           {cfl_reduce_profile(), cells, {}},
+           {integrate_time_profile(num_vars), cells, {}},
+           {apply_boundary_profile(num_vars), ghost_cell_count(dims), {}}}};
+}
+
 void submit_step_kernels(synergy::Queue& queue, const GridDims& dims,
                          int num_vars, int steps) {
   DSEM_ENSURE(steps >= 1, "steps must be >= 1");
-  const std::size_t cells = dims.cell_count();
-  const std::size_t ghosts = ghost_cell_count(dims);
-  for (int step = 0; step < steps; ++step) {
-    for (int substep = 0; substep < 3; ++substep) {
-      queue.submit({compute_changes_profile(num_vars), cells, {}});
-      queue.submit({cfl_reduce_profile(), cells, {}});
-      queue.submit({integrate_time_profile(num_vars), cells, {}});
-      queue.submit({apply_boundary_profile(num_vars), ghosts, {}});
+  const auto launches = substep_launches(dims, num_vars);
+  for (int substep = 0; substep < 3 * steps; ++substep) {
+    for (const synergy::KernelLaunch& launch : launches) {
+      queue.submit(launch);
     }
   }
 }

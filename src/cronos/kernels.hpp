@@ -8,6 +8,8 @@
 // is what makes Cronos memory-bound and down-clock-friendly on large grids.
 #pragma once
 
+#include <array>
+
 #include "cronos/grid.hpp"
 #include "sim/kernel_profile.hpp"
 #include "synergy/queue.hpp"
@@ -28,6 +30,12 @@ sim::KernelProfile apply_boundary_profile(int num_vars);
 
 /// Ghost cells around an interior of `dims` with the solver's halo depth.
 std::size_t ghost_cell_count(const GridDims& dims);
+
+/// The four launches of one SSP-RK substep, in submission order:
+/// computeChanges, cflReduce and integrateTime over the interior cells,
+/// applyBoundary over the ghost cells. No host implementations attached.
+std::array<synergy::KernelLaunch, 4> substep_launches(const GridDims& dims,
+                                                      int num_vars);
 
 /// Submits the kernel sequence of one Solver::step (3 substeps x
 /// {computeChanges, cflReduce, integrateTime, applyBoundary}) without any

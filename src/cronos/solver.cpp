@@ -305,19 +305,12 @@ void Solver::apply_boundary() {
   }
 }
 
-std::size_t Solver::ghost_cell_count() const noexcept {
-  const GridDims d = config_.dims;
-  const auto ext = [&](int n) {
-    return static_cast<std::size_t>(n + 2 * kGhost);
-  };
-  return ext(d.nx) * ext(d.ny) * ext(d.nz) - d.cell_count();
-}
-
 StepStats Solver::step(synergy::Queue& queue) {
   DSEM_ENSURE(initialized_, "Solver::step before initialize");
-  const int nv = law_->num_vars();
-  const std::size_t cells = config_.dims.cell_count();
-  const std::size_t ghosts = ghost_cell_count();
+  auto launches = substep_launches(config_.dims, law_->num_vars());
+  launches[0].host_impl = [this] { compute_changes(u_, dudt_, cfl_); };
+  launches[1].host_impl = [this] { max_rate_ = reduce_max_rate(cfl_); };
+  launches[3].host_impl = [this] { apply_boundary(); };
 
   // Save the RK base state (only needed when the numerics actually run).
   if (queue.mode() == synergy::ExecMode::kValidate) {
@@ -325,14 +318,10 @@ StepStats Solver::step(synergy::Queue& queue) {
   }
 
   for (int substep = 0; substep < 3; ++substep) {
-    queue.submit({compute_changes_profile(nv), cells,
-                  [this] { compute_changes(u_, dudt_, cfl_); }});
-    queue.submit({cfl_reduce_profile(), cells,
-                  [this] { max_rate_ = reduce_max_rate(cfl_); }});
-    queue.submit({integrate_time_profile(nv), cells,
-                  [this, substep] { integrate_substep(substep); }});
-    queue.submit({apply_boundary_profile(nv), ghosts,
-                  [this] { apply_boundary(); }});
+    launches[2].host_impl = [this, substep] { integrate_substep(substep); };
+    for (const synergy::KernelLaunch& launch : launches) {
+      queue.submit(launch);
+    }
   }
 
   StepStats stats;

@@ -91,7 +91,6 @@ public:
 private:
   void integrate_substep(int substep);
   void fill_axis_boundary(int axis);
-  std::size_t ghost_cell_count() const noexcept;
 
   std::shared_ptr<const ConservationLaw> law_;
   SolverConfig config_;

@@ -27,7 +27,7 @@ struct TrainConfig {
   std::size_t freq_stride = 4;
   /// Smaller training grids (fewer workloads) for tests and smoke runs.
   bool compact = false;
-  /// Sweep knobs: repetitions, profile cache, retry, report.
+  /// Sweep knobs: repetitions, retry, report.
   core::SweepOptions sweep;
   /// Regressor prototype to clone; nullptr = paper-default Random Forest.
   const ml::Regressor* prototype = nullptr;

@@ -64,13 +64,9 @@ LaunchResult Device::launch(const KernelProfile& kernel,
                              spec_.name);
   }
   const double f = current_frequency();
-  ProfileCache::Cost cost;
-  if (cache != nullptr) {
-    cost = cache->lookup(spec_, kernel, work_items, f);
-  } else {
-    const ExecutionBreakdown exec = execute(spec_, kernel, work_items, f);
-    cost = {exec.total_s, energy(spec_, exec, f).total_j};
-  }
+  const LaunchCost cost = cache != nullptr
+                              ? cache->lookup(spec_, kernel, work_items, f)
+                              : launch_cost(spec_, kernel, work_items, f);
 
   LaunchResult out;
   out.frequency_mhz = f;

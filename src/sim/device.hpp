@@ -102,9 +102,9 @@ public:
   // --- execution ----------------------------------------------------------
 
   /// Simulates one kernel launch, advances the counters, and returns the
-  /// (noisy) measured time and energy of this launch. With a cache, the
-  /// noise-free launch cost is memoized across launches (and devices
-  /// sharing the cache); results are bit-identical either way.
+  /// (noisy) measured time and energy of this launch. The noise-free cost
+  /// is launch_cost(), or its memoized copy in `cache`; results are
+  /// bit-identical either way.
   ///
   /// With fault injection enabled, may throw TransientFault (aborted
   /// launch, dropped energy read) or return a garbage (negative) energy

@@ -56,4 +56,10 @@ double idle_power_w(const DeviceSpec& spec, double core_mhz) {
   return spec.power.static_w + spec.power.clock_max_w * dvfs_factor(spec, core_mhz);
 }
 
+LaunchCost launch_cost(const DeviceSpec& spec, const KernelProfile& kernel,
+                       std::size_t work_items, double core_mhz) {
+  const ExecutionBreakdown exec = execute(spec, kernel, work_items, core_mhz);
+  return {exec.total_s, energy(spec, exec, core_mhz).total_j};
+}
+
 } // namespace dsem::sim

@@ -39,4 +39,16 @@ EnergyBreakdown energy(const DeviceSpec& spec, const ExecutionBreakdown& exec,
 /// Instantaneous power draw while the device idles (clocked, no work).
 double idle_power_w(const DeviceSpec& spec, double core_mhz);
 
+/// Noise-free cost of one launch: execution-model total time and
+/// power-model total energy.
+struct LaunchCost {
+  double time_s = 0.0;
+  double energy_j = 0.0;
+};
+
+/// The cost of launching (kernel, work_items) on `spec` at `core_mhz`:
+/// the one derivation behind Device::launch and ProfileCache::lookup.
+LaunchCost launch_cost(const DeviceSpec& spec, const KernelProfile& kernel,
+                       std::size_t work_items, double core_mhz);
+
 } // namespace dsem::sim

@@ -3,22 +3,8 @@
 #include <bit>
 
 #include "common/metrics.hpp"
-#include "sim/execution_model.hpp"
-#include "sim/power_model.hpp"
 
 namespace dsem::sim {
-
-namespace {
-
-ProfileCache::Cost compute_cost(const DeviceSpec& spec,
-                                const KernelProfile& kernel,
-                                std::size_t work_items, double core_mhz) {
-  const ExecutionBreakdown exec = execute(spec, kernel, work_items, core_mhz);
-  const EnergyBreakdown e = energy(spec, exec, core_mhz);
-  return {exec.total_s, e.total_j};
-}
-
-} // namespace
 
 std::size_t ProfileCache::KeyHash::operator()(const Key& key) const noexcept {
   // FNV-1a over the name bytes and the bit patterns of the doubles.
@@ -37,10 +23,9 @@ std::size_t ProfileCache::KeyHash::operator()(const Key& key) const noexcept {
   return static_cast<std::size_t>(h);
 }
 
-ProfileCache::Cost ProfileCache::lookup(const DeviceSpec& spec,
-                                        const KernelProfile& kernel,
-                                        std::size_t work_items,
-                                        double core_mhz) {
+LaunchCost ProfileCache::lookup(const DeviceSpec& spec,
+                                const KernelProfile& kernel,
+                                std::size_t work_items, double core_mhz) {
   Key key;
   key.name = spec.name + '\0' + kernel.name;
   key.values = {kernel.int_add,      kernel.int_mul,
@@ -66,7 +51,7 @@ ProfileCache::Cost ProfileCache::lookup(const DeviceSpec& spec,
   }
   // Compute outside the lock; a concurrent miss for the same key derives
   // the identical value, so whichever insert wins is correct.
-  const Cost cost = compute_cost(spec, kernel, work_items, core_mhz);
+  const LaunchCost cost = launch_cost(spec, kernel, work_items, core_mhz);
   std::lock_guard lock(mutex_);
   entries_.try_emplace(std::move(key), cost);
   return cost;

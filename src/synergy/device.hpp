@@ -1,60 +1,62 @@
 // Portable device handle (the SYnergy API role of the paper).
 //
-// One vendor-neutral interface for frequency control and energy readout,
-// backed by whichever vendor backend matches the hardware. Energy is always
-// reported in joules regardless of the vendor counter's native unit.
+// One vendor-neutral interface for frequency control and energy readout
+// over a simulated device. Real DVFS is only reachable through per-vendor
+// libraries (NVML, ROCm SMI, Level Zero); over the simulator they differ
+// only in data, so each is one VendorApi entry picked from the spec's
+// vendor:
+//  - the API name;
+//  - the resolution of its energy counter: millijoules for NVML
+//    (nvmlDeviceGetTotalEnergyConsumption), 15.3 uJ for the ROCm SMI
+//    accumulator, microjoules for Level Zero (zes_power_energy_counter_t).
+// Clocking semantics come from the spec itself: a fixed default
+// application clock (NVML, Level Zero) or the "auto" governor (ROCm SMI),
+// which sim::Device::reset_frequency already chooses between. Energy is
+// always reported in joules, quantized through the vendor counter's unit.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "synergy/backend.hpp"
+#include "sim/device.hpp"
 
 namespace dsem::synergy {
 
+/// A vendor management library as the portable layer sees it.
+struct VendorApi {
+  const char* name;
+  double energy_unit_j; ///< resolution of the raw energy counter
+};
+
 class Device {
 public:
-  explicit Device(std::unique_ptr<Backend> backend)
-      : backend_(std::move(backend)) {}
+  /// Picks the management API of the spec's vendor; raises
+  /// contract_error for a vendor without one.
+  explicit Device(sim::Device& simulated);
 
-  /// Convenience: wraps a simulated device with its matching backend.
-  explicit Device(sim::Device& simulated) : Device(make_backend(simulated)) {}
+  std::string name() const { return spec().name; }
+  std::string vendor_api() const { return api_->name; }
+  const sim::DeviceSpec& spec() const { return device_->spec(); }
 
-  Device(Device&&) noexcept = default;
-  Device& operator=(Device&&) noexcept = default;
+  std::vector<double> supported_frequencies() const;
+  double default_frequency() const { return device_->default_frequency(); }
+  double current_frequency() const { return device_->current_frequency(); }
 
-  std::string name() const { return backend_->spec().name; }
-  std::string vendor_api() const { return backend_->api_name(); }
-  const sim::DeviceSpec& spec() const { return backend_->spec(); }
+  void set_frequency(double mhz) { device_->set_core_frequency(mhz); }
+  /// Back to the vendor's default clocking: the fixed default clock, or
+  /// the auto governor on a device without one.
+  void reset_frequency() { device_->reset_frequency(); }
 
-  std::vector<double> supported_frequencies() const {
-    return backend_->supported_core_frequencies();
-  }
-  double default_frequency() const {
-    return backend_->default_core_frequency();
-  }
-  double current_frequency() const {
-    return backend_->current_core_frequency();
-  }
+  /// Cumulative device energy in joules, read through the vendor counter.
+  double energy_joules() const;
 
-  void set_frequency(double mhz) { backend_->set_core_frequency(mhz); }
-  void reset_frequency() { backend_->reset_core_frequency(); }
-
-  /// Cumulative device energy in joules (vendor counter, unit-converted).
-  double energy_joules() const {
-    return static_cast<double>(backend_->energy_counter()) *
-           backend_->energy_unit_joules();
-  }
-
-  Backend& backend() { return *backend_; }
-
-  /// The simulated device behind the vendor backend — the seed source for
-  /// deterministic replica devices in parallel sweeps.
-  sim::Device& simulated() const { return backend_->simulated(); }
+  /// The simulated device behind the handle: what queues launch on, and
+  /// the seed source for deterministic replica devices in parallel sweeps.
+  sim::Device& simulated() const { return *device_; }
 
 private:
-  std::unique_ptr<Backend> backend_;
+  sim::Device* device_;  // non-owning; device outlives the handle
+  const VendorApi* api_; // static vendor table entry
 };
 
 } // namespace dsem::synergy

@@ -45,8 +45,8 @@ LaunchRecord Queue::submit(const KernelLaunch& launch) {
     launch.host_impl();
   }
   const sim::LaunchResult result =
-      device_->backend().launch(launch.profile, launch.work_items,
-                                profile_cache_);
+      device_->simulated().launch(launch.profile, launch.work_items,
+                                  profile_cache_);
 
   LaunchRecord record;
   record.kernel_name = launch.profile.name;

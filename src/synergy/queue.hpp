@@ -58,9 +58,8 @@ public:
   void clear_kernel_frequency_plan();
   bool has_kernel_frequency_plan() const noexcept { return !plan_.empty(); }
 
-  /// Memoize noise-free launch costs in `cache` (nullptr disables). The
-  /// sweep engine shares one cache across all grid points so repeated
-  /// (device, kernel, input) profiles are computed once per frequency.
+  /// Memoize noise-free launch costs in `cache` (nullptr disables);
+  /// records are bit-identical either way.
   void set_profile_cache(sim::ProfileCache* cache) noexcept {
     profile_cache_ = cache;
   }

@@ -190,6 +190,27 @@ TEST(JsonParser, TrailingCharactersAreAParseErrorWithTheirOffset) {
   }
 }
 
+TEST(JsonParser, RepeatedKeyIsAParseErrorWithItsOffset) {
+  // The first copy used to win silently: {"a":1,"a":2} read a as 1. The
+  // offset is the byte after the repeated key's colon, where
+  // Reader::read_object reports it too.
+  for (const auto& [text, offset] : std::vector<std::pair<std::string, int>>{
+           {R"({"a":1,"a":2})", 11},
+           {R"({"x": [{"b": 1}, {"b": 2, "c": {"a": 0, "a": 0}}]})", 44},
+           {R"({"a": 1, "\u0061": 2})", 18}}) {
+    EXPECT_EQ(parse_error(text).rfind("json parse error at offset " +
+                                          std::to_string(offset) +
+                                          ": repeated key \"a\"",
+                                      0),
+              0u)
+        << text << ": " << parse_error(text);
+  }
+  // One name in sibling, nested or array-held objects is not a repeat.
+  const Value ok = Value::parse(R"({"a": {"a": 1}, "b": [{"a": 2}, {"a": 3}]})");
+  EXPECT_EQ(ok.at("a").at("a").as_number(), 1.0);
+  EXPECT_EQ(ok.at("b").as_array()[1].at("a").as_number(), 3.0);
+}
+
 TEST(JsonParser, RejectsNumbersOutsideTheJsonGrammar) {
   // RFC 8259: no '+' sign, no bare '.', no leading zero before a digit,
   // and a point or an exponent needs a digit after it. strtod takes

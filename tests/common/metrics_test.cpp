@@ -234,10 +234,8 @@ std::string metered_sweep(std::size_t threads) {
     const core::CronosWorkload workload(cronos::GridDims{12, 6, 6}, 2);
 
     ScopedGlobalPool pool(threads);
-    sim::ProfileCache cache;
     core::SweepOptions options;
     options.repetitions = 2;
-    options.cache = &cache;
     options.retry = core::RetryPolicy{4, 0.01, 2.0};
     const auto all = device.supported_frequencies();
     std::vector<double> freqs;

@@ -328,10 +328,8 @@ std::vector<LogicalEvent> traced_sweep(std::size_t threads) {
     const core::CronosWorkload workload(cronos::GridDims{12, 6, 6}, 2);
 
     ScopedGlobalPool pool(threads);
-    sim::ProfileCache cache;
     core::SweepOptions options;
     options.repetitions = 2;
-    options.cache = &cache;
     options.retry = core::RetryPolicy{4, 0.01, 2.0};
     core::characterize(device, workload, options, strided_freqs(device, 16));
   }

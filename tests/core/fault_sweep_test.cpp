@@ -103,7 +103,7 @@ TEST(RetryTest, MeasureRunRetriesTransientLaunchFaults) {
   RetryStats stats;
   const Measurement m = measure_run(
       device, [&](synergy::Queue& q) { workload.submit(q); },
-      /*repetitions=*/5, nullptr, RetryPolicy{20, 0.01, 2.0}, &stats);
+      /*repetitions=*/5, RetryPolicy{20, 0.01, 2.0}, &stats);
   EXPECT_GT(m.time_s, 0.0);
   EXPECT_GT(m.energy_j, 0.0);
   EXPECT_GT(stats.faults, 0u);
@@ -120,8 +120,7 @@ TEST(RetryTest, MeasureRunExhaustionThrowsMeasurementError) {
 
   EXPECT_THROW(measure_run(
                    device, [&](synergy::Queue& q) { workload.submit(q); },
-                   /*repetitions=*/1, nullptr, RetryPolicy{3, 0.01, 2.0},
-                   nullptr),
+                   /*repetitions=*/1, RetryPolicy{3, 0.01, 2.0}, nullptr),
                MeasurementError);
 }
 
@@ -198,10 +197,8 @@ Dataset faulty_dataset(std::size_t threads, SweepReport* report,
   const auto workloads = test_workloads();
 
   ScopedGlobalPool pool(threads);
-  sim::ProfileCache cache;
   SweepOptions options;
   options.repetitions = 2;
-  options.cache = &cache;
   options.retry = {2, 0.01, 2.0};
   options.report = report;
   return build_dataset(device, workloads, options, strided_freqs(device, 16));
@@ -260,8 +257,8 @@ TEST(FaultSweepTest, PipelineBitIdenticalAcrossPoolSizes) {
     SweepReport report;
     const Dataset parallel = faulty_dataset(threads, &report);
 
-    // Deterministic report fields: everything except the cache hit/miss
-    // split and phase wall times.
+    // Deterministic report fields: everything except the phase wall
+    // times.
     EXPECT_EQ(report.grid_points, serial_report.grid_points);
     EXPECT_EQ(report.failed_points, serial_report.failed_points);
     EXPECT_EQ(report.retry.attempts, serial_report.retry.attempts);
@@ -326,8 +323,6 @@ TEST(FaultSweepTest, MetricsAgreeWithTheSweepReport) {
   EXPECT_EQ(total("retry.attempts"), report.retry.attempts);
   EXPECT_EQ(total("retry.retries"), report.retry.retries);
   EXPECT_EQ(total("retry.faults"), report.retry.faults);
-  EXPECT_EQ(total("cache.hits"), report.cache_hits);
-  EXPECT_EQ(total("cache.misses"), report.cache_misses);
 
   const auto backoff = std::find_if(
       snapshot.histograms.begin(), snapshot.histograms.end(),
@@ -355,10 +350,8 @@ TEST(FaultSweepTest, ZeroRateReproducesTheUnfaultedSweepExactly) {
   synergy::Device device(sim_dev);
   const auto workloads = test_workloads();
   ScopedGlobalPool pool(4);
-  sim::ProfileCache cache;
   SweepOptions options;
   options.repetitions = 2;
-  options.cache = &cache;
   const Dataset plain =
       build_dataset(device, workloads, options, strided_freqs(device, 16));
 

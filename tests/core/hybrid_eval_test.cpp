@@ -53,9 +53,7 @@ EvalFixture& fixture() {
     s->fused = fuse_dataset(s->dataset, s->workloads, sim::v100());
     sim::Device sim_dev(sim::v100(), sim::NoiseConfig::none());
     synergy::Device device(sim_dev);
-    sim::ProfileCache cache;
     SweepOptions options;
-    options.cache = &cache;
     s->gp.train(device, microbench::make_suite(), options, 16);
     return s;
   }();

@@ -2,7 +2,10 @@
 // a fractional, non-finite or out-of-range number raises contract_error
 // instead of truncating, allocating without bound, or casting out of
 // range.
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -55,6 +58,25 @@ TEST(IntegerFields, DatasetGroupIdsMustBeIntegers) {
     doc.at("groups").as_array()[1] = json::Value(group);
     EXPECT_THROW(dataset_from_json(doc), contract_error) << "group " << group;
   }
+}
+
+TEST(DatasetFile, RepeatedKeyIsRejected) {
+  // A second "time_s" used to load silently, its first copy winning.
+  std::string text = small_dataset().dump();
+  text.insert(1, R"("time_s": [9, 9, 9, 9], )");
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "repeated_key.json")
+          .string();
+  std::ofstream(path) << text;
+  try {
+    load_dataset(path);
+    FAIL() << "expected contract_error";
+  } catch (const contract_error& e) {
+    EXPECT_NE(std::string(e.what()).find("repeated key \"time_s\""),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(path);
 }
 
 } // namespace

@@ -1,8 +1,7 @@
 // Determinism contract of the parallel sweep engine (core/sweep.hpp):
 // characterization, dataset collection, and the models trained on them
 // must be BIT-identical for any thread-pool size — pool size 1 reproduces
-// serial execution exactly, and a shared profile cache must not change a
-// single bit either.
+// serial execution exactly.
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -36,16 +35,14 @@ std::vector<std::unique_ptr<Workload>> test_workloads() {
   return out;
 }
 
-Characterization characterize_with(std::size_t threads, bool use_cache) {
+Characterization characterize_with(std::size_t threads) {
   sim::Device sim_dev(sim::v100(), sim::NoiseConfig{0.015, 0.015}, 0x077);
   synergy::Device device(sim_dev);
   const CronosWorkload workload(cronos::GridDims{20, 8, 8}, 2);
 
   ScopedGlobalPool pool(threads);
-  sim::ProfileCache cache;
   SweepOptions options;
   options.repetitions = 3;
-  options.cache = use_cache ? &cache : nullptr;
   return characterize(device, workload, options, strided_freqs(device, 8));
 }
 
@@ -66,13 +63,9 @@ void expect_identical(const Characterization& a, const Characterization& b) {
 }
 
 TEST(SweepDeterminism, CharacterizeBitIdenticalAcrossPoolSizes) {
-  const Characterization serial = characterize_with(1, true);
-  expect_identical(serial, characterize_with(2, true));
-  expect_identical(serial, characterize_with(8, true));
-}
-
-TEST(SweepDeterminism, ProfileCacheDoesNotChangeResults) {
-  expect_identical(characterize_with(4, true), characterize_with(4, false));
+  const Characterization serial = characterize_with(1);
+  expect_identical(serial, characterize_with(2));
+  expect_identical(serial, characterize_with(8));
 }
 
 Dataset dataset_with(std::size_t threads) {
@@ -81,10 +74,8 @@ Dataset dataset_with(std::size_t threads) {
   const auto workloads = test_workloads();
 
   ScopedGlobalPool pool(threads);
-  sim::ProfileCache cache;
   SweepOptions options;
   options.repetitions = 2;
-  options.cache = &cache;
   return build_dataset(device, workloads, options, strided_freqs(device, 16));
 }
 

@@ -1,7 +1,8 @@
-// Intel preset + Level Zero backend (the SYnergy layer's third vendor).
+// Intel preset + Level Zero (the SYnergy layer's third vendor API).
+#include <cmath>
+
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
 #include "synergy/queue.hpp"
 
 namespace dsem {
@@ -29,22 +30,17 @@ TEST(IntelPreset, MatchesDatasheetShape) {
 
 TEST(LevelZeroBackend, SelectedForIntelDevices) {
   sim::Device dev(sim::intel_max1100(), sim::NoiseConfig::none());
-  const auto backend = synergy::make_backend(dev);
-  EXPECT_EQ(backend->api_name(), "Level Zero");
-}
-
-TEST(LevelZeroBackend, RejectsWrongVendor) {
-  sim::Device dev(sim::v100(), sim::NoiseConfig::none());
-  EXPECT_THROW(synergy::LevelZeroBackend backend(dev), contract_error);
+  EXPECT_EQ(synergy::Device(dev).vendor_api(), "Level Zero");
 }
 
 TEST(LevelZeroBackend, MicrojouleEnergyCounter) {
   sim::Device dev(sim::intel_max1100(), sim::NoiseConfig::none());
-  synergy::LevelZeroBackend backend(dev);
-  backend.launch(work_kernel(), 100000, nullptr);
-  EXPECT_DOUBLE_EQ(backend.energy_unit_joules(), 1e-6);
-  EXPECT_NEAR(static_cast<double>(backend.energy_counter()) * 1e-6,
-              dev.energy_joules(), 1e-5);
+  synergy::Device device(dev);
+  synergy::Queue queue(device);
+  queue.submit({work_kernel(), 100000, {}});
+  const double microjoules = device.energy_joules() / 1e-6;
+  EXPECT_NEAR(microjoules, std::round(microjoules), 1e-6);
+  EXPECT_NEAR(device.energy_joules(), dev.energy_joules(), 0.5e-6);
 }
 
 TEST(LevelZeroBackend, FrequencyControlRoundTrip) {

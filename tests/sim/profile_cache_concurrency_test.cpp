@@ -30,7 +30,7 @@ TEST(ProfileCacheConcurrency, ParallelIdenticalLookupsComputeOneEntry) {
   const KernelProfile kernel = test_kernel();
   constexpr std::size_t kThreads = 16;
 
-  std::vector<ProfileCache::Cost> results(kThreads);
+  std::vector<LaunchCost> results(kThreads);
   {
     std::vector<std::jthread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "cronos/kernels.hpp"
+#include "sim/profile_cache.hpp"
 
 namespace dsem::synergy {
 namespace {
@@ -13,6 +15,35 @@ sim::KernelProfile named_kernel(const std::string& name) {
   p.float_add = 512.0; // compute-bound: runtime reacts to the core clock
   p.global_bytes = 8.0;
   return p;
+}
+
+// The profile cache is arithmetic only: a queue that memoizes launch
+// costs records the same bits as one that derives every launch, noise
+// draws and clock switches included.
+TEST(QueueProfileCache, SameRecordsWithAndWithoutACache) {
+  const auto run = [](sim::ProfileCache* cache) {
+    sim::Device sim_dev(sim::v100(), sim::NoiseConfig{0.015, 0.015}, 0x077);
+    Device device(sim_dev);
+    Queue queue(device);
+    queue.set_profile_cache(cache);
+    for (const double mhz : {1312.0, 700.0, 1312.0}) {
+      queue.set_target_frequency(mhz);
+      cronos::submit_step_kernels(queue, {20, 8, 8}, 8, 2);
+    }
+    return queue.records();
+  };
+  sim::ProfileCache cache;
+  const std::vector<LaunchRecord> cached = run(&cache);
+  const std::vector<LaunchRecord> uncached = run(nullptr);
+  EXPECT_GT(cache.hits(), 0u);
+  ASSERT_EQ(cached.size(), uncached.size());
+  for (std::size_t i = 0; i < cached.size(); ++i) {
+    EXPECT_EQ(cached[i].kernel_name, uncached[i].kernel_name) << i;
+    EXPECT_EQ(cached[i].work_items, uncached[i].work_items) << i;
+    EXPECT_EQ(cached[i].time_s, uncached[i].time_s) << i;
+    EXPECT_EQ(cached[i].energy_j, uncached[i].energy_j) << i;
+    EXPECT_EQ(cached[i].frequency_mhz, uncached[i].frequency_mhz) << i;
+  }
 }
 
 class QueueTest : public ::testing::Test {
