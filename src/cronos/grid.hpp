@@ -6,6 +6,7 @@
 // grid[Z][Y][X] convention; X is the fastest-varying (contiguous) axis.
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <span>
 #include <string>
@@ -28,6 +29,7 @@ struct GridDims {
   }
   std::string to_string() const;
   bool operator==(const GridDims&) const = default;
+  auto operator<=>(const GridDims&) const = default;
 };
 
 /// One scalar field over the grid including halos.

@@ -1,9 +1,12 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <memory>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
@@ -18,17 +21,42 @@ namespace dsem::sched {
 
 namespace {
 
-/// Per-job results of the parallel precompute pass, written into
-/// pre-sized slots so the pass is bit-identical for any pool size.
-struct JobPlan {
+/// What the model policy holds per application for one run: the artifact
+/// snapshot, its candidate clocks and its ledger label.
+struct AppModel {
+  std::shared_ptr<const serve::ModelArtifact> artifact;
+  std::vector<double> cand_freqs_mhz; ///< ascending
+  std::string label;                  ///< JobRecord::model
+};
+
+/// Results of the parallel planning pass for one distinct job input,
+/// written into pre-sized slots so the pass is bit-identical for any pool
+/// size.
+struct InputPlan {
   double ref_time_s = 0.0;   ///< noise-free runtime at the default clock
   double ref_energy_j = 0.0; ///< noise-free energy at the default clock
-  double deadline_s = 0.0;
-  // Model policy only: predicted curves over the candidate clocks,
-  // index-aligned, ascending frequency.
-  std::vector<double> cand_freqs_mhz;
+  // Model policy only: predicted curves over app->cand_freqs_mhz,
+  // index-aligned.
+  const AppModel* app = nullptr;
   std::vector<double> cand_time_s;
   std::vector<double> cand_energy_j;
+};
+
+/// Orders job inputs by everything a plan depends on: the full workload
+/// spec (two Cronos runs of equal dims and different step counts share
+/// features but not reference runs) and the features by bit pattern.
+struct InputLess {
+  bool operator()(const serve::TimedJob* a,
+                  const serve::TimedJob* b) const noexcept {
+    if (const auto order = a->spec <=> b->spec; order != 0) {
+      return order < 0;
+    }
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    return std::lexicographical_compare(
+        a->request.features.begin(), a->request.features.end(),
+        b->request.features.begin(), b->request.features.end(),
+        [&](double x, double y) { return bits(x) < bits(y); });
+  }
 };
 
 /// Every `stride`-th schedule frequency, with the maximum always kept so
@@ -106,16 +134,20 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
 
   // Resolve one immutable artifact snapshot per application up front —
   // like ServeLoop, decisions within one run never mix model versions —
-  // and reject a bad request before any job runs.
-  std::map<std::string,
-           std::shared_ptr<const serve::ModelArtifact>> artifacts;
+  // with its candidate clocks and ledger label, and reject a bad request
+  // before any job runs.
+  std::map<std::string, AppModel> apps;
   if (model_driven) {
     for (const auto& job : jobs) {
       serve::validate(job.request);
-      auto& slot = artifacts[job.spec.application];
-      if (slot == nullptr) {
-        slot = registry_.require(
+      AppModel& app = apps[job.spec.application];
+      if (app.artifact == nullptr) {
+        app.artifact = registry_.require(
             serve::ModelKey{job.spec.application, config_.device});
+        app.cand_freqs_mhz =
+            strided_candidates(app.artifact->freqs_mhz, config_.freq_stride);
+        app.label =
+            app.artifact->key.to_string() + "@" + app.artifact->origin;
       }
     }
   }
@@ -139,34 +171,43 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
     }
   }
 
-  // Phase 1 — parallel precompute into pre-sized slots: the deadline
-  // (reference runtime at the default clock, noise-free) and, under the
-  // model policy, the predicted time/energy curves over the candidates.
-  std::vector<JobPlan> plans(jobs.size());
-  parallel_for(0, jobs.size(), [&](std::size_t i) {
-    const serve::TimedJob& job = jobs[i];
-    JobPlan& plan = plans[i];
+  // Phase 1 — plan each distinct job input once. A serial pass numbers
+  // the inputs in order of first appearance (independent of the pool);
+  // the parallel pass fills one pre-sized slot per input with the
+  // noise-free reference run at the default clock and, under the model
+  // policy, the predicted time/energy curves over the candidates.
+  std::vector<std::size_t> job_input(jobs.size());
+  std::vector<std::size_t> input_job; // first job of each input
+  {
+    std::map<const serve::TimedJob*, std::size_t, InputLess> index;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const auto [it, inserted] = index.try_emplace(&jobs[i], input_job.size());
+      if (inserted) {
+        input_job.push_back(i);
+      }
+      job_input[i] = it->second;
+    }
+  }
+  std::vector<InputPlan> plans(input_job.size());
+  parallel_for(0, plans.size(), [&](std::size_t input) {
+    const serve::TimedJob& job = jobs[input_job[input]];
+    InputPlan& plan = plans[input];
 
-    const auto workload = serve::make_workload(job.spec);
     sim::Device ref_device(spec, sim::NoiseConfig::none(), 0);
     synergy::Device ref_synergy(ref_device);
     synergy::Queue ref_queue(ref_synergy, synergy::ExecMode::kSimOnly);
-    ref_queue.set_profile_cache(&profile_cache_);
-    workload->submit(ref_queue);
+    serve::make_workload(job.spec)->submit(ref_queue);
     plan.ref_time_s = ref_queue.total_time_s();
     plan.ref_energy_j = ref_queue.total_energy_j();
-    plan.deadline_s = job.arrival_s + job.deadline_slack * plan.ref_time_s;
 
     if (model_driven) {
       // The model contributes the frequency *shape* (predicted speedup
       // and normalized energy, §4.2.3 — what the domain-specific family
-      // is good at), anchored at the job's true default-clock reference
-      // point so absolute-scale prediction bias cancels per job.
-      const auto& artifact = *artifacts.at(job.spec.application);
-      plan.cand_freqs_mhz =
-          strided_candidates(artifact.freqs_mhz, config_.freq_stride);
-      const core::Prediction pred =
-          artifact.predict(job.request.features, plan.cand_freqs_mhz);
+      // is good at), anchored at the input's true default-clock reference
+      // point so absolute-scale prediction bias cancels per input.
+      plan.app = &apps.at(job.spec.application);
+      const core::Prediction pred = plan.app->artifact->predict(
+          job.request.features, plan.app->cand_freqs_mhz);
       plan.cand_time_s.reserve(pred.speedup.size());
       plan.cand_energy_j.reserve(pred.norm_energy.size());
       for (std::size_t k = 0; k < pred.speedup.size(); ++k) {
@@ -197,8 +238,7 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
     record.id = obs::derive_record_id("job", record.index);
     record.application = job.spec.application;
     if (model_driven) {
-      const auto& artifact = *artifacts.at(job.spec.application);
-      record.model = artifact.key.to_string() + "@" + artifact.origin;
+      record.model = plans[job_input[i]].app->label;
     }
     record.rank = outcome.rank;
     record.freq_mhz = outcome.freq_mhz;
@@ -248,9 +288,9 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const serve::TimedJob& job = jobs[i];
-    const JobPlan& plan = plans[i];
+    const InputPlan& plan = plans[job_input[i]];
     JobOutcome& outcome = outcomes[i];
-    outcome.deadline_s = plan.deadline_s;
+    outcome.deadline_s = job.arrival_s + job.deadline_slack * plan.ref_time_s;
 
     // Placement + clock choice.
     int rank = -1;
@@ -262,7 +302,7 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
         const double start =
             std::max(job.arrival_s, rank_free_s[static_cast<std::size_t>(r)]);
         const FrequencyPick p = pick_deadline_frequency(
-            plan.cand_time_s, plan.cand_energy_j, start, plan.deadline_s,
+            plan.cand_time_s, plan.cand_energy_j, start, outcome.deadline_s,
             config_.margin);
         const bool better =
             rank < 0 ||
@@ -282,7 +322,7 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
         const double start = std::max(
             job.arrival_s, rank_free_s[static_cast<std::size_t>(rank)]);
         pick = pick_deadline_frequency(plan.cand_time_s, plan.cand_energy_j,
-                                       start, plan.deadline_s,
+                                       start, outcome.deadline_s,
                                        config_.margin);
       }
     }
@@ -306,7 +346,7 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
     outcome.rank = rank;
     outcome.start_s = std::max(job.arrival_s, rank_free_s[rank_index]);
     if (model_driven) {
-      outcome.freq_mhz = plan.cand_freqs_mhz[pick.index];
+      outcome.freq_mhz = plan.app->cand_freqs_mhz[pick.index];
       outcome.predicted_time_s = plan.cand_time_s[pick.index];
       outcome.predicted_energy_j = plan.cand_energy_j[pick.index];
     } else {
@@ -320,7 +360,6 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
     replica.set_fault_config({});
     synergy::Device device(replica);
     synergy::Queue queue(device, synergy::ExecMode::kSimOnly);
-    queue.set_profile_cache(&profile_cache_);
     if (outcome.freq_mhz > 0.0) {
       queue.set_target_frequency(outcome.freq_mhz);
     }
@@ -366,6 +405,7 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
   }
 
   metrics::counter("sched.jobs", stats_.jobs);
+  metrics::counter("sched.plans", plans.size());
   metrics::counter("sched.completed", stats_.completed);
   metrics::counter("sched.rejected", stats_.rejected);
   metrics::counter("sched.misses", stats_.misses);

@@ -13,9 +13,10 @@
 //
 // The whole simulation runs in simulated time, like serve::ServeLoop, and
 // is bit-identical for any DSEM_THREADS:
-//  - Model inference is batched up front (one predict_sweep over the
-//    candidate clocks per job, fanned across the thread pool into
-//    pre-sized slots).
+//  - Planning is batched up front, once per distinct job input (workload
+//    spec plus features): one reference run and, under the model policy,
+//    one predict_sweep over the candidate clocks, fanned across the
+//    thread pool into pre-sized slots numbered by first appearance.
 //  - Admission, placement, and clock selection run serially in arrival
 //    order over those precomputed predictions.
 //  - Each job executes on a replica device whose noise stream is seeded
@@ -35,7 +36,6 @@
 #include "celerity/cluster.hpp"
 #include "serve/registry.hpp"
 #include "serve/traffic.hpp"
-#include "sim/profile_cache.hpp"
 
 namespace dsem::obs {
 class Ledger;
@@ -170,7 +170,6 @@ private:
   celerity::Cluster& cluster_;
   const serve::ModelRegistry& registry_;
   SchedConfig config_;
-  sim::ProfileCache profile_cache_;
   SchedStats stats_;
 };
 

@@ -8,6 +8,7 @@
 // (core/workload.hpp), so traced inputs are exactly what training saw.
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -41,6 +42,7 @@ struct WorkloadSpec {
   int fragments = 0;
 
   bool operator==(const WorkloadSpec&) const = default;
+  auto operator<=>(const WorkloadSpec&) const = default;
 };
 
 /// Instantiates the workload a spec describes.

@@ -28,12 +28,6 @@ double Device::set_core_frequency(double mhz) {
   return snapped;
 }
 
-void Device::set_auto_frequency() {
-  DSEM_ENSURE(spec_.auto_frequency_mhz > 0.0,
-              "device has no auto governor: " + spec_.name);
-  pinned_mhz_.reset();
-}
-
 void Device::reset_frequency() {
   if (spec_.has_fixed_default()) {
     pinned_mhz_ = spec_.core_frequencies.snap(spec_.default_core_frequency_mhz);

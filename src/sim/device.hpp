@@ -82,10 +82,6 @@ public:
   /// Pins the core clock to the nearest supported frequency; returns it.
   double set_core_frequency(double mhz);
 
-  /// Returns clock control to the governor (AMD "auto" performance level);
-  /// only meaningful on devices without a fixed default.
-  void set_auto_frequency();
-
   /// Resets to the device's default behaviour: the default application
   /// clock on NVIDIA, the auto governor on AMD.
   void reset_frequency();

@@ -84,11 +84,6 @@ TEST(Device, ResetRestoresVendorBehaviour) {
   EXPECT_TRUE(amd.is_auto());
 }
 
-TEST(Device, SetAutoOnNvidiaThrows) {
-  Device dev(v100(), NoiseConfig::none());
-  EXPECT_THROW(dev.set_auto_frequency(), contract_error);
-}
-
 TEST(Device, LaunchAccumulatesCounters) {
   Device dev(v100(), NoiseConfig::none());
   const auto r1 = dev.launch(work_kernel(), 100000);
