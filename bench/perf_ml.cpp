@@ -3,6 +3,8 @@
 // CI perf gate (perf_compare --strict-prefix perf_ml/), so keep existing
 // benchmark names stable — renames read as missing+added, not regressions.
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <memory>
 
 #include <benchmark/benchmark.h>
@@ -48,6 +50,50 @@ void BM_ForestFit(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestFit)->Arg(1000)->Arg(5000)->Arg(20000)
     ->Unit(benchmark::kMillisecond);
+
+// LiGen-shaped training set: 48 inputs, each a point of a 4 × 4 × 3
+// Cartesian product of three domain features that are constant across its
+// rows, swept over 49 clocks and measured twice (4704 rows). Deep in
+// every tree all rows share one input, so three of the four columns are
+// constant there: the shape of a Fig. 13 DS fold.
+std::pair<ml::Matrix, std::vector<double>> make_grouped_data() {
+  Rng rng(7);
+  std::vector<std::array<double, 4>> rows;
+  std::vector<double> y;
+  for (int a = 0; a < 4; ++a) {
+    for (int b = 0; b < 4; ++b) {
+      for (int c = 0; c < 3; ++c) {
+        const double work = (1.0 + a) * (2.0 + b) * (1.0 + 0.5 * c);
+        for (int step = 0; step < 49; ++step) {
+          const double clock = 600.0 + 800.0 * step / 48.0;
+          for (int rep = 0; rep < 2; ++rep) {
+            rows.push_back({8.0 * (a + 1), 100.0 * (b + 1), 16.0 * (c + 1),
+                            clock});
+            y.push_back(work * std::pow(1400.0 / clock, 0.8) *
+                        (1.0 + 0.02 * rng.uniform()));
+          }
+        }
+      }
+    }
+  }
+  ml::Matrix x(rows.size(), 4);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::copy(rows[i].begin(), rows[i].end(), x.row(i).begin());
+  }
+  return {std::move(x), std::move(y)};
+}
+
+void BM_ForestFitGrouped(benchmark::State& state) {
+  const auto [x, y] = make_grouped_data();
+  ml::ForestParams params;
+  params.n_estimators = 100;
+  for (auto _ : state) {
+    ml::RandomForestRegressor forest(params);
+    forest.fit(x, y);
+    benchmark::DoNotOptimize(forest.tree_count());
+  }
+}
+BENCHMARK(BM_ForestFitGrouped)->Unit(benchmark::kMillisecond);
 
 void BM_ForestPredict(benchmark::State& state) {
   const auto [x, y] = make_data(5000, 4);

@@ -38,11 +38,18 @@ double split_threshold(double lo, double hi) {
   return std::isfinite(mid) && mid != hi ? mid : lo;
 }
 
+// A feature's state byte in a pending node (Workspace::state) is the
+// buffer that holds its stream, 0 or 1, or this once the stream is
+// constant.
+constexpr std::uint8_t kConstantFeature = 2;
+
 // Scans one feature's sorted stream for the best split position of a node
-// holding entries [0, n). The stream carries values and row ids; targets are
-// gathered through the row id (`targets[rows[i]]` is the very double a
-// dedicated target stream would hold, so dropping that stream changes no
-// bit — it only saves 16 bytes per entry per level of partition traffic).
+// holding entries [0, n). A constant stream yields no split (every adjacent
+// pair ties); split_node drops those before scanning. The stream carries
+// values and row ids; targets are gathered through the row id
+// (`targets[rows[i]]` is the very double a dedicated target stream would
+// hold, so dropping that stream changes no bit — it only saves 16 bytes
+// per entry per level of partition traffic).
 // Prefix sums accumulate targets in stream order — sorted by
 // (value, target) exactly like the seed's per-node `std::sort` of
 // (value, target) pairs, so every candidate's left/right SSE is
@@ -116,8 +123,8 @@ Candidate scan_feature(const double* value, const std::uint32_t* rows,
                        std::size_t min_leaf, double sum, double sum_sq,
                        double node_sse) {
   Candidate out;
-  if (n < 2 * min_leaf || value[0] == value[n - 1]) {
-    return out; // no admissible split / constant feature in this node
+  if (n < 2 * min_leaf) {
+    return out; // no admissible split
   }
 
   double left_sum = 0.0;
@@ -226,6 +233,14 @@ namespace detail {
 Presorted Presorted::build(const Matrix& x, std::span<const double> y) {
   DSEM_ENSURE(x.rows() == y.size(), "Presorted: X/y size mismatch");
   DSEM_ENSURE(x.rows() > 0, "Presorted: empty dataset");
+  // Every tree and forest fit sorts through here, and a NaN breaks the
+  // strict weak ordering the sort below needs; ±inf would make split
+  // scores NaN or inf. Reject both rather than fit on them.
+  const auto finite = [](double v) { return std::isfinite(v); };
+  DSEM_ENSURE(std::all_of(y.begin(), y.end(), finite),
+              "Presorted: non-finite target");
+  DSEM_ENSURE(std::all_of(x.data().begin(), x.data().end(), finite),
+              "Presorted: non-finite feature value");
   Presorted ps;
   ps.n = x.rows();
   ps.k = x.cols();
@@ -262,9 +277,14 @@ Presorted Presorted::build(const Matrix& x, std::span<const double> y) {
 //
 // The k per-feature streams are structure-of-arrays (separate value and
 // row-index arrays; targets are gathered through the row index) and
-// double-buffered: a node at depth d reads its streams from buffer d & 1
-// and partitions both children into the other buffer, so stream
-// maintenance writes each entry exactly once per level with no copy-back.
+// double-buffered. Which buffer holds a feature's stream is per node and
+// per feature: `state` keeps one byte per feature for every pending node,
+// naming the buffer its stream is in over the node's span, or
+// kConstantFeature once the stream had equal ends in some ancestor (or the
+// node itself). A constant feature stays constant in every descendant, so
+// from then on it is neither scanned nor partitioned. A node's span of
+// each buffer belongs to its subtree alone, so a stable partition of a
+// stream into the other buffer overwrites only stale entries.
 struct DecisionTreeRegressor::Workspace {
   std::size_t m = 0; ///< training samples
   std::size_t k = 0; ///< features
@@ -272,6 +292,8 @@ struct DecisionTreeRegressor::Workspace {
 
   std::vector<double> value[2];        ///< k streams × m entries, per buffer
   std::vector<std::uint32_t> index[2]; ///< training row of each entry
+  std::vector<std::uint8_t> state; ///< k bytes per pending node: 0, 1 or
+                                   ///< kConstantFeature
   std::vector<std::uint32_t> indices; ///< the seed's node sample ordering
   std::vector<std::uint8_t> go_left; ///< split side per sample row
   std::vector<double> targets; ///< y gathered onto training rows
@@ -295,7 +317,8 @@ struct DecisionTreeRegressor::Workspace {
   /// A forest fits hundreds of trees back to back; without recycling each
   /// fit would mmap, fault in, and zero a few MB of streams only to free
   /// them milliseconds later. Recycling is invisible to results because
-  /// every buffer is resized and fully rewritten before any read.
+  /// every buffer is resized and every entry is written by this fit before
+  /// it is read.
   static std::unique_ptr<Workspace> acquire();
   static void retire(std::unique_ptr<Workspace> ws);
 
@@ -448,19 +471,27 @@ void DecisionTreeRegressor::fit_presorted(const detail::Presorted& ps,
 
 void DecisionTreeRegressor::build(Workspace& ws, Rng& rng) {
   // Depth-first with the left child first, on an explicit stack: the node
-  // order, the buffer parity and the rng draws are those of a recursive
-  // descent, without its stack frame per level. An unbounded-depth tree
-  // over a large grid is thousands of levels deep, deeper than a pool
-  // thread's stack holds. The right child is pushed first, so the left
-  // one is built next, at its parent's index + 1: the nodes come out in
-  // preorder and only right children are linked by index.
+  // order and the rng draws are those of a recursive descent, without its
+  // stack frame per level. An unbounded-depth tree over a large grid is
+  // thousands of levels deep, deeper than a pool thread's stack holds. The
+  // right child is pushed first, so the left one is built next, at its
+  // parent's index + 1: the nodes come out in preorder and only right
+  // children are linked by index.
+  //
+  // `ws.state` runs parallel to the stack: pending node i owns bytes
+  // [i·k, (i+1)·k), its features' states. A popped node's bytes stay in
+  // place while split_node turns them into its children's states; the
+  // right child, pushed into the same slot, keeps them and the left child
+  // gets a copy.
   struct Pending {
     std::size_t begin = 0;
     std::size_t end = 0;
     int depth = 0;
     std::int32_t right_of = -1; ///< the parent, for a right child
   };
+  const std::size_t k = ws.k;
   std::vector<Pending> pending{{0, ws.m, 0, -1}};
+  ws.state.assign(k, 0); // every stream starts in buffer 0
   while (!pending.empty()) {
     const Pending p = pending.back();
     pending.pop_back();
@@ -468,20 +499,25 @@ void DecisionTreeRegressor::build(Workspace& ws, Rng& rng) {
     if (p.right_of >= 0) {
       ws.nodes[static_cast<std::size_t>(p.right_of)].right = id;
     }
-    const std::size_t mid = split_node(ws, p.begin, p.end, p.depth, rng);
+    const std::size_t slot = pending.size() * k;
+    const std::size_t mid = split_node(ws, p.begin, p.end, p.depth,
+                                       ws.state.data() + slot, rng);
     if (mid != p.begin) {
       pending.push_back({mid, p.end, p.depth + 1, id});
       pending.push_back({p.begin, mid, p.depth + 1, -1});
+      ws.state.resize(slot + 2 * k);
+      std::copy_n(ws.state.data() + slot, k, ws.state.data() + slot + k);
+    } else {
+      ws.state.resize(slot);
     }
   }
 }
 
 std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
                                               std::size_t end, int depth,
-                                              Rng& rng) {
+                                              std::uint8_t* state, Rng& rng) {
   const std::size_t n = end - begin;
   depth_ = std::max(depth_, depth);
-  const int buf = depth & 1; // which stream buffer holds this node
 
   // Node statistics accumulate over ws.indices order — the same
   // std::partition-produced ordering the seed iterates — so leaf means are
@@ -508,7 +544,8 @@ std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
     return make_leaf();
   }
 
-  // Candidate features: all, or a random subset without replacement.
+  // Candidate features: all, or a random subset without replacement. The
+  // draw runs whatever the features' states: it is the seed's rng use.
   const std::size_t k = ws.k;
   std::iota(ws.features.begin(), ws.features.end(), std::size_t{0});
   std::size_t tries = k;
@@ -521,16 +558,30 @@ std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
     }
   }
 
-  // Scan each candidate feature and keep the best, in candidate order.
+  // A stream with equal ends is constant here and in every descendant:
+  // scan_feature would return no split on it, so it drops out for good.
+  for (std::size_t f = 0; f < k; ++f) {
+    if (state[f] != kConstantFeature) {
+      const double* sv = ws.stream_value(state[f], f);
+      if (sv[begin] == sv[end - 1]) {
+        state[f] = kConstantFeature;
+      }
+    }
+  }
+
+  // Scan each live candidate feature and keep the best, in candidate order.
   int best_feature = -1;
   std::size_t best_position = 0;
   double best_score = sse; // must strictly improve on no-split
   for (std::size_t fi = 0; fi < tries; ++fi) {
     const std::size_t f = ws.features[fi];
+    if (state[f] == kConstantFeature) {
+      continue;
+    }
     const Candidate c =
-        scan_feature(ws.stream_value(buf, f) + begin,
-                     ws.stream_index(buf, f) + begin, ws.targets.data(), n,
-                     ws.min_leaf, sum, sum_sq, sse);
+        scan_feature(ws.stream_value(state[f], f) + begin,
+                     ws.stream_index(state[f], f) + begin, ws.targets.data(),
+                     n, ws.min_leaf, sum, sum_sq, sse);
     if (c.valid && c.score < best_score - 1e-12) {
       best_score = c.score;
       best_feature = static_cast<int>(f);
@@ -542,15 +593,10 @@ std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
     return make_leaf();
   }
 
-  // The winning stream's first `best_position + 1` entries go left. Then
-  // keep both orderings consistent: std::partition on `indices` reproduces
-  // the seed's node ordering, and a stable partition of every sorted
-  // stream into the other buffer preserves (value, target, row) order
-  // within each child.
-  const double* chosen_value =
-      ws.stream_value(buf, static_cast<std::size_t>(best_feature));
-  const std::uint32_t* chosen_index =
-      ws.stream_index(buf, static_cast<std::size_t>(best_feature));
+  // The winning stream's first `best_position + 1` entries go left.
+  const auto chosen = static_cast<std::size_t>(best_feature);
+  const double* chosen_value = ws.stream_value(state[chosen], chosen);
+  const std::uint32_t* chosen_index = ws.stream_index(state[chosen], chosen);
   const std::size_t mid = begin + best_position + 1;
   DSEM_ENSURE(mid < end, "split position leaves the right side empty");
   for (std::size_t i = begin; i < end; ++i) {
@@ -559,12 +605,21 @@ std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
   const double threshold =
       split_threshold(chosen_value[mid - 1], chosen_value[mid]);
 
-  const int other = buf ^ 1;
+  // Keep every live stream sorted within each child: a stable partition
+  // by go_left preserves (value, target, row) order on each side. The
+  // winning stream needs no copy: partitioned by its own split position
+  // it is the identity, [begin, mid) left and [mid, end) right, so it
+  // stays in its buffer. Every other live stream is partitioned into its
+  // other buffer, and its state flips.
   for (std::size_t f = 0; f < k; ++f) {
-    const double* sv = ws.stream_value(buf, f);
-    const std::uint32_t* si = ws.stream_index(buf, f);
-    double* lv = ws.stream_value(other, f);
-    std::uint32_t* li = ws.stream_index(other, f);
+    if (f == chosen || state[f] == kConstantFeature) {
+      continue;
+    }
+    const int from = state[f];
+    const double* sv = ws.stream_value(from, f);
+    const std::uint32_t* si = ws.stream_index(from, f);
+    double* lv = ws.stream_value(from ^ 1, f);
+    std::uint32_t* li = ws.stream_index(from ^ 1, f);
     std::size_t wl = begin;
     std::size_t wr = mid;
     for (std::size_t i = begin; i < end; ++i) {
@@ -579,6 +634,7 @@ std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
       wr += std::size_t{1} - left;
     }
     DSEM_ENSURE(wl == mid && wr == end, "stream partition mismatch");
+    state[f] = static_cast<std::uint8_t>(from ^ 1);
   }
 
   // Partition `indices` exactly as std::partition would — its (unspecified

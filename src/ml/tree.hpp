@@ -129,7 +129,7 @@ private:
 
   void build(Workspace& ws, Rng& rng);
   std::size_t split_node(Workspace& ws, std::size_t begin, std::size_t end,
-                         int depth, Rng& rng);
+                         int depth, std::uint8_t* state, Rng& rng);
 
   TreeParams params_;
   std::vector<PackedNode> nodes_;

@@ -265,6 +265,27 @@ TEST(DecisionTree, RejectsBadParams) {
   EXPECT_THROW(DecisionTreeRegressor tree(params), dsem::contract_error);
 }
 
+// Every fit sorts its features by value, and a NaN has no place in that
+// order: a tree or forest fit must refuse NaN and ±inf in X and in y
+// instead of returning a model fitted on them.
+void expect_fit_rejects_non_finite(const Regressor& prototype) {
+  const auto [x, y] = nonlinear_data(60, 19);
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Matrix bad_x = x;
+    bad_x(17, 1) = bad;
+    EXPECT_THROW(prototype.clone()->fit(bad_x, y), dsem::contract_error)
+        << "X holds " << bad;
+    std::vector<double> bad_y = y;
+    bad_y[41] = bad;
+    EXPECT_THROW(prototype.clone()->fit(x, bad_y), dsem::contract_error)
+        << "y holds " << bad;
+  }
+}
+
+TEST(DecisionTree, RejectsNonFiniteTrainingData) {
+  expect_fit_rejects_non_finite(DecisionTreeRegressor{});
+}
+
 // --- Random forest ---------------------------------------------------------------
 
 TEST(RandomForest, FitsNonlinearFunctionWell) {
@@ -351,6 +372,12 @@ TEST(RandomForest, PredictBeforeFitThrows) {
   RandomForestRegressor forest;
   EXPECT_THROW(forest.predict_one(std::vector<double>{1.0}),
                dsem::contract_error);
+}
+
+TEST(RandomForest, RejectsNonFiniteTrainingData) {
+  ForestParams params;
+  params.n_estimators = 4;
+  expect_fit_rejects_non_finite(RandomForestRegressor(params));
 }
 
 TEST(RandomForest, WithoutBootstrapAndAllFeaturesTreesAgree) {

@@ -8,9 +8,10 @@
 // onto the upper value, and the partition then never separated the node.
 // The production tree must emit a bit-identical node array (features,
 // thresholds, leaf means as exact doubles) on data engineered to stress
-// the rewrite: heavy value ties, constant features, duplicated rows,
-// feature subsampling, min-leaf boundaries, and degenerate columns
-// (adjacent doubles, ±0, subnormals, values near ±DBL_MAX).
+// the rewrite: heavy value ties, constant and group-constant features,
+// duplicated rows, feature subsampling, min-leaf boundaries, and
+// degenerate columns (adjacent doubles, ±0, subnormals, values near
+// ±DBL_MAX).
 #include <pthread.h>
 
 #include <algorithm>
@@ -255,6 +256,51 @@ std::pair<Matrix, std::vector<double>> degenerate_data(std::size_t n,
   return {std::move(x), std::move(y)};
 }
 
+// LiGen-shaped data: three domain columns that are constant within each
+// group of a Cartesian product (an input tuple's domain features), a clock
+// swept over `clocks` steps for every group, and each (group, clock) row
+// measured twice, often to the same target. The columns in `clock_cols`
+// carry the clock; every other column c carries domain factor c % 3,
+// scaled per column, so deep nodes see most columns constant.
+std::pair<Matrix, std::vector<double>>
+grouped_data(std::size_t k, const std::vector<std::size_t>& clock_cols,
+             std::size_t clocks, std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t levels[3] = {2 + seed % 3, 3, 2 + seed % 2};
+  constexpr std::size_t kReps = 2;
+  const std::size_t n = levels[0] * levels[1] * levels[2] * clocks * kReps;
+  Matrix x(n, k);
+  std::vector<double> y(n);
+  std::size_t r = 0;
+  for (std::size_t a = 0; a < levels[0]; ++a) {
+    for (std::size_t b = 0; b < levels[1]; ++b) {
+      for (std::size_t c = 0; c < levels[2]; ++c) {
+        const double domain[3] = {static_cast<double>(a),
+                                  static_cast<double>(b),
+                                  static_cast<double>(c)};
+        const double work = 1.0 + domain[0] + 2.0 * domain[1] +
+                            0.5 * domain[2] * domain[2];
+        for (std::size_t step = 0; step < clocks; ++step) {
+          const double clock = 600.0 + 25.0 * static_cast<double>(step);
+          for (std::size_t rep = 0; rep < kReps; ++rep, ++r) {
+            for (std::size_t col = 0; col < k; ++col) {
+              const bool is_clock =
+                  std::find(clock_cols.begin(), clock_cols.end(), col) !=
+                  clock_cols.end();
+              x(r, col) = is_clock ? clock
+                                   : (domain[col % 3] + 1.0) *
+                                         static_cast<double>(col + 1);
+            }
+            y[r] = work * 1000.0 / clock +
+                   0.25 * std::floor(rng.uniform(0.0, 3.0));
+          }
+        }
+      }
+    }
+  }
+  return {std::move(x), std::move(y)};
+}
+
 void expect_identical_trees(const ReferenceTree& ref,
                             const DecisionTreeRegressor& tree,
                             std::uint64_t seed) {
@@ -344,6 +390,65 @@ TEST(TreePresort, MatchesReferenceOnRandomTrickyData) {
       ASSERT_EQ(tree.predict_one(dx.row(r)), dy[r])
           << "row " << r << " seed " << seed;
     }
+  }
+}
+
+// A bootstrap-sample fit on the shared presort must equal the reference
+// tree fitted on the materialized resample.
+void expect_sample_fit_matches_reference(const Matrix& x,
+                                         std::span<const double> y,
+                                         const TreeParams& params,
+                                         std::uint64_t seed) {
+  Rng rng(seed * 31);
+  std::vector<std::size_t> sample(x.rows());
+  for (auto& idx : sample) {
+    idx = rng.uniform_int(x.rows());
+  }
+  std::vector<double> yb(sample.size());
+  for (std::size_t i = 0; i < sample.size(); ++i) {
+    yb[i] = y[sample[i]];
+  }
+  ReferenceTree ref(params);
+  ref.fit(x.gather_rows(sample), yb);
+  const auto ps = detail::Presorted::build(x, y);
+  DecisionTreeRegressor tree(params);
+  tree.fit_presorted(ps, y, sample);
+  expect_identical_trees(ref, tree, seed);
+}
+
+// Group-constant columns drop out of a node's scans and partitions once
+// its stream has equal ends, and the winning stream stays in its buffer:
+// the trees must still be the reference's, node for node. The 70-column
+// case puts constant and clock columns on both sides of index 64.
+TEST(TreePresort, MatchesReferenceOnGroupConstantColumns) {
+  const auto check = [](std::size_t k,
+                        const std::vector<std::size_t>& clock_cols,
+                        std::uint64_t seed) {
+    const auto [x, y] = grouped_data(k, clock_cols, 4 + seed % 5, seed);
+    for (const int max_features : {0, 2}) {
+      for (const int min_leaf : {1, 3}) {
+        TreeParams params;
+        params.seed = seed * 13;
+        params.max_features = max_features;
+        params.min_samples_leaf = min_leaf;
+        if (seed % 4 == 2) {
+          params.max_depth = 5;
+        }
+        expect_matches_reference(x, y, params, seed);
+        expect_sample_fit_matches_reference(x, y, params, seed);
+        if (::testing::Test::HasFatalFailure()) {
+          return;
+        }
+      }
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    check(4, {3}, seed);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "k 4 seed " << seed;
+  }
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    check(70, {3, 66}, seed);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "k 70 seed " << seed;
   }
 }
 
@@ -511,19 +616,24 @@ std::pair<Matrix, std::vector<double>> big_data(std::size_t n) {
 }
 
 TEST(TreePresort, ForestIsIdenticalForPools1_2_8) {
-  const auto [x, y] = big_data(6000);
-  std::vector<std::vector<double>> outputs;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    ScopedGlobalPool pool(threads);
-    ForestParams params;
-    params.n_estimators = 5;
-    RandomForestRegressor forest(params);
-    forest.fit(x, y);
-    outputs.push_back(forest.predict_many(x));
+  // Continuous columns, and LiGen-shaped ones that turn constant deep in
+  // every tree.
+  const std::pair<Matrix, std::vector<double>> datasets[] = {
+      big_data(6000), grouped_data(4, {3}, 100, 5)};
+  for (const auto& [x, y] : datasets) {
+    std::vector<std::vector<double>> outputs;
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      ScopedGlobalPool pool(threads);
+      ForestParams params;
+      params.n_estimators = 5;
+      RandomForestRegressor forest(params);
+      forest.fit(x, y);
+      outputs.push_back(forest.predict_many(x));
+    }
+    ASSERT_EQ(outputs[0].size(), x.rows());
+    EXPECT_EQ(outputs[0], outputs[1]);
+    EXPECT_EQ(outputs[0], outputs[2]);
   }
-  ASSERT_EQ(outputs[0].size(), x.rows());
-  EXPECT_EQ(outputs[0], outputs[1]);
-  EXPECT_EQ(outputs[0], outputs[2]);
 }
 
 // A forest's one level of parallelism is its trees: a lone tree builds on
