@@ -160,16 +160,16 @@ Prediction DomainSpecificModel::predict(std::span<const double> domain_features,
     out.energy_j.push_back(e_pred[i]);
   }
 
-  const double t_base = t_pred.back();
-  const double e_base = e_pred.back();
-  DSEM_ENSURE(t_base > 0.0 && e_base > 0.0,
+  out.base_time_s = t_pred.back();
+  out.base_energy_j = e_pred.back();
+  DSEM_ENSURE(out.base_time_s > 0.0 && out.base_energy_j > 0.0,
               "non-positive predicted baseline");
 
   out.speedup.reserve(freqs_mhz.size());
   out.norm_energy.reserve(freqs_mhz.size());
   for (std::size_t i = 0; i < freqs_mhz.size(); ++i) {
-    out.speedup.push_back(t_base / out.time_s[i]);
-    out.norm_energy.push_back(out.energy_j[i] / e_base);
+    out.speedup.push_back(out.base_time_s / out.time_s[i]);
+    out.norm_energy.push_back(out.energy_j[i] / out.base_energy_j);
   }
   return out;
 }

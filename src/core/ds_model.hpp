@@ -27,6 +27,12 @@ struct Prediction {
   std::vector<double> energy_j;    ///< empty for models predicting ratios only
   std::vector<double> speedup;
   std::vector<double> norm_energy;
+  /// The predicted time and energy at the default clock that a model
+  /// predicting time and energy baselines on: speedup[i] is exactly
+  /// base_time_s / time_s[i] and norm_energy[i] exactly
+  /// energy_j[i] / base_energy_j. 0 for models predicting ratios only.
+  double base_time_s = 0.0;
+  double base_energy_j = 0.0;
 
   /// Indices of the predicted Pareto-optimal frequency configurations.
   std::vector<std::size_t> pareto_indices() const;

@@ -18,11 +18,22 @@
 //    batch's answers are then inserted in logical request order. Cache
 //    content is therefore a function of the request sequence and the
 //    registration sequence alone.
+//  - An answer-cache miss is answered from its input's Pareto front.
+//    Fronts are memoised under their exact-input key (front_key: the
+//    features' bit patterns, never the quantized ones), so a memoised
+//    front is the front Advisor::advise would compute and every answer
+//    stays bit-identical to it. Misses look their fronts up in logical
+//    request order; the fronts still missing are computed once per
+//    distinct input in one parallel pass into pre-sized slots, each miss
+//    picks its own budget's answer, and the new fronts are inserted in
+//    order of first appearance. The front memo is bounded by
+//    cache_capacity too (0 disables both) and only ever changes how many
+//    fronts are computed (the serve.fronts counter), never an answer.
 //  - Model artifacts are re-resolved from the registry at every batch
 //    start, BEFORE the cache lookups. When the resolved snapshot differs
 //    from the one that produced the cached answers (a put() replaced the
-//    model), every cached answer of that (application, device) key is
-//    invalidated first — a re-registration mid-trace (or between run()
+//    model), every cached answer and front of that (application, device)
+//    key is invalidated first — a re-registration mid-trace (or between run()
 //    calls; the cache persists) flips answers immediately instead of
 //    serving the old model's cached picks.
 //  - Responses are returned indexed by trace position (pre-sized slots).
@@ -36,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "serve/advisor.hpp"
 #include "serve/lru_cache.hpp"
 #include "serve/registry.hpp"
 #include "serve/traffic.hpp"
@@ -53,7 +65,8 @@ struct ServeConfig {
   std::size_t batch_size = 64;
   /// Waiting-queue bound for admission control; 0 = unbounded.
   std::size_t admission_bound = 1024;
-  /// LRU answer-cache capacity; 0 disables caching.
+  /// LRU answer-cache capacity, and the bound of the Pareto-front memo;
+  /// 0 disables both.
   std::size_t cache_capacity = 4096;
   /// Feature quantization step for cache keys (serve/advisor.hpp).
   double cache_quant_step = 1.0;
@@ -88,6 +101,9 @@ struct ServeStats {
   std::uint64_t cache_misses = 0;
   /// Cached answers dropped because their model was re-registered.
   std::uint64_t cache_invalidations = 0;
+  /// Pareto fronts computed: cache misses whose exact input had no
+  /// memoised front, one per distinct input of a batch.
+  std::uint64_t fronts = 0;
   std::uint64_t batches = 0;
   double p50_latency_s = 0.0; ///< served requests only
   double p99_latency_s = 0.0;
@@ -123,17 +139,22 @@ public:
   ServeLoop(const ModelRegistry& registry, ServeConfig config);
 
   /// Replays `trace` (ascending arrival_s) to completion. Responses are
-  /// indexed by trace position. The cache persists across run() calls;
-  /// stats are per call.
+  /// indexed by trace position. The whole trace is checked first (values,
+  /// key range, arrival order, a registered model per application and
+  /// its feature count), so a bad request throws contract_error before
+  /// any request is served, cached or recorded. The caches persist
+  /// across run() calls; stats are per call.
   std::vector<AdviseResponse> run(std::span<const TimedRequest> trace);
 
   const ServeStats& stats() const noexcept { return stats_; }
   const LruCache& cache() const noexcept { return cache_; }
   LruCache& cache() noexcept { return cache_; }
+  const FrontCache& fronts() const noexcept { return fronts_; }
 
 private:
   /// Resolves the artifact serving `app` right now, invalidating the
-  /// cached answers of a replaced snapshot (counted in the per-run stats).
+  /// cached answers (counted in the per-run stats) and fronts of a
+  /// replaced snapshot.
   std::shared_ptr<const ModelArtifact> resolve_artifact(
       const std::string& app);
 
@@ -141,9 +162,10 @@ private:
   ServeConfig config_;
   Advisor advisor_;
   LruCache cache_;
+  FrontCache fronts_;
   ServeStats stats_;
-  /// Last-served artifact per application: the snapshot the cache's
-  /// answers were computed with. Persists across run() calls, like the
+  /// Last-served artifact per application: the snapshot the cached
+  /// answers and fronts were computed with. Persists across run() calls, like the
   /// cache itself.
   std::map<std::string, std::shared_ptr<const ModelArtifact>> artifacts_;
 };

@@ -1,23 +1,36 @@
 #include "serve/lru_cache.hpp"
 
+#include <utility>
+
 namespace dsem::serve {
 
-bool LruCache::get(const std::string& key, AdviseAnswer& out) {
+template <class Value>
+const Value* BasicLruCache<Value>::find(const std::string& key) {
   const auto it = map_.find(key);
   if (it == map_.end()) {
-    return false;
+    return nullptr;
   }
   order_.splice(order_.begin(), order_, it->second);
-  out = it->second->second;
+  return &it->second->second;
+}
+
+template <class Value>
+bool BasicLruCache<Value>::get(const std::string& key, Value& out) {
+  const Value* const hit = find(key);
+  if (hit == nullptr) {
+    return false;
+  }
+  out = *hit;
   return true;
 }
 
-void LruCache::put(const std::string& key, const AdviseAnswer& answer) {
+template <class Value>
+void BasicLruCache<Value>::put(const std::string& key, Value value) {
   if (capacity_ == 0) {
     return;
   }
   if (const auto it = map_.find(key); it != map_.end()) {
-    it->second->second = answer;
+    it->second->second = std::move(value);
     order_.splice(order_.begin(), order_, it->second);
     return;
   }
@@ -25,11 +38,12 @@ void LruCache::put(const std::string& key, const AdviseAnswer& answer) {
     map_.erase(order_.back().first);
     order_.pop_back();
   }
-  order_.emplace_front(key, answer);
+  order_.emplace_front(key, std::move(value));
   map_.emplace(order_.front().first, order_.begin());
 }
 
-std::size_t LruCache::erase_prefix(const std::string& prefix) {
+template <class Value>
+std::size_t BasicLruCache<Value>::erase_prefix(const std::string& prefix) {
   std::size_t erased = 0;
   for (auto it = order_.begin(); it != order_.end();) {
     if (it->first.compare(0, prefix.size(), prefix) == 0) {
@@ -43,12 +57,14 @@ std::size_t LruCache::erase_prefix(const std::string& prefix) {
   return erased;
 }
 
-void LruCache::clear() {
+template <class Value>
+void BasicLruCache<Value>::clear() {
   map_.clear();
   order_.clear();
 }
 
-std::vector<std::string> LruCache::keys_mru() const {
+template <class Value>
+std::vector<std::string> BasicLruCache<Value>::keys_mru() const {
   std::vector<std::string> out;
   out.reserve(order_.size());
   for (const auto& [key, _] : order_) {
@@ -56,5 +72,8 @@ std::vector<std::string> LruCache::keys_mru() const {
   }
   return out;
 }
+
+template class BasicLruCache<AdviseAnswer>;
+template class BasicLruCache<ParetoFront>;
 
 } // namespace dsem::serve

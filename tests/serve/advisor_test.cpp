@@ -397,6 +397,45 @@ TEST(AdvisorTest, ServeLoopRejectsOutOfRangeFeaturesUpFront) {
   }
 }
 
+TEST(AdvisorTest, ServeLoopRejectsWrongFeatureCountUpFront) {
+  // The feature count is checked against each application's model with
+  // the whole trace: a short request at the end leaves the first one
+  // neither cached nor recorded.
+  serve::ModelRegistry registry;
+  registry.put(synthetic_artifact(13));
+  obs::Ledger ledger;
+  serve::ServeConfig config;
+  config.ledger = &ledger;
+  serve::ServeLoop loop(registry, config);
+  std::vector<serve::TimedRequest> requests(2);
+  requests[0].request.application = "cronos";
+  requests[0].request.features = {1, 2, 3};
+  requests[1].arrival_s = 1e-3;
+  requests[1].request.application = "cronos";
+  requests[1].request.features = {1, 2};
+  EXPECT_THROW(loop.run(requests), contract_error);
+  EXPECT_EQ(loop.cache().size(), 0U);
+  EXPECT_TRUE(ledger.requests().empty());
+}
+
+TEST(AdvisorTest, ServeLoopRejectsUnregisteredApplicationUpFront) {
+  serve::ModelRegistry registry;
+  registry.put(synthetic_artifact(13));
+  obs::Ledger ledger;
+  serve::ServeConfig config;
+  config.ledger = &ledger;
+  serve::ServeLoop loop(registry, config);
+  std::vector<serve::TimedRequest> requests(2);
+  requests[0].request.application = "cronos";
+  requests[0].request.features = {1, 2, 3};
+  requests[1].arrival_s = 1e-3;
+  requests[1].request.application = "ligen";
+  requests[1].request.features = {1, 2, 3};
+  EXPECT_THROW(loop.run(requests), contract_error);
+  EXPECT_EQ(loop.cache().size(), 0U);
+  EXPECT_TRUE(ledger.requests().empty());
+}
+
 TEST(AdvisorTest, ServeLoopRejectsNonFiniteQuantStep) {
   serve::ModelRegistry registry;
   registry.put(synthetic_artifact(13));
