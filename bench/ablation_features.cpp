@@ -23,28 +23,11 @@ struct AblationScore {
   double abs_time_mape = 0.0;    ///< absolute runtime accuracy
 };
 
-AblationScore loocv_scores(
-    const core::Dataset& dataset,
-    std::span<const std::unique_ptr<core::Workload>> workloads,
-    std::size_t dropped_col) {
+AblationScore loocv_scores(const core::Dataset& dataset) {
   AblationScore score;
-  for (std::size_t g = 0; g < dataset.num_groups(); ++g) {
-    std::vector<std::size_t> train_rows;
-    for (std::size_t i = 0; i < dataset.rows(); ++i) {
-      if (dataset.groups[i] != static_cast<int>(g)) {
-        train_rows.push_back(i);
-      }
-    }
-    core::DomainSpecificModel model;
-    model.train(dataset, train_rows);
-    const core::TruthCurves truth =
-        core::truth_curves(dataset, static_cast<int>(g));
-    auto features = workloads[g]->domain_features();
-    if (dropped_col < features.size()) {
-      features[dropped_col] = 0.0;
-    }
-    const auto pred = model.predict(features, truth.freqs_mhz,
-                                    dataset.default_freq_mhz[g]);
+  for (int g = 0; g < static_cast<int>(dataset.num_groups()); ++g) {
+    const auto [truth, pred] =
+        core::hold_out(dataset, dataset, g, core::DomainSpecificModel());
     score.norm_energy_mape += stats::mape(truth.norm_energy, pred.norm_energy);
     score.abs_time_mape += stats::mape(truth.time_s, pred.time_s);
   }
@@ -56,23 +39,18 @@ AblationScore loocv_scores(
 
 void run(const std::string& app, synergy::Device& device,
          std::vector<std::unique_ptr<core::Workload>> workloads) {
-  std::vector<double> freqs;
-  const auto all = device.supported_frequencies();
-  for (std::size_t i = 0; i < all.size(); i += 4) {
-    freqs.push_back(all[i]);
-  }
-  const core::Dataset dataset =
-      core::build_dataset(device, workloads, 5, freqs);
+  const core::Dataset dataset = core::build_dataset(
+      device, workloads, 5, core::every_nth(device.supported_frequencies(), 4));
   const auto names = workloads.front()->feature_names();
 
   print_banner(std::cout, "Feature ablation — " + app);
   Table table({"configuration", "norm_energy_mape", "abs_time_mape"});
-  const AblationScore full = loocv_scores(dataset, workloads, names.size());
+  const AblationScore full = loocv_scores(dataset);
   table.add_row({"all features", fmt(full.norm_energy_mape, 4),
                  fmt(full.abs_time_mape, 4)});
   for (std::size_t col = 0; col < names.size(); ++col) {
     const core::Dataset reduced = drop_feature(dataset, col);
-    const AblationScore s = loocv_scores(reduced, workloads, col);
+    const AblationScore s = loocv_scores(reduced);
     table.add_row({"without " + names[col], fmt(s.norm_energy_mape, 4),
                    fmt(s.abs_time_mape, 4)});
   }

@@ -9,25 +9,13 @@ namespace {
 
 using namespace dsem;
 
-double loocv_energy_mape(
-    const core::Dataset& dataset,
-    std::span<const std::unique_ptr<core::Workload>> workloads,
-    const ml::ForestParams& params) {
+double loocv_energy_mape(const core::Dataset& dataset,
+                         const ml::ForestParams& params) {
   double acc = 0.0;
-  for (std::size_t g = 0; g < dataset.num_groups(); ++g) {
-    std::vector<std::size_t> train_rows;
-    for (std::size_t i = 0; i < dataset.rows(); ++i) {
-      if (dataset.groups[i] != static_cast<int>(g)) {
-        train_rows.push_back(i);
-      }
-    }
-    core::DomainSpecificModel model{ml::RandomForestRegressor(params)};
-    model.train(dataset, train_rows);
-    const core::TruthCurves truth =
-        core::truth_curves(dataset, static_cast<int>(g));
-    const auto pred = model.predict(workloads[g]->domain_features(),
-                                    truth.freqs_mhz,
-                                    dataset.default_freq_mhz[g]);
+  for (int g = 0; g < static_cast<int>(dataset.num_groups()); ++g) {
+    const auto [truth, pred] = core::hold_out(
+        dataset, dataset, g,
+        core::DomainSpecificModel(ml::RandomForestRegressor(params)));
     acc += stats::mape(truth.norm_energy, pred.norm_energy);
   }
   return acc / static_cast<double>(dataset.num_groups());
@@ -39,13 +27,9 @@ int main() {
   using namespace dsem;
   bench::Rig rig;
   const auto workloads = bench::cronos_workloads(5);
-  std::vector<double> freqs;
-  const auto all = rig.v100.supported_frequencies();
-  for (std::size_t i = 0; i < all.size(); i += 4) {
-    freqs.push_back(all[i]);
-  }
-  const core::Dataset dataset =
-      core::build_dataset(rig.v100, workloads, 5, freqs);
+  const core::Dataset dataset = core::build_dataset(
+      rig.v100, workloads, 5,
+      core::every_nth(rig.v100.supported_frequencies(), 4));
 
   print_banner(std::cout,
                "Forest hyperparameter ablation — Cronos normalized-energy "
@@ -60,7 +44,7 @@ int main() {
         params.max_depth = depth;
         params.max_features = feats;
         params.seed = 0xF0;
-        const double mape = loocv_energy_mape(dataset, workloads, params);
+        const double mape = loocv_energy_mape(dataset, params);
         table.add_row({fmt(static_cast<long long>(trees)),
                        fmt(static_cast<long long>(depth)),
                        fmt(static_cast<long long>(feats)), fmt(mape, 4)});

@@ -10,26 +10,14 @@ namespace {
 
 using namespace dsem;
 
-std::pair<double, double> loocv_mape(
-    const core::Dataset& dataset,
-    std::span<const std::unique_ptr<core::Workload>> workloads,
-    bool log_targets) {
+std::pair<double, double> loocv_mape(const core::Dataset& dataset,
+                                     bool log_targets) {
   double worst = 0.0;
   double mean = 0.0;
-  for (std::size_t g = 0; g < dataset.num_groups(); ++g) {
-    std::vector<std::size_t> train_rows;
-    for (std::size_t i = 0; i < dataset.rows(); ++i) {
-      if (dataset.groups[i] != static_cast<int>(g)) {
-        train_rows.push_back(i);
-      }
-    }
-    core::DomainSpecificModel model{ml::RandomForestRegressor{}, log_targets};
-    model.train(dataset, train_rows);
-    const core::TruthCurves truth =
-        core::truth_curves(dataset, static_cast<int>(g));
-    const auto pred = model.predict(workloads[g]->domain_features(),
-                                    truth.freqs_mhz,
-                                    dataset.default_freq_mhz[g]);
+  for (int g = 0; g < static_cast<int>(dataset.num_groups()); ++g) {
+    const auto [truth, pred] = core::hold_out(
+        dataset, dataset, g,
+        core::DomainSpecificModel(ml::RandomForestRegressor{}, log_targets));
     const double mape = stats::mape(truth.norm_energy, pred.norm_energy);
     worst = std::max(worst, mape);
     mean += mape;
@@ -54,20 +42,16 @@ int main() {
       }
     }
   }
-  std::vector<double> freqs;
-  const auto all = rig.v100.supported_frequencies();
-  for (std::size_t i = 0; i < all.size(); i += 4) {
-    freqs.push_back(all[i]);
-  }
-  const core::Dataset dataset =
-      core::build_dataset(rig.v100, workloads, 5, freqs);
+  const core::Dataset dataset = core::build_dataset(
+      rig.v100, workloads, 5,
+      core::every_nth(rig.v100.supported_frequencies(), 4));
 
   print_banner(std::cout,
                "Target-transform ablation — LiGen normalized-energy LOOCV "
                "MAPE, raw vs log targets");
   Table table({"targets", "mean_mape", "worst_mape"});
   for (bool log_targets : {false, true}) {
-    const auto [mean, worst] = loocv_mape(dataset, workloads, log_targets);
+    const auto [mean, worst] = loocv_mape(dataset, log_targets);
     table.add_row({log_targets ? "log(time), log(energy)" : "raw",
                    fmt(mean, 4), fmt(worst, 4)});
   }

@@ -12,11 +12,8 @@ double loocv_energy_mape(synergy::Device& device,
                          std::span<const std::unique_ptr<core::Workload>>
                              workloads,
                          int repetitions) {
-  std::vector<double> freqs;
-  const auto all = device.supported_frequencies();
-  for (std::size_t i = 0; i < all.size(); i += 4) {
-    freqs.push_back(all[i]);
-  }
+  const std::vector<double> freqs =
+      core::every_nth(device.supported_frequencies(), 4);
   const core::Dataset noisy_ds =
       core::build_dataset(device, workloads, repetitions, freqs);
 
@@ -27,20 +24,9 @@ double loocv_energy_mape(synergy::Device& device,
       core::build_dataset(clean, workloads, 1, freqs);
 
   double acc = 0.0;
-  for (std::size_t g = 0; g < noisy_ds.num_groups(); ++g) {
-    std::vector<std::size_t> train_rows;
-    for (std::size_t i = 0; i < noisy_ds.rows(); ++i) {
-      if (noisy_ds.groups[i] != static_cast<int>(g)) {
-        train_rows.push_back(i);
-      }
-    }
-    core::DomainSpecificModel model;
-    model.train(noisy_ds, train_rows);
-    const core::TruthCurves truth =
-        core::truth_curves(truth_ds, static_cast<int>(g));
-    const auto pred = model.predict(workloads[g]->domain_features(),
-                                    truth.freqs_mhz,
-                                    truth_ds.default_freq_mhz[g]);
+  for (int g = 0; g < static_cast<int>(noisy_ds.num_groups()); ++g) {
+    const auto [truth, pred] =
+        core::hold_out(noisy_ds, truth_ds, g, core::DomainSpecificModel());
     acc += stats::mape(truth.norm_energy, pred.norm_energy);
   }
   return acc / static_cast<double>(noisy_ds.num_groups());

@@ -13,30 +13,15 @@ double loocv_energy_mape_with_stride(
     synergy::Device& device,
     std::span<const std::unique_ptr<core::Workload>> workloads,
     std::size_t stride) {
-  const auto all = device.supported_frequencies();
-  std::vector<double> train_freqs;
-  for (std::size_t i = 0; i < all.size(); i += stride) {
-    train_freqs.push_back(all[i]);
-  }
-  const core::Dataset train_ds =
-      core::build_dataset(device, workloads, 3, train_freqs);
+  const core::Dataset train_ds = core::build_dataset(
+      device, workloads, 3,
+      core::every_nth(device.supported_frequencies(), stride));
   const core::Dataset full_ds = core::build_dataset(device, workloads, 3);
 
   double acc = 0.0;
-  for (std::size_t g = 0; g < train_ds.num_groups(); ++g) {
-    std::vector<std::size_t> train_rows;
-    for (std::size_t i = 0; i < train_ds.rows(); ++i) {
-      if (train_ds.groups[i] != static_cast<int>(g)) {
-        train_rows.push_back(i);
-      }
-    }
-    core::DomainSpecificModel model;
-    model.train(train_ds, train_rows);
-    const core::TruthCurves truth =
-        core::truth_curves(full_ds, static_cast<int>(g));
-    const auto pred = model.predict(workloads[g]->domain_features(),
-                                    truth.freqs_mhz,
-                                    full_ds.default_freq_mhz[g]);
+  for (int g = 0; g < static_cast<int>(train_ds.num_groups()); ++g) {
+    const auto [truth, pred] =
+        core::hold_out(train_ds, full_ds, g, core::DomainSpecificModel());
     acc += stats::mape(truth.norm_energy, pred.norm_energy);
   }
   return acc / static_cast<double>(train_ds.num_groups());

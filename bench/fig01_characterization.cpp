@@ -85,11 +85,8 @@ void print_model_families(std::ostream& os, bench::Rig& rig,
     workloads.push_back(std::make_unique<core::CronosWorkload>(
         cronos::GridDims{n, side, side}, 10));
   }
-  const std::vector<double> all = rig.v100.supported_frequencies();
-  std::vector<double> freqs;
-  for (std::size_t i = 0; i < all.size(); i += 8) {
-    freqs.push_back(all[i]);
-  }
+  const std::vector<double> freqs =
+      core::every_nth(rig.v100.supported_frequencies(), 8);
   const core::Dataset dataset =
       core::build_dataset(rig.v100, workloads, options, freqs);
 

@@ -9,6 +9,7 @@
 // deterministic (simulated time), so they gate answer-quality drift
 // exactly; wall-clock throughput lives in the benchmark's own real_time.
 #include <filesystem>
+#include <set>
 
 #include <benchmark/benchmark.h>
 
@@ -88,17 +89,22 @@ void BM_ServeCacheHot(benchmark::State& state) {
 BENCHMARK(BM_ServeCacheHot)->Unit(benchmark::kMillisecond);
 
 /// The batched-inference hot path alone: one advise_batch over the
-/// frequency grid, no cache, no queueing.
+/// frequency grid, no cache, no queueing. advise_batch computes one front
+/// per distinct input, so every request holds a distinct Cronos input:
+/// the batch walks the forests once per request.
 void BM_AdviseBatch(benchmark::State& state) {
   const auto& registry = shared_registry();
   const auto artifact =
       registry.require(serve::ModelKey{"cronos", "v100"});
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  // Over-generate, keep the cronos half, trim to the target batch size.
-  const auto trace = serve::generate_trace(traffic_config(4 * batch, 64));
+  // Over-generate Cronos-only traffic from a wide population and keep the
+  // first `batch` distinct inputs.
+  serve::TrafficConfig traffic = traffic_config(8 * batch, 8 * batch);
+  traffic.ligen_fraction = 0.0;
+  std::set<std::vector<double>> seen;
   std::vector<serve::AdviseRequest> requests;
-  for (const serve::TimedRequest& timed : trace) {
-    if (timed.request.application == "cronos" && requests.size() < batch) {
+  for (const serve::TimedRequest& timed : serve::generate_trace(traffic)) {
+    if (requests.size() < batch && seen.insert(timed.request.features).second) {
       requests.push_back(timed.request);
     }
   }

@@ -17,26 +17,13 @@ using namespace dsem;
 
 /// LOOCV MAPE of a DS model built from `proto`, averaged over held-out
 /// speedup and normalized-energy curves of all groups.
-std::pair<double, double>
-loocv_mape(const core::Dataset& dataset,
-           std::span<const std::unique_ptr<core::Workload>> workloads,
-           const ml::Regressor& proto) {
+std::pair<double, double> loocv_mape(const core::Dataset& dataset,
+                                     const ml::Regressor& proto) {
   double speedup_acc = 0.0;
   double energy_acc = 0.0;
-  for (std::size_t g = 0; g < dataset.num_groups(); ++g) {
-    std::vector<std::size_t> train_rows;
-    for (std::size_t i = 0; i < dataset.rows(); ++i) {
-      if (dataset.groups[i] != static_cast<int>(g)) {
-        train_rows.push_back(i);
-      }
-    }
-    core::DomainSpecificModel model(proto);
-    model.train(dataset, train_rows);
-    const core::TruthCurves truth =
-        core::truth_curves(dataset, static_cast<int>(g));
-    const auto pred = model.predict(workloads[g]->domain_features(),
-                                    truth.freqs_mhz,
-                                    dataset.default_freq_mhz[g]);
+  for (int g = 0; g < static_cast<int>(dataset.num_groups()); ++g) {
+    const auto [truth, pred] =
+        core::hold_out(dataset, dataset, g, core::DomainSpecificModel(proto));
     speedup_acc += stats::mape(truth.speedup, pred.speedup);
     energy_acc += stats::mape(truth.norm_energy, pred.norm_energy);
   }
@@ -46,18 +33,13 @@ loocv_mape(const core::Dataset& dataset,
 
 void run_for_app(const std::string& app, synergy::Device& device,
                  std::vector<std::unique_ptr<core::Workload>> workloads) {
-  std::vector<double> freqs;
-  const auto all = device.supported_frequencies();
-  for (std::size_t i = 0; i < all.size(); i += 4) {
-    freqs.push_back(all[i]);
-  }
-  const core::Dataset dataset =
-      core::build_dataset(device, workloads, 5, freqs);
+  const core::Dataset dataset = core::build_dataset(
+      device, workloads, 5, core::every_nth(device.supported_frequencies(), 4));
 
   print_banner(std::cout, "Regressor selection — " + app);
   Table table({"algorithm", "speedup_mape", "norm_energy_mape"});
   const auto row = [&](const ml::Regressor& proto) {
-    const auto [s, e] = loocv_mape(dataset, workloads, proto);
+    const auto [s, e] = loocv_mape(dataset, proto);
     table.add_row({proto.name(), fmt(s, 4), fmt(e, 4)});
   };
   row(ml::LinearRegressor{});

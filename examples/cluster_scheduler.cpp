@@ -101,6 +101,16 @@ int main(int argc, char** argv) {
     return 0;
   }
   const obs::Session session(cli);
+  // The job trace's config and the planning stride are read first, so a
+  // bad size flag fails before any training sweep runs.
+  serve::TrafficConfig traffic;
+  traffic.requests = cli.option_size("jobs");
+  traffic.arrival_rate_hz = cli.option_double("arrival-rate");
+  traffic.ligen_fraction = cli.option_double("ligen-fraction");
+  traffic.population = cli.option_size("population");
+  traffic.seed = std::stoull(cli.option("traffic-seed"), nullptr, 0);
+  traffic.deadline_slacks = split_doubles(cli.option("slacks"));
+  const std::size_t freq_stride = cli.option_size("freq-stride");
 
   const std::string device_name = cli.option("device");
   const sim::DeviceSpec spec =
@@ -118,12 +128,11 @@ int main(int argc, char** argv) {
     registry.put(std::move(artifact));
   }
   core::SweepReport report;
-  const double ligen_fraction = cli.option_double("ligen-fraction");
   std::vector<std::string> apps;
-  if (ligen_fraction < 1.0) {
+  if (traffic.ligen_fraction < 1.0) {
     apps.push_back("cronos");
   }
-  if (ligen_fraction > 0.0) {
+  if (traffic.ligen_fraction > 0.0) {
     apps.push_back("ligen");
   }
   for (const std::string& app : apps) {
@@ -147,13 +156,6 @@ int main(int argc, char** argv) {
   }
 
   // The deadline-tagged job trace.
-  serve::TrafficConfig traffic;
-  traffic.requests = static_cast<std::size_t>(cli.option_int("jobs"));
-  traffic.arrival_rate_hz = cli.option_double("arrival-rate");
-  traffic.ligen_fraction = ligen_fraction;
-  traffic.population = static_cast<std::size_t>(cli.option_int("population"));
-  traffic.seed = std::stoull(cli.option("traffic-seed"), nullptr, 0);
-  traffic.deadline_slacks = split_doubles(cli.option("slacks"));
   std::cout << "generating " << traffic.requests << " jobs ("
             << fmt_percent(traffic.ligen_fraction) << " ligen, "
             << fmt_g(traffic.arrival_rate_hz, 3) << " jobs/s)...\n";
@@ -170,8 +172,7 @@ int main(int argc, char** argv) {
 
   sched::SchedConfig base;
   base.device = device_name;
-  base.freq_stride =
-      static_cast<std::size_t>(cli.option_int("freq-stride"));
+  base.freq_stride = freq_stride;
   const std::string placement = cli.option("placement");
   DSEM_ENSURE(placement == "first-fit" || placement == "energy-greedy",
               "unknown placement: " + placement);

@@ -22,6 +22,7 @@
 // the recovery accounting at the end.
 #include <chrono>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "common/cli.hpp"
@@ -108,13 +109,9 @@ obtain_model(serve::ModelRegistry& registry, const std::string& app,
 void export_dataset(const std::string& path, const std::string& app,
                     synergy::Device& device, const core::SweepOptions& sweep,
                     std::size_t stride, core::SweepReport& report) {
-  DSEM_ENSURE(stride > 0, "dataset-stride must be > 0");
   const auto workloads = serve::training_set(app, /*compact=*/false);
-  const std::vector<double> all = device.supported_frequencies();
-  std::vector<double> freqs;
-  for (std::size_t i = 0; i < all.size(); i += stride) {
-    freqs.push_back(all[i]);
-  }
+  const std::vector<double> freqs =
+      core::every_nth(device.supported_frequencies(), stride);
   const auto start = std::chrono::steady_clock::now();
   const core::Dataset dataset =
       core::build_dataset(device, workloads, sweep, freqs);
@@ -125,31 +122,40 @@ void export_dataset(const std::string& path, const std::string& app,
             << "\n";
 }
 
-void run_serve_mode(const CliParser& cli, serve::ModelRegistry& registry,
-                    obs::Ledger* ledger) {
+/// The --serve flags, read before any sweep runs so a bad value fails
+/// first.
+struct ServeSetup {
   serve::TrafficConfig traffic;
-  traffic.requests = static_cast<std::size_t>(cli.option_int("requests"));
+  serve::ServeConfig config;
+};
+
+ServeSetup serve_setup(const CliParser& cli, obs::Ledger* ledger) {
+  ServeSetup setup;
+  serve::TrafficConfig& traffic = setup.traffic;
+  traffic.requests = cli.option_size("requests");
   traffic.arrival_rate_hz = cli.option_double("arrival-rate");
   traffic.ligen_fraction = cli.option_double("ligen-fraction");
-  traffic.population = static_cast<std::size_t>(cli.option_int("population"));
+  traffic.population = cli.option_size("population");
   traffic.seed = std::stoull(cli.option("traffic-seed"), nullptr, 0);
 
-  serve::ServeConfig config;
+  serve::ServeConfig& config = setup.config;
   config.device = cli.option("device");
-  config.batch_size = static_cast<std::size_t>(cli.option_int("batch-size"));
-  config.admission_bound =
-      static_cast<std::size_t>(cli.option_int("admission-bound"));
-  config.cache_capacity =
-      static_cast<std::size_t>(cli.option_int("cache-capacity"));
+  config.batch_size = cli.option_size("batch-size");
+  config.admission_bound = cli.option_size("admission-bound", 0);
+  config.cache_capacity = cli.option_size("cache-capacity", 0);
   config.cache_quant_step = cli.option_double("cache-quant");
   config.ledger = ledger;
+  return setup;
+}
 
+void run_serve_mode(const ServeSetup& setup, serve::ModelRegistry& registry) {
+  const serve::TrafficConfig& traffic = setup.traffic;
   std::cout << "generating " << traffic.requests << " requests ("
             << fmt_percent(traffic.ligen_fraction) << " ligen, "
             << fmt(traffic.arrival_rate_hz, 0) << " req/s)...\n";
   const auto trace = serve::generate_trace(traffic);
 
-  serve::ServeLoop loop(registry, config);
+  serve::ServeLoop loop(registry, setup.config);
   loop.run(trace);
   const serve::ServeStats& stats = loop.stats();
 
@@ -235,6 +241,10 @@ int main(int argc, char** argv) {
   const double max_slowdown = cli.option_double("max-slowdown");
   const sim::FaultConfig faults = core::fault_config_from_cli(cli);
   const core::RetryPolicy retry = core::retry_policy_from_cli(cli);
+  const std::size_t dataset_stride = cli.option_size("dataset-stride");
+  const std::optional<ServeSetup> serving =
+      cli.flag("serve") ? std::optional(serve_setup(cli, session.ledger()))
+                        : std::nullopt;
 
   sim::Device sim_dev(device_name == "mi100" ? sim::mi100() : sim::v100(),
                       sim::NoiseConfig{}, 0xAD51);
@@ -260,7 +270,7 @@ int main(int argc, char** argv) {
 
   const std::string model_kind = cli.option("model-kind");
 
-  if (cli.flag("serve")) {
+  if (serving) {
     // Mixed traffic needs a model per application in the mix.
     const double ligen_fraction = cli.option_double("ligen-fraction");
     if (ligen_fraction < 1.0) {
@@ -276,7 +286,7 @@ int main(int argc, char** argv) {
       std::cout << "saved " << app << "/" << device_name << " model to "
                 << out << "\n";
     }
-    run_serve_mode(cli, registry, session.ledger());
+    run_serve_mode(*serving, registry);
     core::print_sweep_report(std::cout, report);
     session.finish(std::cout, "frequency_advisor",
                    core::sweep_report_to_json(report));
@@ -284,9 +294,7 @@ int main(int argc, char** argv) {
   }
 
   if (const std::string out = cli.option("dataset-out"); !out.empty()) {
-    export_dataset(out, app, device, sweep_options,
-                   static_cast<std::size_t>(cli.option_int("dataset-stride")),
-                   report);
+    export_dataset(out, app, device, sweep_options, dataset_stride, report);
   }
 
   const auto artifact = obtain_model(registry, app, device_name, device,

@@ -43,11 +43,8 @@ int main(int argc, char** argv) {
         cronos::GridDims{n, side, side}, /*steps=*/10));
   }
   // Sample every 4th frequency during training; predict over all of them.
-  std::vector<double> train_freqs;
-  const auto all_freqs = device.supported_frequencies();
-  for (std::size_t i = 0; i < all_freqs.size(); i += 4) {
-    train_freqs.push_back(all_freqs[i]);
-  }
+  const std::vector<double> all_freqs = device.supported_frequencies();
+  const std::vector<double> train_freqs = core::every_nth(all_freqs, 4);
   std::cout << "\nmeasuring " << workloads.size() << " Cronos inputs x "
             << train_freqs.size() << " frequencies x 5 repetitions...\n";
   const core::Dataset dataset =

@@ -81,6 +81,15 @@ std::int64_t CliParser::option_int(const std::string& name) const {
   return out;
 }
 
+std::size_t CliParser::option_size(const std::string& name,
+                                   std::size_t min) const {
+  const std::int64_t value = option_int(name);
+  DSEM_ENSURE(value >= 0 && static_cast<std::uint64_t>(value) >= min,
+              "option --" + name + " must be >= " + std::to_string(min) +
+                  ": " + option(name));
+  return static_cast<std::size_t>(value);
+}
+
 double CliParser::option_double(const std::string& name) const {
   const std::string raw = option(name);
   try {

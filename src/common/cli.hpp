@@ -27,6 +27,10 @@ public:
   bool flag(const std::string& name) const;
   std::string option(const std::string& name) const;
   std::int64_t option_int(const std::string& name) const;
+  /// option_int() as a count: raises, naming the flag, unless the value is
+  /// at least `min` (1, or 0 where 0 has a meaning such as "off"), so a
+  /// negative value never wraps around into a huge std::size_t.
+  std::size_t option_size(const std::string& name, std::size_t min = 1) const;
   double option_double(const std::string& name) const;
 
   /// Positional arguments in order of appearance.

@@ -52,70 +52,73 @@ TruthCurves truth_curves(const Dataset& dataset, int group) {
 
 namespace {
 
-std::vector<std::size_t> training_rows_excluding(const Dataset& dataset,
-                                                 int held_out) {
+/// `model`'s curve for one group of `dataset` over `freqs_mhz`, queried
+/// with the group's own row prefix and default clock: the predict step of
+/// every fold.
+Prediction predict_group(const DomainSpecificModel& model,
+                         const Dataset& dataset, int group,
+                         std::span<const double> freqs_mhz) {
+  const auto prefix = dataset.x.row(dataset.rows_of_group(group).front());
+  const double default_freq =
+      dataset.default_freq_mhz[static_cast<std::size_t>(group)];
+  return model.predict(prefix.first(prefix.size() - 1), freqs_mhz,
+                       default_freq);
+}
+
+/// A fresh frequency model cloned from `prototype` (null = Random Forest
+/// default).
+DomainSpecificModel fresh_model(const ml::Regressor* prototype) {
+  return prototype ? DomainSpecificModel(*prototype) : DomainSpecificModel();
+}
+
+/// The GP baseline's curve for one group over its truth frequencies.
+Prediction predict_gp(const Dataset& dataset,
+                      std::span<const std::unique_ptr<Workload>> workloads,
+                      const GeneralPurposeModel& gp, int group,
+                      std::span<const double> freqs_mhz) {
+  const auto ug = static_cast<std::size_t>(group);
+  return gp.predict(workloads[ug]->aggregate_profile(), freqs_mhz,
+                    dataset.default_freq_mhz[ug]);
+}
+
+/// Scores one held-out group's predicted curve and the GP baseline's
+/// against its measured curves: the shared kernel of the LOOCV and the
+/// extrapolation split.
+AccuracyRow score_fold(const Dataset& dataset,
+                       std::span<const std::unique_ptr<Workload>> workloads,
+                       const GeneralPurposeModel& gp, int group,
+                       const HeldOut& fold) {
+  const Prediction base =
+      predict_gp(dataset, workloads, gp, group, fold.truth.freqs_mhz);
+  AccuracyRow row;
+  row.input = dataset.group_names[static_cast<std::size_t>(group)];
+  row.ds_speedup_mape = stats::mape(fold.truth.speedup, fold.predicted.speedup);
+  row.ds_energy_mape =
+      stats::mape(fold.truth.norm_energy, fold.predicted.norm_energy);
+  row.gp_speedup_mape = stats::mape(fold.truth.speedup, base.speedup);
+  row.gp_energy_mape = stats::mape(fold.truth.norm_energy, base.norm_energy);
+  return row;
+}
+
+} // namespace
+
+HeldOut hold_out(const Dataset& train, const Dataset& truth, int group,
+                 DomainSpecificModel model) {
+  DSEM_ENSURE(train.group_names == truth.group_names,
+              "hold_out: train and truth datasets list different groups");
   std::vector<std::size_t> rows;
-  rows.reserve(dataset.rows());
-  for (std::size_t i = 0; i < dataset.groups.size(); ++i) {
-    if (dataset.groups[i] != held_out) {
+  rows.reserve(train.rows());
+  for (std::size_t i = 0; i < train.groups.size(); ++i) {
+    if (train.groups[i] != group) {
       rows.push_back(i);
     }
   }
   DSEM_ENSURE(!rows.empty(), "LOOCV fold has no training rows");
-  return rows;
+  model.train(train, rows);
+  HeldOut out{truth_curves(truth, group), {}};
+  out.predicted = predict_group(model, truth, group, out.truth.freqs_mhz);
+  return out;
 }
-
-/// A fresh frequency model cloned from `prototype` (null = Random Forest
-/// default), trained on `train_rows`.
-DomainSpecificModel train_model(const Dataset& dataset,
-                                std::span<const std::size_t> train_rows,
-                                const ml::Regressor* prototype) {
-  DomainSpecificModel model =
-      prototype ? DomainSpecificModel(*prototype) : DomainSpecificModel();
-  model.train(dataset, train_rows);
-  return model;
-}
-
-/// The frequency model's and the GP baseline's curves for one held-out
-/// group over its truth frequencies: `model` queried with the group's own
-/// row prefix.
-struct FoldPredictions {
-  Prediction ds;
-  Prediction gp;
-};
-
-FoldPredictions predict_fold(
-    const Dataset& dataset,
-    std::span<const std::unique_ptr<Workload>> workloads,
-    const GeneralPurposeModel& gp, int group,
-    const DomainSpecificModel& model, std::span<const double> freqs_mhz) {
-  const auto ug = static_cast<std::size_t>(group);
-  const auto prefix = dataset.x.row(dataset.rows_of_group(group).front());
-  const double default_freq = dataset.default_freq_mhz[ug];
-  return {model.predict(prefix.first(prefix.size() - 1), freqs_mhz,
-                        default_freq),
-          gp.predict(workloads[ug]->aggregate_profile(), freqs_mhz,
-                     default_freq)};
-}
-
-/// Scores one held-out group with a model trained without it: the shared
-/// kernel of the LOOCV and the extrapolation split. Fills one pre-sized
-/// row.
-void score_fold(const Dataset& dataset,
-                std::span<const std::unique_ptr<Workload>> workloads,
-                const GeneralPurposeModel& gp, int group,
-                const DomainSpecificModel& model, AccuracyRow& row) {
-  const TruthCurves truth = truth_curves(dataset, group);
-  const FoldPredictions pred = predict_fold(dataset, workloads, gp, group,
-                                            model, truth.freqs_mhz);
-  row.input = dataset.group_names[static_cast<std::size_t>(group)];
-  row.ds_speedup_mape = stats::mape(truth.speedup, pred.ds.speedup);
-  row.ds_energy_mape = stats::mape(truth.norm_energy, pred.ds.norm_energy);
-  row.gp_speedup_mape = stats::mape(truth.speedup, pred.gp.speedup);
-  row.gp_energy_mape = stats::mape(truth.norm_energy, pred.gp.norm_energy);
-}
-
-} // namespace
 
 AccuracyReport evaluate_accuracy(
     const Dataset& dataset,
@@ -157,10 +160,9 @@ AccuracyReport evaluate_accuracy(
     metrics::counter("loocv.folds");
     metrics::ScopedTimer fold_timer("loocv.fold_s");
     const int g = dataset.group_of(report[i]);
-    score_fold(dataset, workloads, gp, g,
-               train_model(dataset, training_rows_excluding(dataset, g),
-                           prototype),
-               out.rows[i]);
+    out.rows[i] = score_fold(dataset, workloads, gp, g,
+                             hold_out(dataset, dataset, g,
+                                      fresh_model(prototype)));
   }
   return out;
 }
@@ -180,19 +182,18 @@ ParetoEvaluation evaluate_pareto(
   span.arg(target_input);
   metrics::ScopedTimer timer("eval.pareto_s");
 
+  HeldOut fold = hold_out(dataset, dataset, g, fresh_model(prototype));
   ParetoEvaluation out;
-  out.truth = truth_curves(dataset, g);
+  out.truth = std::move(fold.truth);
   out.true_front = pareto_front(out.truth.speedup, out.truth.norm_energy);
-  const FoldPredictions pred = predict_fold(
-      dataset, workloads, gp, g,
-      train_model(dataset, training_rows_excluding(dataset, g), prototype),
-      out.truth.freqs_mhz);
 
   // Predicted Pareto frequency sets come from the *predicted* objectives;
   // they are then judged at the *measured* objectives those frequencies
   // actually achieve (§5.2.2).
-  out.ds_front = pred.ds.pareto_indices();
-  out.gp_front = pred.gp.pareto_indices();
+  out.ds_front = fold.predicted.pareto_indices();
+  out.gp_front =
+      predict_gp(dataset, workloads, gp, g, out.truth.freqs_mhz)
+          .pareto_indices();
   out.ds_cmp = compare_pareto(out.truth.speedup, out.truth.norm_energy,
                               out.true_front, out.ds_front);
   out.gp_cmp = compare_pareto(out.truth.speedup, out.truth.norm_energy,
@@ -249,11 +250,12 @@ ExtrapolationReport evaluate_extrapolation(
   span.value(static_cast<double>(holdout_count));
   metrics::ScopedTimer timer("eval.extrapolation_s");
   // Every held-out group is scored by the one model trained on the rest.
-  const DomainSpecificModel model = train_model(dataset, train_rows, prototype);
-  out.accuracy.rows.resize(by_work.size());
-  for (std::size_t i = 0; i < by_work.size(); ++i) {
-    score_fold(dataset, workloads, gp, by_work[i].second, model,
-               out.accuracy.rows[i]);
+  DomainSpecificModel model = fresh_model(prototype);
+  model.train(dataset, train_rows);
+  for (const auto& [work, g] : by_work) {
+    HeldOut fold{truth_curves(dataset, g), {}};
+    fold.predicted = predict_group(model, dataset, g, fold.truth.freqs_mhz);
+    out.accuracy.rows.push_back(score_fold(dataset, workloads, gp, g, fold));
   }
   return out;
 }

@@ -10,12 +10,15 @@
 // (the values one would obtain actually running the application there),
 // compared against the true Pareto set.
 //
-// Every entry point trains a fresh frequency model (DomainSpecificModel)
-// on the dataset's rows and queries it with the held-out group's own row
-// prefix (the row without its frequency column). Called on a built
-// dataset that scores the domain-specific family; called on its
-// fuse_dataset() with a hybrid_forest_params() prototype it scores the
-// hybrid family. The GP baseline columns are the same either way.
+// hold_out() is the protocol's one fold: a fresh frequency model
+// (DomainSpecificModel) trains on every row outside the held-out group
+// and is queried with the group's own row prefix (the row without its
+// frequency column). evaluate_accuracy, evaluate_pareto and the LOOCV
+// benches run it; evaluate_extrapolation, which trains once for its whole
+// holdout, shares its query. Called on a built dataset that scores the
+// domain-specific family; called on its fuse_dataset() with a
+// hybrid_forest_params() prototype it scores the hybrid family. The GP
+// baseline columns are the same either way.
 #pragma once
 
 #include "core/characterization.hpp"
@@ -54,6 +57,24 @@ struct TruthCurves {
   std::vector<double> energy_j;
 };
 TruthCurves truth_curves(const Dataset& dataset, int group);
+
+/// One held-out fold: a group's measured curves and the curve a model
+/// trained without it predicts over the same frequencies.
+struct HeldOut {
+  TruthCurves truth;
+  Prediction predicted;
+};
+
+/// Trains `model` (unfitted; it carries its prototype and log_targets) on
+/// every row of `train` outside `group`, and returns `group`'s measured
+/// curves from `truth` with the model's curve over their frequencies,
+/// queried with the group's row prefix and default clock in `truth`.
+/// `truth` is usually `train` itself; it differs when the truth is
+/// measured apart from the training sweep (a noise-free twin of the
+/// device, or the full frequency grid under a strided training sweep).
+/// Raises unless `train` and `truth` list the same groups.
+HeldOut hold_out(const Dataset& train, const Dataset& truth, int group,
+                 DomainSpecificModel model);
 
 /// Leave-one-input-out evaluation over the dataset's groups.
 /// `workloads` must be the same list (same order) build_dataset consumed;

@@ -41,16 +41,12 @@ void GeneralPurposeModel::train(
     const SweepOptions& options, std::size_t freq_stride) {
   DSEM_ENSURE(!suite.empty(), "training on an empty micro-benchmark suite");
   DSEM_ENSURE(options.repetitions >= 1, "repetitions must be >= 1");
-  DSEM_ENSURE(freq_stride >= 1, "freq_stride must be >= 1");
   trace::Span span("train.gp", trace::cat::kTrain);
   span.value(static_cast<double>(suite.size()));
   metrics::ScopedTimer timer("train.gp_s");
 
-  const std::vector<double> all_freqs = device.supported_frequencies();
-  std::vector<double> freqs;
-  for (std::size_t i = 0; i < all_freqs.size(); i += freq_stride) {
-    freqs.push_back(all_freqs[i]);
-  }
+  const std::vector<double> freqs =
+      every_nth(device.supported_frequencies(), freq_stride);
 
   // One sweep task per micro-benchmark; the engine measures the baseline
   // and every strided frequency in parallel on deterministic replicas.

@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "core/sweep.hpp"
 
 namespace dsem::core {
 
@@ -11,7 +12,8 @@ KernelPlan plan_kernel_frequencies(synergy::Device& device,
                                    double max_slowdown, int repetitions,
                                    std::size_t freq_stride) {
   DSEM_ENSURE(max_slowdown >= 0.0, "max_slowdown must be non-negative");
-  DSEM_ENSURE(freq_stride >= 1, "freq_stride must be >= 1");
+  const std::vector<double> freqs =
+      every_nth(device.supported_frequencies(), freq_stride);
 
   // Kernel-resolved measurement of one full run at a pinned frequency:
   // returns time/energy per kernel name.
@@ -42,7 +44,6 @@ KernelPlan plan_kernel_frequencies(synergy::Device& device,
   const auto baseline = run_at(0.0);
   DSEM_ENSURE(!baseline.empty(), "workload submitted no kernels");
 
-  const auto all = device.supported_frequencies();
   struct Best {
     double freq = 0.0;
     double energy = std::numeric_limits<double>::infinity();
@@ -54,13 +55,13 @@ KernelPlan plan_kernel_frequencies(synergy::Device& device,
         Best{device.default_frequency(), base.energy_j, 0.0};
   }
 
-  for (std::size_t i = 0; i < all.size(); i += freq_stride) {
-    const auto at = run_at(all[i]);
+  for (const double freq : freqs) {
+    const auto at = run_at(freq);
     for (const auto& [name, m] : at) {
       const Measurement& base = baseline.at(name);
       const double slowdown = 1.0 - base.time_s / m.time_s;
       if (slowdown <= max_slowdown && m.energy_j < best[name].energy) {
-        best[name] = Best{all[i], m.energy_j,
+        best[name] = Best{freq, m.energy_j,
                           1.0 - m.energy_j / base.energy_j};
       }
     }

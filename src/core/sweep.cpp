@@ -152,4 +152,15 @@ std::vector<FrequencySweep> sweep_workloads(
   return sweep_grid(device, tasks, freqs, options);
 }
 
+std::vector<double> every_nth(std::span<const double> values,
+                              std::size_t stride) {
+  DSEM_ENSURE(stride >= 1, "stride must be >= 1");
+  std::vector<double> out;
+  out.reserve((values.size() + stride - 1) / stride);
+  for (std::size_t i = 0; i < values.size(); i += stride) {
+    out.push_back(values[i]);
+  }
+  return out;
+}
+
 } // namespace dsem::core

@@ -83,4 +83,10 @@ std::vector<FrequencySweep> sweep_workloads(
     std::span<const std::unique_ptr<Workload>> workloads,
     std::span<const double> freqs = {}, const SweepOptions& options = {});
 
+/// Every `stride`-th value from the first: the strided frequency grid a
+/// sweep samples when it trains on "a part of" the schedule (§4.2.2).
+/// `stride` must be >= 1.
+std::vector<double> every_nth(std::span<const double> values,
+                              std::size_t stride);
+
 } // namespace dsem::core

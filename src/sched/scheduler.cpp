@@ -12,6 +12,7 @@
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/sweep.hpp"
 #include "obs/ledger.hpp"
 #include "serve/advisor.hpp"
 #include "sim/power_model.hpp"
@@ -64,10 +65,7 @@ struct InputLess {
 std::vector<double> strided_candidates(std::span<const double> freqs_mhz,
                                        std::size_t stride) {
   DSEM_ENSURE(!freqs_mhz.empty(), "sched: artifact has no frequencies");
-  std::vector<double> out;
-  for (std::size_t i = 0; i < freqs_mhz.size(); i += stride) {
-    out.push_back(freqs_mhz[i]);
-  }
+  std::vector<double> out = core::every_nth(freqs_mhz, stride);
   if (out.back() != freqs_mhz.back()) {
     out.push_back(freqs_mhz.back());
   }

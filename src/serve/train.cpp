@@ -55,16 +55,11 @@ struct TrainingSweep {
 
 TrainingSweep run_training_sweep(synergy::Device& device, const ModelKey& key,
                                  const TrainConfig& config) {
-  DSEM_ENSURE(config.freq_stride > 0, "train: frequency stride must be > 0");
+  const std::vector<double> all_freqs = device.supported_frequencies();
+  const std::vector<double> train_freqs =
+      core::every_nth(all_freqs, config.freq_stride);
   TrainingSweep out;
   out.workloads = training_set(key.application, config.compact);
-
-  const std::vector<double> all_freqs = device.supported_frequencies();
-  std::vector<double> train_freqs;
-  for (std::size_t i = 0; i < all_freqs.size(); i += config.freq_stride) {
-    train_freqs.push_back(all_freqs[i]);
-  }
-
   out.dataset =
       core::build_dataset(device, out.workloads, config.sweep, train_freqs);
 

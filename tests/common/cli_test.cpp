@@ -1,6 +1,7 @@
 #include "common/cli.hpp"
 
 #include <array>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -76,6 +77,46 @@ TEST(Cli, NonNumericIntThrows) {
   const std::array argv = {"prog", "--count=abc"};
   ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
   EXPECT_THROW(cli.option_int("count"), contract_error);
+}
+
+TEST(Cli, SizeOptionReturnsTheCount) {
+  CliParser cli = make_parser();
+  const std::array argv = {"prog", "--count=0"};
+  ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_EQ(cli.option_size("count", 0), 0u);
+  CliParser defaults = make_parser();
+  const std::array none = {"prog"};
+  ASSERT_TRUE(defaults.parse(1, none.data()));
+  EXPECT_EQ(defaults.option_size("count"), 10u);
+}
+
+// A negative count must not wrap around into a huge std::size_t.
+TEST(Cli, SizeOptionBelowMinimumThrowsNamingTheFlag) {
+  for (const char* arg : {"--count=-1", "--count=-9223372036854775808"}) {
+    for (const std::size_t min : {0u, 1u}) {
+      CliParser cli = make_parser();
+      const std::array argv = {"prog", arg};
+      ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+      try {
+        (void)cli.option_size("count", min);
+        ADD_FAILURE() << arg << " accepted";
+      } catch (const contract_error& e) {
+        EXPECT_NE(std::string(e.what()).find("--count"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  CliParser zero = make_parser();
+  const std::array argv = {"prog", "--count=0"};
+  ASSERT_TRUE(zero.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_THROW((void)zero.option_size("count"), contract_error);
+}
+
+TEST(Cli, SizeOptionRejectsNonIntegers) {
+  CliParser cli = make_parser();
+  const std::array argv = {"prog", "--count=1.5"};
+  ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_THROW((void)cli.option_size("count"), contract_error);
 }
 
 TEST(Cli, NonNumericDoubleThrows) {

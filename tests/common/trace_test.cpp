@@ -301,16 +301,6 @@ TEST_F(TraceTest, SummaryTableListsEveryInstrumentName) {
 
 // --- Golden-trace determinism ---------------------------------------------
 
-std::vector<double> strided_freqs(const synergy::Device& device,
-                                  std::size_t stride) {
-  const auto all = device.supported_frequencies();
-  std::vector<double> out;
-  for (std::size_t i = 0; i < all.size(); i += stride) {
-    out.push_back(all[i]);
-  }
-  return out;
-}
-
 /// Runs a tiny faulty characterization sweep on a global pool of `threads`
 /// workers and returns the logical trace it recorded. Faults make the
 /// retry markers fire; the per-point replica devices make the fault
@@ -331,7 +321,8 @@ std::vector<LogicalEvent> traced_sweep(std::size_t threads) {
     core::SweepOptions options;
     options.repetitions = 2;
     options.retry = core::RetryPolicy{4, 0.01, 2.0};
-    core::characterize(device, workload, options, strided_freqs(device, 16));
+    core::characterize(device, workload, options,
+                       core::every_nth(device.supported_frequencies(), 16));
   }
   auto out = Tracer::global().logical_events();
   set_enabled(false);

@@ -25,10 +25,7 @@ struct EvalState {
           cronos::GridDims{n, std::max(4, n * 2 / 5), std::max(4, n * 2 / 5)},
           2));
     }
-    const auto all = device.supported_frequencies();
-    for (std::size_t i = 0; i < all.size(); i += 8) {
-      freqs.push_back(all[i]);
-    }
+    freqs = every_nth(device.supported_frequencies(), 8);
     dataset = build_dataset(device, workloads, 2, freqs);
     gp.train(device, microbench::make_suite(), 1, 16);
   }
@@ -109,6 +106,68 @@ TEST_F(EvaluationTest, DsParetoCloserToTruthThanGp) {
   // §5.2.2: the DS front approximates the true front at least as well.
   EXPECT_LE(eval.ds_cmp.generational_distance,
             eval.gp_cmp.generational_distance + 0.02);
+}
+
+/// hold_out against the fold written out by hand: a default model trained
+/// on the rows of `train` outside g and queried with the workload's own
+/// domain features, scored on `truth`'s curves. Bit for bit, every group.
+void expect_hand_rolled_folds(
+    const Dataset& train, const Dataset& truth,
+    const std::vector<std::unique_ptr<Workload>>& workloads) {
+  for (int g = 0; g < static_cast<int>(train.num_groups()); ++g) {
+    SCOPED_TRACE(g);
+    std::vector<std::size_t> rows;
+    for (std::size_t i = 0; i < train.rows(); ++i) {
+      if (train.groups[i] != g) {
+        rows.push_back(i);
+      }
+    }
+    DomainSpecificModel model;
+    model.train(train, rows);
+    const TruthCurves expected_truth = truth_curves(truth, g);
+    const auto ug = static_cast<std::size_t>(g);
+    const Prediction expected =
+        model.predict(workloads[ug]->domain_features(),
+                      expected_truth.freqs_mhz, truth.default_freq_mhz[ug]);
+
+    const HeldOut fold = hold_out(train, truth, g, DomainSpecificModel());
+    EXPECT_EQ(fold.truth.freqs_mhz, expected_truth.freqs_mhz);
+    EXPECT_EQ(fold.truth.speedup, expected_truth.speedup);
+    EXPECT_EQ(fold.truth.norm_energy, expected_truth.norm_energy);
+    EXPECT_EQ(fold.truth.time_s, expected_truth.time_s);
+    EXPECT_EQ(fold.predicted.freqs_mhz, expected.freqs_mhz);
+    EXPECT_EQ(fold.predicted.time_s, expected.time_s);
+    EXPECT_EQ(fold.predicted.energy_j, expected.energy_j);
+    EXPECT_EQ(fold.predicted.speedup, expected.speedup);
+    EXPECT_EQ(fold.predicted.norm_energy, expected.norm_energy);
+  }
+}
+
+TEST_F(EvaluationTest, HoldOutMatchesHandRolledFold) {
+  // One dataset trains and scores.
+  expect_hand_rolled_folds(dataset_, dataset_, workloads_);
+
+  // A stride-subsampled training sweep scored against the fuller grid:
+  // the predicted curve covers every truth frequency.
+  sim::Device sim_dev{sim::v100(), sim::NoiseConfig{0.01, 0.01}, 5};
+  synergy::Device device{sim_dev};
+  const Dataset strided =
+      build_dataset(device, workloads_, 2, every_nth(freqs_, 2));
+  ASSERT_LT(strided.rows(), dataset_.rows());
+  expect_hand_rolled_folds(strided, dataset_, workloads_);
+}
+
+TEST_F(EvaluationTest, HoldOutRejectsMismatchedGroupLists) {
+  Dataset renamed = dataset_;
+  renamed.group_names.front() = "renamed";
+  Dataset fewer = dataset_;
+  fewer.group_names.pop_back();
+  for (const Dataset* other : {&renamed, &fewer}) {
+    EXPECT_THROW(hold_out(dataset_, *other, 1, DomainSpecificModel()),
+                 dsem::contract_error);
+    EXPECT_THROW(hold_out(*other, dataset_, 1, DomainSpecificModel()),
+                 dsem::contract_error);
+  }
 }
 
 TEST(AccuracyReport, WorstGainsOverEmptyReportThrow) {

@@ -21,16 +21,6 @@
 namespace dsem::core {
 namespace {
 
-std::vector<double> strided_freqs(const synergy::Device& device,
-                                  std::size_t stride) {
-  const auto all = device.supported_frequencies();
-  std::vector<double> out;
-  for (std::size_t i = 0; i < all.size(); i += stride) {
-    out.push_back(all[i]);
-  }
-  return out;
-}
-
 std::vector<std::unique_ptr<Workload>> test_workloads() {
   std::vector<std::unique_ptr<Workload>> out;
   for (int n : {10, 20, 40}) {
@@ -201,7 +191,8 @@ Dataset faulty_dataset(std::size_t threads, SweepReport* report,
   options.repetitions = 2;
   options.retry = {2, 0.01, 2.0};
   options.report = report;
-  return build_dataset(device, workloads, options, strided_freqs(device, 16));
+  return build_dataset(device, workloads, options,
+                       every_nth(device.supported_frequencies(), 16));
 }
 
 TEST(FaultSweepTest, PartialDatasetTrainsAndEvaluates) {
@@ -353,7 +344,8 @@ TEST(FaultSweepTest, ZeroRateReproducesTheUnfaultedSweepExactly) {
   SweepOptions options;
   options.repetitions = 2;
   const Dataset plain =
-      build_dataset(device, workloads, options, strided_freqs(device, 16));
+      build_dataset(device, workloads, options,
+                    every_nth(device.supported_frequencies(), 16));
 
   ASSERT_EQ(zero_rate.rows(), plain.rows());
   EXPECT_EQ(zero_rate.time_s, plain.time_s);

@@ -49,19 +49,9 @@ TEST_F(Mi100WorkflowTest, TruthSpeedupsNeverExceedAuto) {
 }
 
 TEST_F(Mi100WorkflowTest, DsModelAccurateOnHeldOutInput) {
-  const int g = dataset_.group_of("80x32x32");
-  std::vector<std::size_t> train_rows;
-  for (std::size_t i = 0; i < dataset_.rows(); ++i) {
-    if (dataset_.groups[i] != g) {
-      train_rows.push_back(i);
-    }
-  }
-  DomainSpecificModel model;
-  model.train(dataset_, train_rows);
-  const TruthCurves truth = truth_curves(dataset_, g);
-  const auto pred = model.predict(
-      workloads_[static_cast<std::size_t>(g)]->domain_features(),
-      truth.freqs_mhz, dataset_.default_freq_mhz[static_cast<std::size_t>(g)]);
+  const auto [truth, pred] =
+      hold_out(dataset_, dataset_, dataset_.group_of("80x32x32"),
+               DomainSpecificModel());
   EXPECT_LT(stats::mape(truth.norm_energy, pred.norm_energy), 0.06);
   // The MI100 baseline is the max clock, so the speedup curve spans down
   // to ~0.13 at 200 MHz — relative errors at the tiny low-frequency truth

@@ -13,16 +13,6 @@
 namespace dsem::core {
 namespace {
 
-std::vector<double> strided_freqs(const synergy::Device& device,
-                                  std::size_t stride) {
-  const auto all = device.supported_frequencies();
-  std::vector<double> out;
-  for (std::size_t i = 0; i < all.size(); i += stride) {
-    out.push_back(all[i]);
-  }
-  return out;
-}
-
 // Shared across the suite: the dataset build dominates runtime, every test
 // only reads it, and the sweep engine leaves the device's RNG untouched.
 struct ModelsState {
@@ -40,7 +30,7 @@ struct ModelsState {
           cronos::GridDims{n, std::max(4, n * 2 / 5), std::max(4, n * 2 / 5)},
           2));
     }
-    freqs = strided_freqs(device, 8); // 25 frequencies
+    freqs = every_nth(device.supported_frequencies(), 8); // 25 frequencies
     dataset = build_dataset(device, workloads, 2, freqs);
   }
 
@@ -84,19 +74,9 @@ TEST_F(ModelsTest, DsModelSpeedupBaselinedOnPredictedDefault) {
 }
 
 TEST_F(ModelsTest, DsModelLoocvGeneralizesToHeldOutInput) {
-  const int g = dataset_.group_of("40x16x16");
-  std::vector<std::size_t> train_rows;
-  for (std::size_t i = 0; i < dataset_.rows(); ++i) {
-    if (dataset_.groups[i] != g) {
-      train_rows.push_back(i);
-    }
-  }
-  DomainSpecificModel model;
-  model.train(dataset_, train_rows);
-  const TruthCurves truth = truth_curves(dataset_, g);
-  const auto pred =
-      model.predict(workloads_[static_cast<std::size_t>(3)]->domain_features(),
-                    truth.freqs_mhz, 1312.0);
+  const auto [truth, pred] =
+      hold_out(dataset_, dataset_, dataset_.group_of("40x16x16"),
+               DomainSpecificModel());
   // Ratio curves generalize well even when magnitudes interpolate.
   EXPECT_LT(stats::mape(truth.speedup, pred.speedup), 0.05);
   EXPECT_LT(stats::mape(truth.norm_energy, pred.norm_energy), 0.05);

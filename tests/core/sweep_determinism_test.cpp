@@ -14,16 +14,6 @@
 namespace dsem::core {
 namespace {
 
-std::vector<double> strided_freqs(const synergy::Device& device,
-                                  std::size_t stride) {
-  const auto all = device.supported_frequencies();
-  std::vector<double> out;
-  for (std::size_t i = 0; i < all.size(); i += stride) {
-    out.push_back(all[i]);
-  }
-  return out;
-}
-
 std::vector<std::unique_ptr<Workload>> test_workloads() {
   std::vector<std::unique_ptr<Workload>> out;
   for (int n : {10, 20, 40}) {
@@ -43,7 +33,8 @@ Characterization characterize_with(std::size_t threads) {
   ScopedGlobalPool pool(threads);
   SweepOptions options;
   options.repetitions = 3;
-  return characterize(device, workload, options, strided_freqs(device, 8));
+  return characterize(device, workload, options,
+                      every_nth(device.supported_frequencies(), 8));
 }
 
 void expect_identical(const Characterization& a, const Characterization& b) {
@@ -76,7 +67,8 @@ Dataset dataset_with(std::size_t threads) {
   ScopedGlobalPool pool(threads);
   SweepOptions options;
   options.repetitions = 2;
-  return build_dataset(device, workloads, options, strided_freqs(device, 16));
+  return build_dataset(device, workloads, options,
+                       every_nth(device.supported_frequencies(), 16));
 }
 
 TEST(SweepDeterminism, DatasetBitIdenticalAcrossPoolSizes) {
