@@ -101,8 +101,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   const obs::Session session(cli);
-  // The job trace's config and the planning stride are read first, so a
-  // bad size flag fails before any training sweep runs.
+  // The job trace's config, the cluster size and the planning stride are
+  // read first, so a bad size flag fails before any training sweep runs.
   serve::TrafficConfig traffic;
   traffic.requests = cli.option_size("jobs");
   traffic.arrival_rate_hz = cli.option_double("arrival-rate");
@@ -111,6 +111,8 @@ int main(int argc, char** argv) {
   traffic.seed = std::stoull(cli.option("traffic-seed"), nullptr, 0);
   traffic.deadline_slacks = split_doubles(cli.option("slacks"));
   const std::size_t freq_stride = cli.option_size("freq-stride");
+  celerity::ClusterConfig cluster_config;
+  cluster_config.nodes = cli.option_int32("nodes");
 
   const std::string device_name = cli.option("device");
   const sim::DeviceSpec spec =
@@ -162,8 +164,6 @@ int main(int argc, char** argv) {
   const auto jobs = serve::generate_job_trace(traffic);
 
   // One cluster for all policies; --fault-rate arms its ranks.
-  celerity::ClusterConfig cluster_config;
-  cluster_config.nodes = cli.option_int("nodes");
   celerity::Cluster cluster(spec, cluster_config);
   const sim::FaultConfig faults = core::fault_config_from_cli(cli);
   for (int rank = 0; rank < cluster.size(); ++rank) {

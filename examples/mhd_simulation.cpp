@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   const obs::Session session(cli);
-  const int n = static_cast<int>(cli.option_int("resolution"));
+  const int n = cli.option_int32("resolution");
   const double end_time = cli.option_double("end-time");
   const double freq = cli.option_double("frequency");
 

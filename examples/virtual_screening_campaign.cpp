@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
     return 0;
   }
   const obs::Session session(cli);
-  const int ligand_count = static_cast<int>(cli.option_int("ligands"));
-  const int atoms = static_cast<int>(cli.option_int("atoms"));
-  const int fragments = static_cast<int>(cli.option_int("fragments"));
+  const int ligand_count = cli.option_int32("ligands");
+  const int atoms = cli.option_int32("atoms");
+  const int fragments = cli.option_int32("fragments");
   const auto seed = static_cast<std::uint64_t>(cli.option_int("seed"));
 
   std::cout << "generating target pocket and a library of " << ligand_count

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <iostream>
 #include <ostream>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -88,6 +89,14 @@ std::size_t CliParser::option_size(const std::string& name,
               "option --" + name + " must be >= " + std::to_string(min) +
                   ": " + option(name));
   return static_cast<std::size_t>(value);
+}
+
+int CliParser::option_int32(const std::string& name) const {
+  const std::int64_t value = option_int(name);
+  DSEM_ENSURE(std::in_range<int>(value),
+              "option --" + name + " does not fit in an int: " +
+                  option(name));
+  return static_cast<int>(value);
 }
 
 double CliParser::option_double(const std::string& name) const {

@@ -31,6 +31,9 @@ public:
   /// at least `min` (1, or 0 where 0 has a meaning such as "off"), so a
   /// negative value never wraps around into a huge std::size_t.
   std::size_t option_size(const std::string& name, std::size_t min = 1) const;
+  /// option_int() for an int-typed setting: raises, naming the flag, when
+  /// the value does not fit in an int, so 4294967297 never narrows to 1.
+  int option_int32(const std::string& name) const;
   double option_double(const std::string& name) const;
 
   /// Positional arguments in order of appearance.

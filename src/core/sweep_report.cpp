@@ -111,7 +111,7 @@ sim::FaultConfig fault_config_from_cli(const CliParser& cli) {
 
 RetryPolicy retry_policy_from_cli(const CliParser& cli) {
   RetryPolicy policy;
-  policy.max_attempts = static_cast<int>(cli.option_int("retry-attempts"));
+  policy.max_attempts = cli.option_int32("retry-attempts");
   policy.backoff_base_s = cli.option_double("retry-backoff-s");
   DSEM_ENSURE(policy.max_attempts >= 1, "--retry-attempts must be >= 1");
   DSEM_ENSURE(policy.backoff_base_s >= 0.0,

@@ -15,6 +15,8 @@
 #include "core/sweep.hpp"
 #include "obs/ledger.hpp"
 #include "serve/advisor.hpp"
+#include "sim/device.hpp"
+#include "sim/fault.hpp"
 #include "sim/power_model.hpp"
 #include "synergy/queue.hpp"
 
@@ -30,9 +32,15 @@ struct AppModel {
   std::string label;                  ///< JobRecord::model
 };
 
+/// One input's noise-free launch-class costs at one clock.
+struct ClockCosts {
+  double mhz = 0.0;                   ///< the clock a replica would run at
+  std::vector<sim::LaunchCost> costs; ///< index-aligned with the classes
+};
+
 /// Results of the parallel planning pass for one distinct job input,
 /// written into pre-sized slots so the pass is bit-identical for any pool
-/// size.
+/// size, plus the input's cost memo, which the serial phase 2 fills.
 struct InputPlan {
   double ref_time_s = 0.0;   ///< noise-free runtime at the default clock
   double ref_energy_j = 0.0; ///< noise-free energy at the default clock
@@ -41,6 +49,12 @@ struct InputPlan {
   const AppModel* app = nullptr;
   std::vector<double> cand_time_s;
   std::vector<double> cand_energy_j;
+  // The input's distinct launch classes and, from its reference run, its
+  // launch sequence as indexes into them.
+  std::vector<core::KernelLaunch> classes;
+  std::vector<std::uint32_t> sequence;
+  /// Filled the first time a job of this input runs at a clock.
+  std::vector<ClockCosts> memo;
 };
 
 /// Orders job inputs by everything a plan depends on: the full workload
@@ -194,9 +208,26 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
     sim::Device ref_device(spec, sim::NoiseConfig::none(), 0);
     synergy::Device ref_synergy(ref_device);
     synergy::Queue ref_queue(ref_synergy, synergy::ExecMode::kSimOnly);
-    serve::make_workload(job.spec)->submit(ref_queue);
+    const auto workload = serve::make_workload(job.spec);
+    workload->submit(ref_queue);
     plan.ref_time_s = ref_queue.total_time_s();
     plan.ref_energy_j = ref_queue.total_energy_j();
+
+    plan.classes = workload->kernel_launches();
+    plan.sequence.reserve(ref_queue.records().size());
+    for (const synergy::LaunchRecord& record : ref_queue.records()) {
+      const auto match = std::find_if(
+          plan.classes.begin(), plan.classes.end(),
+          [&](const core::KernelLaunch& launch) {
+            return launch.profile.name == record.kernel_name &&
+                   launch.work_items == record.work_items;
+          });
+      DSEM_ENSURE(match != plan.classes.end(),
+                  "sched: launch of " + record.kernel_name +
+                      " matches no launch class of its workload");
+      plan.sequence.push_back(
+          static_cast<std::uint32_t>(match - plan.classes.begin()));
+    }
 
     if (model_driven) {
       // The model contributes the frequency *shape* (predicted speedup
@@ -219,9 +250,30 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
   });
 
   // Phase 2 — sequential admission, placement, and execution in arrival
-  // order. Each job runs on a replica device seeded by its trace index,
-  // so its true cost at a given clock is identical on every rank, under
-  // every policy, for every pool size.
+  // order. A job's execution replays its input's launch sequence: the
+  // noise-free cost of each launch at the job's clock, measured under the
+  // noise stream of a replica device seeded by the job's trace index. So
+  // its true cost at a given clock is identical on every rank, under
+  // every policy, for every pool size, and bit-identical to running the
+  // workload on that replica.
+  const sim::NoiseConfig noise = cluster_.device(0).simulated().noise();
+  const auto costs_at = [&](InputPlan& plan,
+                            double mhz) -> std::span<const sim::LaunchCost> {
+    for (const ClockCosts& entry : plan.memo) {
+      if (entry.mhz == mhz) {
+        return entry.costs;
+      }
+    }
+    ClockCosts& entry = plan.memo.emplace_back();
+    entry.mhz = mhz;
+    entry.costs.reserve(plan.classes.size());
+    for (const core::KernelLaunch& launch : plan.classes) {
+      entry.costs.push_back(
+          sim::launch_cost(spec, launch.profile, launch.work_items, mhz));
+    }
+    return entry.costs;
+  };
+
   std::vector<JobOutcome> outcomes(jobs.size());
   std::vector<double> rank_free_s(
       static_cast<std::size_t>(cluster_.size()), 0.0);
@@ -286,7 +338,7 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const serve::TimedJob& job = jobs[i];
-    const InputPlan& plan = plans[job_input[i]];
+    InputPlan& plan = plans[job_input[i]];
     JobOutcome& outcome = outcomes[i];
     outcome.deadline_s = job.arrival_s + job.deadline_slack * plan.ref_time_s;
 
@@ -351,20 +403,22 @@ ClusterScheduler::run(std::span<const serve::TimedJob> jobs) {
       outcome.freq_mhz = rank_clock_mhz[rank_index];
     }
 
-    // True execution on the job's own replica (fault injection on the
-    // cluster devices stays confined to the clock-broadcast path).
-    sim::Device replica = cluster_.device(rank).simulated().replica(
-        derive_seed(config_.seed, static_cast<std::uint64_t>(i)));
-    replica.set_fault_config({});
-    synergy::Device device(replica);
-    synergy::Queue queue(device, synergy::ExecMode::kSimOnly);
-    if (outcome.freq_mhz > 0.0) {
-      queue.set_target_frequency(outcome.freq_mhz);
+    // True execution: the clock a fresh replica runs at (the snapped
+    // target, or its default clock), and that replica's noise stream.
+    // Fault injection on the cluster devices stays confined to the
+    // clock-broadcast path.
+    const double mhz = outcome.freq_mhz > 0.0
+                           ? spec.core_frequencies.snap(outcome.freq_mhz)
+                           : default_mhz;
+    const std::span<const sim::LaunchCost> cost = costs_at(plan, mhz);
+    Rng rng(derive_seed(config_.seed, static_cast<std::uint64_t>(i)));
+    for (const std::uint32_t k : plan.sequence) {
+      const sim::LaunchCost reading = sim::measure_launch(cost[k], noise, rng);
+      sim::check_reading(plan.classes[k].profile.name, reading.time_s,
+                         reading.energy_j);
+      outcome.true_time_s += reading.time_s;
+      outcome.true_energy_j += reading.energy_j;
     }
-    serve::make_workload(job.spec)->submit(queue);
-
-    outcome.true_time_s = queue.total_time_s();
-    outcome.true_energy_j = queue.total_energy_j();
     outcome.finish_s = outcome.start_s + outcome.true_time_s;
     outcome.missed = outcome.finish_s > outcome.deadline_s;
 

@@ -19,9 +19,12 @@
 //    thread pool into pre-sized slots numbered by first appearance.
 //  - Admission, placement, and clock selection run serially in arrival
 //    order over those precomputed predictions.
-//  - Each job executes on a replica device whose noise stream is seeded
-//    by the job's trace index alone — the same job costs the same time
-//    and energy on any rank, under any policy, for any pool size.
+//  - Each job executes as a replay of its input's launch sequence: the
+//    noise-free launch costs at the job's clock, memoised per input and
+//    clock within one run, measured under the noise stream of a replica
+//    device seeded by the job's trace index alone — the same job costs
+//    the same time and energy on any rank, under any policy, for any pool
+//    size, bit for bit what running the workload on that replica reads.
 // Jobs are rank-local (no cross-rank halo traffic): the cluster supplies
 // the rank count, the device spec, and the broadcast clock control whose
 // per-rank outcomes the baselines honor.

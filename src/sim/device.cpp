@@ -9,6 +9,35 @@
 
 namespace dsem::sim {
 
+namespace {
+
+double apply_noise(double value, double sigma, Rng& rng) noexcept {
+  if (sigma <= 0.0) {
+    return value;
+  }
+  // Clamp at 4 sigma so a tail draw can never produce a negative reading.
+  const double n =
+      std::clamp(rng.normal(0.0, sigma), -4.0 * sigma, 4.0 * sigma);
+  return value * (1.0 + n);
+}
+
+} // namespace
+
+LaunchCost measure_launch(const LaunchCost& cost, const NoiseConfig& noise,
+                          Rng& rng) {
+  LaunchCost out;
+  out.time_s = apply_noise(cost.time_s, noise.time_sigma, rng);
+  out.energy_j = apply_noise(cost.energy_j, noise.energy_sigma, rng);
+  // Simulated seconds/joules, not wall time: deterministic per replica
+  // seed, so the merged histograms are stable across DSEM_THREADS.
+  if (metrics::enabled()) {
+    metrics::counter("sim.launches");
+    metrics::histogram("sim.launch_time_s", out.time_s);
+    metrics::histogram("sim.launch_energy_j", out.energy_j);
+  }
+  return out;
+}
+
 Device::Device(DeviceSpec spec, NoiseConfig noise, std::uint64_t seed)
     : spec_(std::move(spec)), noise_(noise), seed_(seed), rng_(seed) {
   validate(spec_);
@@ -62,24 +91,18 @@ LaunchResult Device::launch(const KernelProfile& kernel,
                               ? cache->lookup(spec_, kernel, work_items, f)
                               : launch_cost(spec_, kernel, work_items, f);
 
+  const LaunchCost reading = measure_launch(cost, noise_, rng_);
+
   LaunchResult out;
   out.frequency_mhz = f;
-  out.time_s = apply_noise(cost.time_s, noise_.time_sigma);
-  out.energy_j = apply_noise(cost.energy_j, noise_.energy_sigma);
+  out.time_s = reading.time_s;
+  out.energy_j = reading.energy_j;
 
   // Counters accumulate the true reading even when the *read* below
   // fails: the device consumed that energy whether or not we saw it.
   energy_j_ += out.energy_j;
   busy_s_ += out.time_s;
   ++launches_;
-
-  // Simulated seconds/joules, not wall time: deterministic per replica
-  // seed, so the merged histograms are stable across DSEM_THREADS.
-  if (metrics::enabled()) {
-    metrics::counter("sim.launches");
-    metrics::histogram("sim.launch_time_s", out.time_s);
-    metrics::histogram("sim.launch_energy_j", out.energy_j);
-  }
 
   switch (faults_.energy_read_fault()) {
   case FaultInjector::EnergyFault::kNone:
@@ -104,15 +127,6 @@ void Device::reset_counters() noexcept {
   energy_j_ = 0.0;
   busy_s_ = 0.0;
   launches_ = 0;
-}
-
-double Device::apply_noise(double value, double sigma) noexcept {
-  if (sigma <= 0.0) {
-    return value;
-  }
-  // Clamp at 4 sigma so a tail draw can never produce a negative reading.
-  const double n = std::clamp(rng_.normal(0.0, sigma), -4.0 * sigma, 4.0 * sigma);
-  return value * (1.0 + n);
 }
 
 } // namespace dsem::sim

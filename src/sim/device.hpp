@@ -30,6 +30,15 @@ struct NoiseConfig {
   static NoiseConfig none() noexcept { return {0.0, 0.0}; }
 };
 
+/// The measurement-noise law of every simulated launch: scales `cost` by
+/// multiplicative Gaussian noise, clamped at 4 sigma and drawn from `rng`
+/// (time first, then energy; a zero sigma draws nothing), and records the
+/// reading in the sim.* instruments. Device::launch measures through it,
+/// and so does any caller that replays memoised costs under a replica's
+/// noise stream, so the two readings are bit-identical.
+LaunchCost measure_launch(const LaunchCost& cost, const NoiseConfig& noise,
+                          Rng& rng);
+
 struct LaunchResult {
   double time_s = 0.0;
   double energy_j = 0.0;
@@ -129,8 +138,6 @@ public:
   }
 
 private:
-  double apply_noise(double value, double sigma) noexcept;
-
   DeviceSpec spec_;
   NoiseConfig noise_;
   std::uint64_t seed_ = 0;

@@ -66,6 +66,12 @@ private:
   FaultKind kind_;
 };
 
+/// Sanity check on one launch's counter readings: a garbage read
+/// (negative delta from a wrapped accumulator, NaN from a dropped
+/// transaction) must surface as a retryable kEnergyRead fault, never
+/// enter a measurement silently. Passes finite, non-negative readings.
+void check_reading(const std::string& kernel, double time_s, double energy_j);
+
 /// Salt separating the fault stream from the measurement-noise stream of
 /// the same device seed.
 inline constexpr std::uint64_t kFaultStreamSalt = 0xFA017D1CE;

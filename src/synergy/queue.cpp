@@ -1,7 +1,5 @@
 #include "synergy/queue.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
@@ -65,18 +63,9 @@ LaunchRecord Queue::submit(const KernelLaunch& launch) {
   }
   last_freq_mhz_ = result.frequency_mhz;
 
-  // Sanity-check the vendor counter readings before they enter the log: a
-  // garbage read (negative delta from a wrapped accumulator, NaN from a
-  // dropped transaction) must surface as a retryable fault, never corrupt
-  // the measurement silently. Thrown before the totals advance.
-  if (!(std::isfinite(record.time_s) && record.time_s >= 0.0 &&
-        std::isfinite(record.energy_j) && record.energy_j >= 0.0)) {
-    throw sim::TransientFault(
-        sim::FaultKind::kEnergyRead,
-        "garbage counter reading for " + record.kernel_name +
-            ": time=" + std::to_string(record.time_s) +
-            " s, energy=" + std::to_string(record.energy_j) + " J");
-  }
+  // Checked before the totals advance, so a garbage read never enters
+  // the log.
+  sim::check_reading(record.kernel_name, record.time_s, record.energy_j);
 
   span.value(record.energy_j);
   // record.time_s/energy_j are simulated quantities (replica-seeded):

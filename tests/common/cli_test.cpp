@@ -2,6 +2,7 @@
 
 #include <array>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -117,6 +118,49 @@ TEST(Cli, SizeOptionRejectsNonIntegers) {
   const std::array argv = {"prog", "--count=1.5"};
   ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
   EXPECT_THROW((void)cli.option_size("count"), contract_error);
+}
+
+TEST(Cli, Int32OptionReturnsValuesThatFit) {
+  for (const auto& [arg, value] :
+       {std::pair{"--count=-2147483648", -2147483647 - 1},
+        std::pair{"--count=2147483647", 2147483647}, std::pair{"--count=0", 0},
+        std::pair{"--count=-3", -3}}) {
+    CliParser cli = make_parser();
+    const std::array argv = {"prog", arg};
+    ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+    EXPECT_EQ(cli.option_int32("count"), value) << arg;
+  }
+  CliParser defaults = make_parser();
+  const std::array none = {"prog"};
+  ASSERT_TRUE(defaults.parse(1, none.data()));
+  EXPECT_EQ(defaults.option_int32("count"), 10);
+}
+
+// 2^32 + 1 must not narrow to 1.
+TEST(Cli, Int32OptionOutOfRangeThrowsNamingTheFlag) {
+  for (const char* arg :
+       {"--count=4294967297", "--count=2147483648", "--count=-2147483649",
+        "--count=9223372036854775807", "--count=-9223372036854775808"}) {
+    CliParser cli = make_parser();
+    const std::array argv = {"prog", arg};
+    ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+    try {
+      (void)cli.option_int32("count");
+      ADD_FAILURE() << arg << " accepted";
+    } catch (const contract_error& e) {
+      EXPECT_NE(std::string(e.what()).find("--count"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Cli, Int32OptionRejectsNonIntegers) {
+  for (const char* arg : {"--count=1.5", "--count=99999999999999999999"}) {
+    CliParser cli = make_parser();
+    const std::array argv = {"prog", arg};
+    ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+    EXPECT_THROW((void)cli.option_int32("count"), contract_error) << arg;
+  }
 }
 
 TEST(Cli, NonNumericDoubleThrows) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace dsem::sim {
 namespace {
@@ -167,6 +168,45 @@ TEST(Device, ReseedRealignsNoiseStreams) {
   const auto ra = a.launch(work_kernel(), 1000);
   const auto rb = b.launch(work_kernel(), 1000);
   EXPECT_DOUBLE_EQ(ra.time_s, rb.time_s);
+}
+
+// Device::launch is launch_cost() measured through measure_launch() under
+// the device's own noise stream, bit for bit: the law a replay of
+// memoised costs relies on.
+TEST(Device, LaunchIsTheNoiseFreeCostThroughMeasureLaunch) {
+  for (const DeviceSpec& spec : {v100(), mi100()}) {
+    for (const NoiseConfig noise :
+         {NoiseConfig::none(), NoiseConfig{}, NoiseConfig{0.05, 0.0},
+          NoiseConfig{0.3, 0.4}}) {
+      Device dev(spec, noise, 77);
+      Rng rng(77);
+      for (const double mhz : {0.0, 700.0, 1e9}) {
+        if (mhz > 0.0) {
+          dev.set_core_frequency(mhz);
+        }
+        for (const std::size_t items : {1u, 1000u, 123457u}) {
+          const LaunchCost want = measure_launch(
+              launch_cost(spec, work_kernel(), items, dev.current_frequency()),
+              noise, rng);
+          const LaunchResult got = dev.launch(work_kernel(), items);
+          EXPECT_EQ(got.time_s, want.time_s) << spec.name << " " << items;
+          EXPECT_EQ(got.energy_j, want.energy_j) << spec.name << " " << items;
+        }
+      }
+    }
+  }
+}
+
+TEST(Device, MeasureLaunchWithoutNoiseDrawsNothing) {
+  Rng rng(5);
+  const Rng untouched = rng;
+  const LaunchCost cost{0.25, 40.0};
+  const LaunchCost got = measure_launch(cost, NoiseConfig::none(), rng);
+  EXPECT_EQ(got.time_s, cost.time_s);
+  EXPECT_EQ(got.energy_j, cost.energy_j);
+  Rng a = rng;
+  Rng b = untouched;
+  EXPECT_EQ(a(), b());
 }
 
 } // namespace

@@ -1,5 +1,9 @@
 #include "sim/fault.hpp"
 
+#include <limits>
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "sim/device.hpp"
@@ -77,6 +81,25 @@ TEST(TransientFaultTest, CarriesKindAndMessage) {
   EXPECT_STREQ(to_string(FaultKind::kSetFrequency), "set-frequency");
   EXPECT_STREQ(to_string(FaultKind::kEnergyRead), "energy-read");
   EXPECT_STREQ(to_string(FaultKind::kKernelLaunch), "kernel-launch");
+}
+
+TEST(TransientFaultTest, CheckReadingPassesOnlyFiniteNonNegativeReadings) {
+  EXPECT_NO_THROW(check_reading("k", 0.0, 0.0));
+  EXPECT_NO_THROW(check_reading("k", 1e-9, 3.5));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [time_s, energy_j] :
+       {std::pair{-1e-12, 1.0}, std::pair{1.0, -0.5}, std::pair{nan, 1.0},
+        std::pair{1.0, nan}, std::pair{inf, 1.0}, std::pair{1.0, inf}}) {
+    try {
+      check_reading("cronos::cflReduce", time_s, energy_j);
+      ADD_FAILURE() << time_s << " s, " << energy_j << " J accepted";
+    } catch (const TransientFault& fault) {
+      EXPECT_EQ(fault.kind(), FaultKind::kEnergyRead);
+      EXPECT_NE(std::string(fault.what()).find("cronos::cflReduce"),
+                std::string::npos);
+    }
+  }
 }
 
 TEST(DeviceFaults, ZeroRateDeviceIsBitIdenticalToUnfaultedDevice) {
