@@ -1,15 +1,11 @@
 #include "ml/tree.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <numeric>
-
-#include <emmintrin.h>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
@@ -55,47 +51,27 @@ constexpr std::uint8_t kConstantFeature = 2;
 // (value, target) pairs, so every candidate's left/right SSE is
 // bit-identical to the seed's.
 //
-// Two shapes of the same arithmetic: small nodes run the seed's fused
-// loop; larger nodes run it in L1-resident blocks of three passes — a
-// scalar prefix chain, a branchless score pass the compiler vectorizes
-// (packed divisions are the expensive op here, and SIMD retires several
-// per cycle-group where the fused loop serializes them), and a selection
-// walk — an SSE2 packed filter, then the exact chain over its hits. SSE2 is
-// part of the x86-64 baseline (the `target_clones` below already tie this
-// file to x86), so that walk is the only one. Every candidate's score is
-// computed by the exact same IEEE operations in both shapes (tie positions
-// compute a score the selection never consults, exactly as the fused
-// loop's `continue` never consults one), and both keep only the winning
-// position, so the cutover size is a pure performance knob.
-//
-// The cutover is the row-count cutoff below which a node skips the
-// blocked presorted-stream machinery entirely. Small trees are made
-// almost entirely of small nodes, so the knob matters most for small
-// forests: the blocked shape pays a fixed cost (three passes plus the
-// packed filter's group logic) that only amortizes once a node spans a
-// few cache lines. Sweeping the knob on BM_ForestFit found 48 fastest
-// for /1000 and /5000 and indistinguishable from 16 at /20000, where
-// nearly all entries sit in nodes far above either value.
-constexpr std::size_t kBlockScanMinSamples = 48;
+// A split can only fall at a run end, a position i with
+// value[i] != value[i + 1], and tie-heavy streams (domain features with a
+// handful of distinct values, bootstrap streams that repeat rows) have few
+// of them: a Fig. 13 run streams 3.25e9 positions, and 9.6 % of them are
+// run ends. So the scan runs in L1-resident blocks of three passes. The
+// serial prefix chain adds every target and keeps (left sum, left square
+// sum, position) only at run ends, by a branchless compaction: it writes
+// slot k and advances k on a run end. The score pass, which the compiler
+// vectorizes (packed divisions are the expensive op), scores the kept
+// entries only, and the seed's strict `< best - 1e-12` chain selects among
+// them in stream order. Each candidate's sums, score and selection are the
+// seed's IEEE operations, so the tree is bit-identical.
 constexpr std::size_t kScanBlock = 512;
 
-// 0, 1, 2, ... as doubles: lets the score pass form nl/nr by exact
-// integer-valued double adds instead of a per-lane int->double convert
-// the vectorizer refuses.
-constexpr auto kIotaD = [] {
-  std::array<double, kScanBlock> a{};
-  for (std::size_t j = 0; j < kScanBlock; ++j) {
-    a[j] = static_cast<double>(j);
-  }
-  return a;
-}();
-
-// The branchless middle pass of the blocked scan: candidate scores from
-// the prefix sums. Cloned for AVX2 (runtime-dispatched, so the baseline
-// build still runs everywhere): the packed divisions bound this loop and
-// wider vectors retire more of them per dispatch. Safe to widen because
-// every lane is the same IEEE expression — and no product here feeds an
-// add, so no FMA contraction can exist in any clone.
+// The score pass over one block's run ends. The position is an exact
+// integer-valued double, so nl and nr are exactly the doubles the seed's
+// integer counts convert to. Cloned for AVX2 (runtime-dispatched, so the
+// baseline build still runs everywhere): the packed divisions bound this
+// loop and wider vectors retire more of them per dispatch. Safe to widen
+// because every lane is the same IEEE expression — and no product here
+// feeds an add, so no FMA contraction can exist in any clone.
 //
 // Not under ThreadSanitizer: target_clones dispatches through an IFUNC
 // resolver, which the dynamic loader runs before the TSan runtime is
@@ -104,17 +80,17 @@ constexpr auto kIotaD = [] {
 #if !defined(__SANITIZE_THREAD__)
 __attribute__((target_clones("default", "avx2")))
 #endif
-void score_block(const double* ls, const double* lq, double* sc,
-                 std::size_t bn, double nl0, double nr0, double sum,
+void score_block(const double* ls, const double* lq, const double* pos,
+                 double* sc, std::size_t count, double n, double sum,
                  double sum_sq) {
-  for (std::size_t j = 0; j < bn; ++j) {
-    const double nl = nl0 + kIotaD[j];
-    const double nr = nr0 - kIotaD[j];
-    const double right_sum = sum - ls[j];
-    const double right_sq = sum_sq - lq[j];
-    const double sse_left = lq[j] - ls[j] * ls[j] / nl;
+  for (std::size_t e = 0; e < count; ++e) {
+    const double nl = pos[e] + 1.0;
+    const double nr = n - nl;
+    const double right_sum = sum - ls[e];
+    const double right_sq = sum_sq - lq[e];
+    const double sse_left = lq[e] - ls[e] * ls[e] / nl;
     const double sse_right = right_sq - right_sum * right_sum / nr;
-    sc[j] = sse_left + sse_right;
+    sc[e] = sse_left + sse_right;
   }
 }
 
@@ -138,87 +114,29 @@ Candidate scan_feature(const double* value, const std::uint32_t* rows,
   }
   const std::size_t last = n - min_leaf; // i >= last starves the right side
 
-  if (n < kBlockScanMinSamples) {
-    for (; i < last; ++i) {
-      const double t = targets[rows[i]];
-      left_sum += t;
-      left_sq += t * t;
-      const std::size_t nl = i + 1;
-      const std::size_t nr = n - nl;
-      const double right_sum = sum - left_sum;
-      const double right_sq = sum_sq - left_sq;
-      const double sse_left =
-          left_sq - left_sum * left_sum / static_cast<double>(nl);
-      const double sse_right =
-          right_sq - right_sum * right_sum / static_cast<double>(nr);
-      const double score = sse_left + sse_right;
-      // Tie entries (equal adjacent values cannot be split) compute a
-      // score the select never consults — the same branch-free fold as
-      // the blocked path's selection chain, for the same reason.
-      const bool improve =
-          (score < best_score - 1e-12) & (value[i] != value[i + 1]);
-      best_score = improve ? score : best_score;
-      out.position = improve ? i : out.position;
-      out.valid = out.valid | improve;
-    }
-    out.score = best_score;
-    return out;
-  }
-
   alignas(64) double ls[kScanBlock];
   alignas(64) double lq[kScanBlock];
+  alignas(64) double pos[kScanBlock];
   alignas(64) double sc[kScanBlock];
   for (std::size_t b = i; b < last; b += kScanBlock) {
-    const std::size_t bn = std::min(kScanBlock, last - b);
-    for (std::size_t j = 0; j < bn; ++j) { // the serial prefix chain
-      const double t = targets[rows[b + j]];
+    const std::size_t end = std::min(b + kScanBlock, last);
+    std::size_t count = 0;
+    double p = static_cast<double>(b);
+    for (std::size_t j = b; j < end; ++j, p += 1.0) { // the prefix chain
+      const double t = targets[rows[j]];
       left_sum += t;
       left_sq += t * t;
-      ls[j] = left_sum;
-      lq[j] = left_sq;
+      ls[count] = left_sum;
+      lq[count] = left_sq;
+      pos[count] = p;
+      count += value[j] != value[j + 1];
     }
-    // nl = b+j+1 and nr = n-(b+j+1) exactly (all integers below 2^53).
-    score_block(ls, lq, sc, bn, static_cast<double>(b + 1),
-                static_cast<double>(n - b - 1), sum, sum_sq);
-    // The seed's selection chain, split into a packed candidate filter and
-    // a sparse exact walk. "Beats the best score seen before this block"
-    // is a necessary condition for acceptance (the running best only
-    // tightens within the block), and the tie test (cannot split between
-    // equal values) is exact either way — so a packed compare against the
-    // block-entry best yields a bitmask that provably contains every entry
-    // the sequential chain would accept. Walking only the set bits then
-    // applies the seed's strict `< best - 1e-12` test in stream order,
-    // byte-identical to running the chain over all bn entries, but the
-    // dense pass is branch-free and the sparse pass's accept branch is
-    // predictable because ties (the random ~1/3 of a bootstrap stream that
-    // made the fused chain mispredict) never reach it.
-    const __m128d entry_limit = _mm_set1_pd(best_score - 1e-12);
-    for (std::size_t g = 0; g < bn; g += 64) {
-      const std::size_t gn = std::min<std::size_t>(64, bn - g);
-      std::uint64_t word = 0;
-      std::size_t j = 0;
-      for (; j + 2 <= gn; j += 2) {
-        const __m128d s = _mm_load_pd(sc + g + j);
-        const __m128d v0 = _mm_loadu_pd(value + b + g + j);
-        const __m128d v1 = _mm_loadu_pd(value + b + g + j + 1);
-        const __m128d hit = _mm_and_pd(_mm_cmplt_pd(s, entry_limit),
-                                       _mm_cmpneq_pd(v0, v1));
-        word |= static_cast<std::uint64_t>(_mm_movemask_pd(hit)) << j;
-      }
-      if (j < gn) { // odd tail of the final group
-        const bool hit = (sc[g + j] < _mm_cvtsd_f64(entry_limit)) &
-                         (value[b + g + j] != value[b + g + j + 1]);
-        word |= static_cast<std::uint64_t>(hit) << j;
-      }
-      while (word != 0) {
-        const auto t = static_cast<std::size_t>(std::countr_zero(word));
-        word &= word - 1;
-        const std::size_t jj = g + t;
-        if (sc[jj] < best_score - 1e-12) {
-          best_score = sc[jj];
-          out.position = b + jj;
-          out.valid = true;
-        }
+    score_block(ls, lq, pos, sc, count, static_cast<double>(n), sum, sum_sq);
+    for (std::size_t e = 0; e < count; ++e) {
+      if (sc[e] < best_score - 1e-12) {
+        best_score = sc[e];
+        out.position = static_cast<std::size_t>(pos[e]);
+        out.valid = true;
       }
     }
   }

@@ -452,6 +452,65 @@ TEST(TreePresort, MatchesReferenceOnGroupConstantColumns) {
   }
 }
 
+// Nodes wider than one 512-entry block of the split scan, on streams with
+// few run ends: each of the 4 features takes 2 to 5 distinct values (one
+// of them exactly 2), so from n = 1100 on some blocks of a root stream
+// hold no run end at all. Feature 0's top value is held by exactly `top`
+// rows with outlying targets: the root's feature-0 stream has a run end at
+// the last admissible position n - top - 1, and that split wins the root.
+std::pair<Matrix, std::vector<double>>
+few_valued_data(std::size_t n, std::size_t top, std::uint64_t seed) {
+  constexpr std::size_t k = 4;
+  Rng rng(seed);
+  Matrix x(n, k);
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t distinct = 2 + (seed + j) % 4;
+      const std::size_t low = j == 0 ? distinct - 1 : distinct;
+      x(i, j) = static_cast<double>(rng.uniform_int(low));
+    }
+    y[i] = 3.0 * x(i, 0) + x(i, 1) * x(i, 2) - x(i, 3) +
+           std::floor(rng.uniform(0.0, 3.0));
+  }
+  for (std::size_t i = 0; i < top; ++i) {
+    x(i, 0) = 10.0;
+    y[i] += 1e4;
+  }
+  return {std::move(x), std::move(y)};
+}
+
+TEST(TreePresort, MatchesReferenceAcrossScanBlocks) {
+  for (const std::size_t n : {513u, 1100u, 2000u}) {
+    for (const int min_leaf : {1, 7}) {
+      for (const int max_features : {0, 2}) {
+        for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+          const auto [x, y] =
+              few_valued_data(n, static_cast<std::size_t>(min_leaf), seed);
+          TreeParams params;
+          params.seed = seed * 7 + n;
+          params.min_samples_leaf = min_leaf;
+          params.max_features = max_features;
+          const DecisionTreeRegressor tree =
+              expect_matches_reference(x, y, params, seed);
+          ASSERT_FALSE(::testing::Test::HasFatalFailure())
+              << "n " << n << " min_leaf " << min_leaf << " max_features "
+              << max_features << " seed " << seed;
+          if (max_features == 0) { // the root splits off the top rows
+            const TreeNode root = tree.to_nodes().front();
+            EXPECT_EQ(root.feature, 0) << "n " << n << " seed " << seed;
+            EXPECT_GT(root.threshold, 4.0) << "n " << n << " seed " << seed;
+          }
+          expect_sample_fit_matches_reference(x, y, params, seed);
+          ASSERT_FALSE(::testing::Test::HasFatalFailure())
+              << "bootstrap n " << n << " min_leaf " << min_leaf
+              << " max_features " << max_features << " seed " << seed;
+        }
+      }
+    }
+  }
+}
+
 TEST(TreePresort, MatchesReferenceOnContinuousData) {
   // No ties at all: the pure fast path.
   for (std::uint64_t seed = 100; seed < 110; ++seed) {
