@@ -31,22 +31,41 @@ std::int32_t read_int32(json::Reader& in) {
                                         "model artifact: int32 field");
 }
 
+// An interior node is written as [feature, threshold, i + 1, right, mean],
+// a leaf as [-1, 0.0, -1, -1, value].
 void write_tree(json::Writer& out, const DecisionTreeRegressor& tree) {
+  const std::span<const PackedNode> nodes = tree.nodes();
+  const double* mean = tree.interior_means().data();
   out.begin_object().key("nodes").begin_array();
-  for (const TreeNode& node : tree.to_nodes()) {
-    out.begin_array()
-        .value(node.feature)
-        .value(node.threshold)
-        .value(node.left)
-        .value(node.right)
-        .value(node.value)
-        .end_array();
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const PackedNode& node = nodes[i];
+    out.begin_array();
+    if (node.feature < 0) {
+      out.value(-1).value(0.0).value(-1).value(-1).value(node.threshold);
+    } else {
+      out.value(node.feature)
+          .value(node.threshold)
+          .value(i + 1)
+          .value(node.right)
+          .value(*mean++);
+    }
+    out.end_array();
   }
   out.end_array().end_object();
 }
 
-/// Appends the nodes of one {"nodes": [...]} tree object to `nodes`.
-void read_tree(json::Reader& in, std::vector<TreeNode>& nodes) {
+/// One tree as read, kept until its params are known.
+struct StoredTree {
+  std::vector<PackedNode> nodes;
+  std::vector<double> interior_means;
+};
+
+/// Reads one {"nodes": [...]} tree object straight into the stored
+/// layout. Only preorder loads: an interior node's left child must be the
+/// next node and a leaf has none; DecisionTreeRegressor::from_preorder
+/// checks the rest. A leaf's threshold cell is ignored.
+StoredTree read_tree(json::Reader& in) {
+  StoredTree tree;
   bool found = false;
   in.read_object([&](std::string_view key) {
     if (key != "nodes") {
@@ -60,30 +79,40 @@ void read_tree(json::Reader& in, std::vector<TreeNode>& nodes) {
     };
     in.begin_array();
     while (in.next_element()) {
-      TreeNode node;
+      PackedNode node;
       in.begin_array();
       cell();
       node.feature = read_int32(in);
       cell();
       node.threshold = in.read_number();
       cell();
-      node.left = read_int32(in);
+      const std::int32_t left = read_int32(in);
       cell();
       node.right = read_int32(in);
       cell();
-      node.value = in.read_number();
+      const double value = in.read_number();
       DSEM_ENSURE(!in.next_element(),
                   "model artifact: tree node is not a 5-tuple");
-      DSEM_ENSURE(node.feature >= -1, "model artifact: bad feature index");
-      nodes.push_back(node);
+      const auto next = static_cast<std::int64_t>(tree.nodes.size()) + 1;
+      if (node.feature >= 0) {
+        DSEM_ENSURE(left == next,
+                    "model artifact: tree is not in preorder (a left child "
+                    "is not the node after its parent)");
+        tree.interior_means.push_back(value);
+      } else {
+        DSEM_ENSURE(left == -1, "model artifact: leaf with a left child");
+        node.threshold = value;
+      }
+      tree.nodes.push_back(node);
     }
   });
   if (!found) {
     json::missing_key("nodes");
   }
+  return tree;
 }
 
-/// Every hyperparameter either family stores, as read.
+/// Every hyperparameter a forest stores, as read.
 struct StoredParams {
   std::optional<std::int32_t> n_estimators;
   std::optional<std::int32_t> max_depth;
@@ -162,23 +191,6 @@ void write_regressor(json::Writer& out, const Regressor& regressor) {
     out.end_array().end_object();
     return;
   }
-  if (const auto* tree =
-          dynamic_cast<const DecisionTreeRegressor*>(&regressor)) {
-    DSEM_ENSURE(tree->node_count() > 0,
-                "cannot serialize an unfitted DecisionTreeRegressor");
-    const TreeParams& params = tree->params();
-    out.begin_object().key("type").value("DecisionTree");
-    out.key("params").begin_object();
-    out.key("max_depth").value(params.max_depth);
-    out.key("min_samples_split").value(params.min_samples_split);
-    out.key("min_samples_leaf").value(params.min_samples_leaf);
-    out.key("max_features").value(params.max_features);
-    write_seed(out.key("seed"), params.seed);
-    out.end_object();
-    write_tree(out.key("tree"), *tree);
-    out.end_object();
-    return;
-  }
   throw contract_error("no serialization for regressor family: " +
                        regressor.name());
 }
@@ -188,10 +200,6 @@ std::size_t split_width(const Regressor& regressor) {
           dynamic_cast<const RandomForestRegressor*>(&regressor)) {
     return forest->split_width();
   }
-  if (const auto* tree =
-          dynamic_cast<const DecisionTreeRegressor*>(&regressor)) {
-    return tree->split_width();
-  }
   throw contract_error("no split width for regressor family: " +
                        regressor.name());
 }
@@ -199,59 +207,41 @@ std::size_t split_width(const Regressor& regressor) {
 std::unique_ptr<Regressor> read_regressor(json::Reader& in) {
   std::optional<std::string> type;
   std::optional<StoredParams> stored;
-  // The trees can come before the params they are built with, so their
-  // nodes are read back to back and built once the object is read:
-  // "trees" element i spans [forest[i], forest[i + 1]) of `nodes`, and
-  // "tree" spans [lone[0], lone[1]).
-  std::vector<TreeNode> nodes;
-  std::optional<std::vector<std::size_t>> forest;
-  std::optional<std::vector<std::size_t>> lone;
+  // The trees can come before the params they are built with, so each is
+  // kept in its own arrays and built once the object is read.
+  std::optional<std::vector<StoredTree>> stored_trees;
   in.read_object([&](std::string_view key) {
     if (key == "type") {
       type = in.read_string();
     } else if (key == "params") {
       stored = read_params(in);
     } else if (key == "trees") {
-      forest.emplace(1, nodes.size());
+      stored_trees.emplace();
       in.begin_array();
       while (in.next_element()) {
-        read_tree(in, nodes);
-        forest->push_back(nodes.size());
+        stored_trees->push_back(read_tree(in));
       }
-    } else if (key == "tree") {
-      lone.emplace(1, nodes.size());
-      read_tree(in, nodes);
-      lone->push_back(nodes.size());
     } else {
       in.skip();
     }
   });
 
   const std::string& family = required(type, "type");
-  DSEM_ENSURE(family == "RandomForest" || family == "DecisionTree",
+  DSEM_ENSURE(family == "RandomForest",
               "unknown serialized regressor type: " + family);
   const StoredParams& params = required(stored, "params");
-  const bool is_forest = family == "RandomForest";
-  const std::vector<std::size_t>& bounds =
-      required(is_forest ? forest : lone, is_forest ? "trees" : "tree");
-  TreeParams tp = tree_params(params);
-  std::vector<TreeNode> tree_nodes; // one tree at a time, reused
-  std::vector<DecisionTreeRegressor> trees;
-  trees.reserve(bounds.size() - 1);
-  if (!is_forest) {
-    tp.seed = required(params.seed, "seed");
+  if (!stored_trees) {
+    json::missing_key("trees");
   }
+  const TreeParams tp = tree_params(params);
+  std::vector<DecisionTreeRegressor> trees;
+  trees.reserve(stored_trees->size());
   // Restored forest trees carry the forest-level hyperparameters, like
   // fit() hands out; the fit-time per-tree RNG seeds are not part of the
   // fitted model, so the forest round-trips without them.
-  for (std::size_t t = 0; t + 1 < bounds.size(); ++t) {
-    tree_nodes.assign(nodes.begin() + static_cast<std::ptrdiff_t>(bounds[t]),
-                      nodes.begin() +
-                          static_cast<std::ptrdiff_t>(bounds[t + 1]));
-    trees.push_back(DecisionTreeRegressor::from_nodes(tp, tree_nodes));
-  }
-  if (!is_forest) {
-    return std::make_unique<DecisionTreeRegressor>(std::move(trees.front()));
+  for (StoredTree& tree : *stored_trees) {
+    trees.push_back(DecisionTreeRegressor::from_preorder(
+        tp, std::move(tree.nodes), std::move(tree.interior_means)));
   }
   ForestParams fp;
   fp.n_estimators = required(params.n_estimators, "n_estimators");

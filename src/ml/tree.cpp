@@ -591,82 +591,53 @@ std::size_t DecisionTreeRegressor::split_node(Workspace& ws, std::size_t begin,
 }
 
 DecisionTreeRegressor
-DecisionTreeRegressor::from_nodes(TreeParams params,
-                                  const std::vector<TreeNode>& nodes) {
-  DSEM_ENSURE(!nodes.empty(), "from_nodes: empty node array");
+DecisionTreeRegressor::from_preorder(TreeParams params,
+                                     std::vector<PackedNode> nodes,
+                                     std::vector<double> interior_means) {
+  DSEM_ENSURE(!nodes.empty(), "from_preorder: empty node array");
   DSEM_ENSURE(nodes.size() <=
                   static_cast<std::size_t>(
                       std::numeric_limits<std::int32_t>::max()),
-              "from_nodes: too many nodes");
-  const auto n = static_cast<std::int32_t>(nodes.size());
-  // Walk from the root in preorder, checking shape as we go: every index
-  // must be visited exactly once (no orphans, no diamonds, no cycles).
-  // Each visited node is appended to the stored layout; the left child is
-  // visited next, so it lands at its parent's index + 1, and a right
-  // child links itself into its parent when it is reached.
-  struct Visit {
-    std::int32_t id = 0;
-    std::int32_t right_of = -1; ///< stored parent, for a right child
+              "from_preorder: too many nodes");
+  // One pass in index order. In preorder the node after an interior node
+  // is its left child, and the node after a leaf is the right child of
+  // the nearest ancestor whose right subtree has not started: `open`
+  // holds those ancestors' right indices with that child's depth, above a
+  // sentinel one past the last node, which the tree's last leaf must
+  // reach.
+  DecisionTreeRegressor tree(params);
+  struct Open {
+    std::int32_t right = 0;
     int depth = 0;
   };
-  DecisionTreeRegressor tree(params);
-  tree.nodes_.reserve(nodes.size());
-  tree.interior_means_.reserve(static_cast<std::size_t>(std::count_if(
-      nodes.begin(), nodes.end(),
-      [](const TreeNode& node) { return node.feature >= 0; })));
-  std::vector<bool> visited(nodes.size(), false);
-  std::vector<Visit> stack{{0, -1, 0}};
-  while (!stack.empty()) {
-    const Visit v = stack.back();
-    stack.pop_back();
-    const auto uid = static_cast<std::size_t>(v.id);
-    DSEM_ENSURE(!visited[uid], "from_nodes: node reached twice");
-    visited[uid] = true;
-    const auto at = static_cast<std::int32_t>(tree.nodes_.size());
-    if (v.right_of >= 0) {
-      tree.nodes_[static_cast<std::size_t>(v.right_of)].right = at;
-    }
-    tree.depth_ = std::max(tree.depth_, v.depth);
-    const TreeNode& node = nodes[uid];
-    if (node.feature < 0) {
-      DSEM_ENSURE(node.left == -1 && node.right == -1,
-                  "from_nodes: leaf with children");
-      tree.nodes_.push_back(PackedNode{node.value, -1, -1});
+  std::vector<Open> open{{static_cast<std::int32_t>(nodes.size()), 0}};
+  std::size_t interior = 0;
+  int depth = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const PackedNode& node = nodes[i];
+    DSEM_ENSURE(node.feature >= -1, "from_preorder: bad feature index");
+    tree.depth_ = std::max(tree.depth_, depth);
+    if (node.feature >= 0) {
+      ++interior;
+      tree.split_width_ = std::max(tree.split_width_,
+                                   static_cast<std::size_t>(node.feature) + 1);
+      open.push_back({node.right, ++depth});
       continue;
     }
-    DSEM_ENSURE(node.left != -1 && node.right != -1,
-                "from_nodes: interior node missing a child");
-    for (const std::int32_t child : {node.left, node.right}) {
-      DSEM_ENSURE(child >= 0 && child < n,
-                  "from_nodes: child index out of range");
-    }
-    tree.split_width_ =
-        std::max(tree.split_width_, static_cast<std::size_t>(node.feature) + 1);
-    tree.nodes_.push_back(PackedNode{node.threshold, node.feature, -1});
-    tree.interior_means_.push_back(node.value);
-    stack.push_back({node.right, at, v.depth + 1});
-    stack.push_back({node.left, -1, v.depth + 1});
+    DSEM_ENSURE(node.right == -1, "from_preorder: leaf with a right child");
+    DSEM_ENSURE(static_cast<std::size_t>(open.back().right) == i + 1,
+                "from_preorder: a subtree does not end where the next one "
+                "starts (not preorder)");
+    depth = open.back().depth;
+    open.pop_back();
   }
-  DSEM_ENSURE(tree.nodes_.size() == nodes.size(),
-              "from_nodes: unreachable nodes");
+  DSEM_ENSURE(open.empty(),
+              "from_preorder: preorder tree ends past the node array");
+  DSEM_ENSURE(interior_means.size() == interior,
+              "from_preorder: not one mean per interior node");
+  tree.nodes_ = std::move(nodes);
+  tree.interior_means_ = std::move(interior_means);
   return tree;
-}
-
-std::vector<TreeNode> DecisionTreeRegressor::to_nodes() const {
-  std::vector<TreeNode> out;
-  out.reserve(nodes_.size());
-  std::size_t interior = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const PackedNode& node = nodes_[i];
-    if (node.feature < 0) {
-      out.push_back(TreeNode{-1, 0.0, -1, -1, node.threshold});
-    } else {
-      out.push_back(TreeNode{node.feature, node.threshold,
-                             static_cast<std::int32_t>(i + 1), node.right,
-                             interior_means_[interior++]});
-    }
-  }
-  return out;
 }
 
 double DecisionTreeRegressor::predict_one(std::span<const double> x) const {

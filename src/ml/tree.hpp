@@ -7,7 +7,9 @@
 // node ever sorts. A tree builds serially: the parallelism is a forest's,
 // one task per tree. The fitted tree is stored as 16-byte PackedNodes in
 // preorder, copied once from the build's recycled scratch into an
-// exact-size array.
+// exact-size array, with the interior means kept apart. That layout is the
+// only tree form: model artifacts (ml/serialize.hpp) are written straight
+// from it and read straight into it through from_preorder().
 #pragma once
 
 #include <cstdint>
@@ -23,19 +25,6 @@ struct TreeParams {
   int min_samples_leaf = 1;   ///< each side of a split keeps at least this
   int max_features = 0;       ///< features tried per node; 0 = all
   std::uint64_t seed = 17;    ///< for feature subsampling
-};
-
-/// One node in interchange form: the 5-tuple dsem-model-v1 stores and
-/// from_nodes() accepts. Leaves have feature == -1 and carry `value`;
-/// interior nodes route x[feature] <= threshold left, else right, and
-/// carry the mean of their training targets in `value`. Any indexing that
-/// forms one tree rooted at 0 is valid; to_nodes() emits preorder.
-struct TreeNode {
-  int feature = -1;
-  double threshold = 0.0;
-  std::int32_t left = -1;
-  std::int32_t right = -1;
-  double value = 0.0;
 };
 
 /// One node as a fitted tree stores it (DESIGN.md §7.10): 16 bytes, in
@@ -98,16 +87,17 @@ public:
   void fit_presorted(const detail::Presorted& ps, std::span<const double> y,
                      std::span<const std::size_t> sample);
 
-  /// Rebuilds a fitted tree from a node array — the deserialization path
-  /// (ml/serialize.hpp). Validates the array is one well-formed tree
-  /// rooted at index 0 (children in range, interior nodes have both
-  /// children, leaves neither, every node reachable exactly once) and
-  /// recomputes the depth; throws contract_error otherwise. Any valid
-  /// indexing loads: a preorder walk converts it to the stored layout, so
-  /// to_nodes() returns it renumbered in preorder, with 0.0 as each
-  /// leaf's threshold.
-  static DecisionTreeRegressor from_nodes(TreeParams params,
-                                          const std::vector<TreeNode>& nodes);
+  /// Rebuilds a fitted tree from its stored layout — the deserialization
+  /// path (ml/serialize.hpp): preorder `nodes` and the interior nodes'
+  /// `interior_means` in preorder, taken over without a copy. One forward
+  /// pass checks the shape (a non-empty array that fits in int32,
+  /// feature >= -1, leaves with no right child, each interior node's right
+  /// child where its left subtree ends, every node consumed, one mean per
+  /// interior node) and computes depth() and split_width(); it throws
+  /// contract_error otherwise.
+  static DecisionTreeRegressor
+  from_preorder(TreeParams params, std::vector<PackedNode> nodes,
+                std::vector<double> interior_means);
 
   const TreeParams& params() const noexcept { return params_; }
   std::size_t node_count() const noexcept { return nodes_.size(); }
@@ -119,10 +109,12 @@ public:
   /// The stored nodes, in preorder from the root at index 0: what the
   /// forest walks.
   std::span<const PackedNode> nodes() const noexcept { return nodes_; }
-  /// The tree in interchange form, read in one preorder pass over the
-  /// stored nodes and the interior means: node i's left child is i + 1.
-  /// Serialization reads a tree through this.
-  std::vector<TreeNode> to_nodes() const;
+  /// The interior nodes' training-target means, in preorder: the i-th
+  /// mean belongs to the i-th node of nodes() with feature >= 0.
+  /// Prediction never reads them; serialization does.
+  std::span<const double> interior_means() const noexcept {
+    return interior_means_;
+  }
 
 private:
   struct Workspace;
@@ -133,8 +125,7 @@ private:
 
   TreeParams params_;
   std::vector<PackedNode> nodes_;
-  /// The interior nodes' training-target means, in preorder. Only
-  /// serialization reads them, so they stay out of the walked nodes.
+  /// Kept out of the walked nodes: see interior_means().
   std::vector<double> interior_means_;
   int depth_ = 0;
   std::size_t split_width_ = 0;

@@ -21,6 +21,20 @@ const char* kind_name(ModelKind kind) {
   throw contract_error("model artifact: invalid kind");
 }
 
+// The advisor picks one of these clocks and reports it in MHz, and the
+// scheduler strides through them expecting ascent: a schedule is
+// non-empty, positive and strictly ascending.
+void check_schedule(const std::vector<double>& freqs_mhz) {
+  DSEM_ENSURE(!freqs_mhz.empty(), "model artifact: empty frequency schedule");
+  for (std::size_t i = 0; i < freqs_mhz.size(); ++i) {
+    DSEM_ENSURE(freqs_mhz[i] > 0.0,
+                "model artifact: non-positive frequency in the schedule");
+    DSEM_ENSURE(i == 0 || freqs_mhz[i] > freqs_mhz[i - 1],
+                "model artifact: frequency schedule is not strictly "
+                "ascending");
+  }
+}
+
 } // namespace
 
 void ModelArtifact::validate() const {
@@ -49,7 +63,7 @@ void ModelArtifact::write(json::Writer& out) const {
   validate();
   DSEM_ENSURE(!key.application.empty() && !key.device.empty(),
               "artifact key must name an application and a device");
-  DSEM_ENSURE(!freqs_mhz.empty(), "artifact without a frequency schedule");
+  check_schedule(freqs_mhz);
   DSEM_ENSURE(default_freq_mhz > 0.0, "artifact without a default clock");
 
   out.begin_object();
@@ -149,8 +163,7 @@ ModelArtifact ModelArtifact::read(json::Reader& in) {
   artifact.feature_names = take(names, "feature_names");
   artifact.freqs_mhz = take(freqs, "freqs_mhz");
   artifact.default_freq_mhz = take(default_freq, "default_freq_mhz");
-  DSEM_ENSURE(!artifact.freqs_mhz.empty(),
-              "model artifact: empty frequency schedule");
+  check_schedule(artifact.freqs_mhz);
   DSEM_ENSURE(artifact.default_freq_mhz > 0.0,
               "model artifact: non-positive default clock");
   artifact.kind = take(kind, "kind");

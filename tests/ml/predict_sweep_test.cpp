@@ -189,12 +189,22 @@ TEST(PredictSweep, ForestMatchesOnEveryTrainingInput) {
   }
 }
 
-// The walk a node array means, over its own indexing.
-double reference_walk(const std::vector<TreeNode>& nodes,
+// A hand-built node as an artifact stores it: [feature, threshold, left,
+// right, value], in preorder.
+struct HandNode {
+  int feature = -1;
+  double threshold = 0.0;
+  std::int32_t left = -1;
+  std::int32_t right = -1;
+  double value = 0.0;
+};
+
+// The walk a node array means, following its explicit child indices.
+double reference_walk(const std::vector<HandNode>& nodes,
                       std::span<const double> x) {
   std::size_t i = 0;
   while (nodes[i].feature >= 0) {
-    const TreeNode& n = nodes[i];
+    const HandNode& n = nodes[i];
     i = static_cast<std::size_t>(
         x[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
                                                               : n.right);
@@ -202,14 +212,29 @@ double reference_walk(const std::vector<TreeNode>& nodes,
   return nodes[i].value;
 }
 
+DecisionTreeRegressor from_hand_nodes(const std::vector<HandNode>& nodes) {
+  std::vector<PackedNode> packed;
+  std::vector<double> means;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const HandNode& n = nodes[i];
+    if (n.feature < 0) {
+      packed.push_back({n.value, -1, -1});
+      continue;
+    }
+    EXPECT_EQ(n.left, static_cast<std::int32_t>(i) + 1) << "not preorder";
+    packed.push_back({n.threshold, n.feature, n.right});
+    means.push_back(n.value);
+  }
+  return DecisionTreeRegressor::from_preorder({}, std::move(packed),
+                                              std::move(means));
+}
+
 TEST(PredictSweep, ForestMatchesOnHandBuiltTreesWithRedundantSplits) {
   // Loaded artifacts may hold trees no fit produces: last-column splits
   // that an ancestor's split already decides, infinite thresholds, and a
-  // prefix split between last-column forks. Row layout: [p, f]. The
-  // second tree is not in preorder (node 2 is the root's right child), so
-  // from_nodes renumbers it.
+  // prefix split between last-column forks. Row layout: [p, f].
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const std::vector<std::vector<TreeNode>> arrays = {
+  const std::vector<std::vector<HandNode>> arrays = {
       {{1, 1000.0, 1, 4, 0.0},  // f <= 1000
        {1, 2000.0, 2, 3, 0.0},  // always left under f <= 1000
        {-1, 0.0, -1, -1, 1.0},
@@ -221,14 +246,14 @@ TEST(PredictSweep, ForestMatchesOnHandBuiltTreesWithRedundantSplits) {
        {1, 1200.0, 9, 10, 0.0},
        {-1, 0.0, -1, -1, 5.0},
        {-1, 0.0, -1, -1, 6.0}},
-      {{1, kInf, 1, 2, 0.0},
-       {1, -kInf, 3, 4, 0.0},
-       {-1, 0.0, -1, -1, 7.0},
+      {{1, kInf, 1, 4, 0.0},
+       {1, -kInf, 2, 3, 0.0},
        {-1, 0.0, -1, -1, 8.0},
-       {-1, 0.0, -1, -1, 9.0}}};
+       {-1, 0.0, -1, -1, 9.0},
+       {-1, 0.0, -1, -1, 7.0}}};
   std::vector<DecisionTreeRegressor> trees;
   for (const auto& nodes : arrays) {
-    trees.push_back(DecisionTreeRegressor::from_nodes({}, nodes));
+    trees.push_back(from_hand_nodes(nodes));
   }
   const auto forest = RandomForestRegressor::from_trees(
       ForestParams{.n_estimators = 2}, std::move(trees));
@@ -255,13 +280,6 @@ TEST(PredictSweep, ForestMatchesOnHandBuiltTreesWithRedundantSplits) {
           << "row " << r;
     }
   }
-  // Saved again, the second tree comes out renumbered in preorder.
-  const std::vector<TreeNode> resaved = forest.tree(1).to_nodes();
-  ASSERT_EQ(resaved.size(), 5u);
-  EXPECT_EQ(resaved[1].left, 2);
-  EXPECT_EQ(resaved[1].right, 3);
-  EXPECT_EQ(resaved[0].right, 4);
-  EXPECT_EQ(resaved[4].value, 7.0);
 }
 
 TEST(PredictSweep, BaseImplementationMatchesPredictMany) {

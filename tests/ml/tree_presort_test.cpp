@@ -44,6 +44,16 @@ double split_threshold(double lo, double hi) {
   return std::isfinite(mid) && mid != hi ? mid : lo;
 }
 
+// A node as the reference builds it: explicit child indices, and the
+// node's training-target mean in `value` (a leaf's prediction).
+struct RefNode {
+  int feature = -1;
+  double threshold = 0.0;
+  std::int32_t left = -1;
+  std::int32_t right = -1;
+  double value = 0.0;
+};
+
 class ReferenceTree {
 public:
   explicit ReferenceTree(TreeParams params) : params_(params) {}
@@ -57,7 +67,7 @@ public:
     build(x, y, indices, 0, indices.size(), 0, rng);
   }
 
-  std::span<const TreeNode> nodes() const { return nodes_; }
+  std::span<const RefNode> nodes() const { return nodes_; }
   int depth() const { return depth_; }
 
 private:
@@ -78,7 +88,7 @@ private:
     const double sse = sum_sq - sum * mean;
 
     const auto make_leaf = [&] {
-      nodes_.push_back(TreeNode{-1, 0.0, -1, -1, mean});
+      nodes_.push_back(RefNode{-1, 0.0, -1, -1, mean});
       return static_cast<std::int32_t>(nodes_.size() - 1);
     };
 
@@ -161,7 +171,7 @@ private:
     const auto mid = static_cast<std::size_t>(mid_it - indices.begin());
 
     const auto node_id = static_cast<std::int32_t>(nodes_.size());
-    nodes_.push_back(TreeNode{best_feature, best_threshold, -1, -1, mean});
+    nodes_.push_back(RefNode{best_feature, best_threshold, -1, -1, mean});
     const std::int32_t left = build(x, y, indices, begin, mid, depth + 1, rng);
     const std::int32_t right = build(x, y, indices, mid, end, depth + 1, rng);
     nodes_[static_cast<std::size_t>(node_id)].left = left;
@@ -170,7 +180,7 @@ private:
   }
 
   TreeParams params_;
-  std::vector<TreeNode> nodes_;
+  std::vector<RefNode> nodes_;
   int depth_ = 0;
 };
 
@@ -306,17 +316,29 @@ void expect_identical_trees(const ReferenceTree& ref,
                             std::uint64_t seed) {
   ASSERT_EQ(ref.nodes().size(), tree.node_count()) << "seed " << seed;
   EXPECT_EQ(ref.depth(), tree.depth()) << "seed " << seed;
-  const std::vector<TreeNode> nodes = tree.to_nodes();
+  // The production tree stores the same nodes in preorder: a left child
+  // at index + 1, a leaf's mean in its threshold slot, the interior means
+  // apart.
+  std::size_t interior = 0;
   for (std::size_t i = 0; i < tree.node_count(); ++i) {
-    const TreeNode& a = ref.nodes()[i];
-    const TreeNode& b = nodes[i];
+    const RefNode& a = ref.nodes()[i];
+    const PackedNode& b = tree.nodes()[i];
     ASSERT_EQ(a.feature, b.feature) << "node " << i << " seed " << seed;
-    ASSERT_EQ(a.left, b.left) << "node " << i << " seed " << seed;
     ASSERT_EQ(a.right, b.right) << "node " << i << " seed " << seed;
     // Bitwise: thresholds and leaf means must be the exact same doubles.
+    if (a.feature < 0) {
+      ASSERT_EQ(a.left, -1) << "node " << i << " seed " << seed;
+      ASSERT_EQ(a.value, b.threshold) << "node " << i << " seed " << seed;
+      continue;
+    }
+    ASSERT_EQ(a.left, static_cast<std::int32_t>(i) + 1)
+        << "node " << i << " seed " << seed;
     ASSERT_EQ(a.threshold, b.threshold) << "node " << i << " seed " << seed;
-    ASSERT_EQ(a.value, b.value) << "node " << i << " seed " << seed;
+    ASSERT_LT(interior, tree.interior_means().size()) << "seed " << seed;
+    ASSERT_EQ(a.value, tree.interior_means()[interior++])
+        << "node " << i << " seed " << seed;
   }
+  EXPECT_EQ(interior, tree.interior_means().size()) << "seed " << seed;
 }
 
 // Fits the reference and the production tree on (x, y), checks their node
@@ -339,7 +361,7 @@ DecisionTreeRegressor expect_matches_reference(const Matrix& x,
     double out = 0.0;
     std::size_t node = 0;
     for (;;) {
-      const TreeNode& nd = ref.nodes()[node];
+      const RefNode& nd = ref.nodes()[node];
       if (nd.feature < 0) {
         out = nd.value;
         break;
@@ -497,7 +519,7 @@ TEST(TreePresort, MatchesReferenceAcrossScanBlocks) {
               << "n " << n << " min_leaf " << min_leaf << " max_features "
               << max_features << " seed " << seed;
           if (max_features == 0) { // the root splits off the top rows
-            const TreeNode root = tree.to_nodes().front();
+            const PackedNode root = tree.nodes().front();
             EXPECT_EQ(root.feature, 0) << "n " << n << " seed " << seed;
             EXPECT_GT(root.threshold, 4.0) << "n " << n << " seed " << seed;
           }
@@ -641,17 +663,15 @@ TEST(TreePresort, BootstrapExpansionMatchesGatheredFit) {
     direct.fit(xb, yb);
 
     ASSERT_EQ(direct.node_count(), fast.node_count()) << "seed " << seed;
-    const std::vector<TreeNode> direct_nodes = direct.to_nodes();
-    const std::vector<TreeNode> fast_nodes = fast.to_nodes();
     for (std::size_t i = 0; i < fast.node_count(); ++i) {
-      const TreeNode& a = direct_nodes[i];
-      const TreeNode& b = fast_nodes[i];
+      const PackedNode& a = direct.nodes()[i];
+      const PackedNode& b = fast.nodes()[i];
       ASSERT_EQ(a.feature, b.feature) << "node " << i;
       ASSERT_EQ(a.threshold, b.threshold) << "node " << i;
-      ASSERT_EQ(a.value, b.value) << "node " << i;
-      ASSERT_EQ(a.left, b.left) << "node " << i;
       ASSERT_EQ(a.right, b.right) << "node " << i;
     }
+    ASSERT_TRUE(std::ranges::equal(direct.interior_means(),
+                                   fast.interior_means()));
   }
 }
 

@@ -81,8 +81,9 @@ public:
       }
       EXPECT_LT(std::chrono::steady_clock::now() - start, kAnswerBound)
           << label;
-    } catch (const contract_error&) {
+    } catch (const contract_error& e) {
       ++rejected_;
+      last_error_ = e.what();
     } catch (const std::exception& e) {
       ADD_FAILURE() << label << ": " << e.what();
     }
@@ -92,9 +93,11 @@ public:
   int rejected() const { return rejected_; }
   /// Loaded mutants whose grid raised contract_error instead of answering.
   int refused() const { return refused_; }
+  const std::string& last_error() const { return last_error_; }
 
 private:
   std::string path_;
+  std::string last_error_;
   int loaded_ = 0;
   int rejected_ = 0;
   int refused_ = 0;
@@ -216,6 +219,88 @@ TEST(ArtifactMutation, NumberPerturbationsLoadOrRaise) {
   }
   EXPECT_GT(loader.loaded(), 0);
   EXPECT_GT(loader.rejected(), 0);
+}
+
+/// Index one past the subtree rooted at `node` of a preorder node array:
+/// past its rightmost leaf.
+std::size_t subtree_end(const json::Value::Array& nodes, std::size_t node) {
+  while (nodes[node].as_array()[0].as_number() >= 0) {
+    node = static_cast<std::size_t>(nodes[node].as_array()[3].as_number());
+  }
+  return node + 1;
+}
+
+/// The same tree with the two subtrees of interior node `p` swapped in
+/// the array, each node's child indices following it: the tree means the
+/// same, but p's left child no longer comes right after p.
+json::Value::Array swap_subtrees(const json::Value::Array& nodes,
+                                 std::size_t p) {
+  const std::size_t r =
+      static_cast<std::size_t>(nodes[p].as_array()[3].as_number());
+  const std::size_t e = subtree_end(nodes, r);
+  const auto moved = [&](double index) {
+    const auto i = static_cast<std::size_t>(index);
+    if (index < 0 || i <= p || i >= e) {
+      return index;
+    }
+    return static_cast<double>(i >= r ? p + 1 + (i - r)
+                                      : p + 1 + (e - r) + (i - p - 1));
+  };
+  json::Value::Array out(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    json::Value node = nodes[i];
+    json::Value::Array& cells = node.as_array();
+    if (cells[0].as_number() >= 0) {
+      cells[2] = json::Value(moved(cells[2].as_number()));
+      cells[3] = json::Value(moved(cells[3].as_number()));
+    }
+    out[static_cast<std::size_t>(moved(static_cast<double>(i)))] =
+        std::move(node);
+  }
+  return out;
+}
+
+TEST(ArtifactMutation, SwappedSubtreesRaise) {
+  // A valid tree in another indexing than preorder: no save writes one,
+  // and a load rejects it rather than renumbering it.
+  const json::Value golden = json::Value::parse(golden_text());
+  MutantLoader loader("swap");
+  std::mt19937_64 rng(0x5A4B'7EE5ULL);
+  int mutants = 0;
+  for (const char* model : {"time", "energy"}) {
+    const std::size_t trees =
+        golden.at("model").at(model).at("trees").as_array().size();
+    for (std::size_t t = 0; t < trees; ++t) {
+      const json::Value::Array& nodes = golden.at("model")
+                                            .at(model)
+                                            .at("trees")
+                                            .as_array()[t]
+                                            .at("nodes")
+                                            .as_array();
+      std::vector<std::size_t> interior;
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        if (nodes[i].as_array()[0].as_number() >= 0) {
+          interior.push_back(i);
+        }
+      }
+      ASSERT_FALSE(interior.empty());
+      std::uniform_int_distribution<std::size_t> any(0, interior.size() - 1);
+      for (const std::size_t p :
+           {interior.front(), interior[any(rng)], interior[any(rng)]}) {
+        json::Value doc = golden;
+        doc.at("model").at(model).at("trees").as_array()[t].at("nodes")
+            .as_array() = swap_subtrees(nodes, p);
+        loader.load(doc.dump(2), std::string(model) + " tree " +
+                                     std::to_string(t) + " node " +
+                                     std::to_string(p));
+        ++mutants;
+        EXPECT_NE(loader.last_error().find("preorder"), std::string::npos)
+            << loader.last_error();
+      }
+    }
+  }
+  EXPECT_GT(mutants, 30);
+  EXPECT_EQ(loader.rejected(), mutants);
 }
 
 } // namespace

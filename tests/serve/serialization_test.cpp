@@ -35,17 +35,14 @@ void expect_interior_means_survive(const ModelArtifact& saved,
         time ? loaded.ds->time_model() : loaded.ds->energy_model());
     ASSERT_EQ(a.tree_count(), b.tree_count());
     for (std::size_t t = 0; t < a.tree_count(); ++t) {
-      const std::vector<ml::TreeNode> na = a.tree(t).to_nodes();
-      const std::vector<ml::TreeNode> nb = b.tree(t).to_nodes();
-      ASSERT_EQ(na.size(), nb.size());
-      for (std::size_t i = 0; i < na.size(); ++i) {
-        if (na[i].feature < 0) {
-          continue;
-        }
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(na[i].value),
-                  std::bit_cast<std::uint64_t>(nb[i].value))
-            << "tree " << t << " node " << i;
-        nonzero += na[i].value != 0.0 ? 1 : 0;
+      const std::span<const double> ma = a.tree(t).interior_means();
+      const std::span<const double> mb = b.tree(t).interior_means();
+      ASSERT_EQ(ma.size(), mb.size());
+      for (std::size_t i = 0; i < ma.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(ma[i]),
+                  std::bit_cast<std::uint64_t>(mb[i]))
+            << "tree " << t << " mean " << i;
+        nonzero += ma[i] != 0.0 ? 1 : 0;
       }
     }
   }
@@ -206,6 +203,26 @@ TEST(SerializationTest, EmptyFrequencyScheduleIsRejected) {
   json::Value doc = synthetic_artifact(8).to_json();
   doc.set("freqs_mhz", json::Value::array());
   EXPECT_THROW(ModelArtifact::from_json(doc), contract_error);
+  // A schedule is positive and strictly ascending: a negated one used to
+  // recommend a negative clock, a reversed one a different clock. Both a
+  // load and a save refuse it.
+  const std::vector<std::vector<double>> bad = {
+      {-1400, -1200, -1000, -800, -600}, {0, 800, 1000, 1200, 1400},
+      {1400, 1200, 1000, 800, 600},      {600, 800, 800, 1200, 1400},
+      {600, 1000, 800, 1200, 1400}};
+  for (const std::vector<double>& freqs : bad) {
+    auto schedule = json::Value::array();
+    for (const double f : freqs) {
+      schedule.push_back(f);
+    }
+    doc.set("freqs_mhz", schedule);
+    EXPECT_THROW(ModelArtifact::from_json(doc), contract_error)
+        << freqs.front() << ", " << freqs[1];
+    ModelArtifact artifact = synthetic_artifact(8);
+    artifact.freqs_mhz = freqs;
+    EXPECT_THROW(artifact.to_json(), contract_error)
+        << freqs.front() << ", " << freqs[1];
+  }
 }
 
 // Reorders every object in `doc`, recursively: reversed, or sorted by key
