@@ -10,8 +10,8 @@
 //
 // Trees are written straight from their stored preorder layout and read
 // straight back into it (DESIGN.md §7.10): no other tree form exists, so a
-// document whose trees are not in preorder — which no save has ever
-// written — raises contract_error rather than being renumbered.
+// document whose trees are not in preorder, which no save writes, raises
+// contract_error.
 //
 // Supported family: RandomForest, the paper's selected regressor. Other
 // families (DecisionTree, SVR, Linear, Lasso) raise a clean contract_error

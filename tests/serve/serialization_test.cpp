@@ -203,7 +203,7 @@ TEST(SerializationTest, EmptyFrequencyScheduleIsRejected) {
   json::Value doc = synthetic_artifact(8).to_json();
   doc.set("freqs_mhz", json::Value::array());
   EXPECT_THROW(ModelArtifact::from_json(doc), contract_error);
-  // A schedule is positive and strictly ascending: a negated one used to
+  // A schedule is positive and strictly ascending: a negated one would
   // recommend a negative clock, a reversed one a different clock. Both a
   // load and a save refuse it.
   const std::vector<std::vector<double>> bad = {
